@@ -8,7 +8,6 @@ cells. Black-Scholes / implied-vol / local-vol comparison tools included.
 
 from .ingest import (
     SESSION_SECONDS,
-    Tick,
     TickSeries,
     load_ticks,
     normalize_price,
@@ -20,10 +19,8 @@ from .ingest import (
 from .grid import (
     GridData,
     GridSpec,
-    aggregate_return,
     assign_cell,
     build_grid,
-    destandardize_returns,
     standardize_returns,
 )
 from .model import (
@@ -34,7 +31,6 @@ from .model import (
     cell_mixture,
     component_means,
     grad_log_posterior,
-    log_likelihood,
     log_posterior,
     log_prior,
     mixture_logpdf,
@@ -46,7 +42,6 @@ from .sampler import (
     HmcConfig,
     diagnostics,
     effective_sample_size,
-    hamiltonian,
     hmc_step,
     kinetic,
     leapfrog,
@@ -60,7 +55,6 @@ from .surface import (
     credible_interval,
     export_surface,
     load_surface,
-    predictive_std,
 )
 from .voltools import (
     CallGrid,

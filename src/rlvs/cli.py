@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 from importlib import resources
 
@@ -63,15 +62,6 @@ DEFAULTS = {
 
 # Keys that may be left unset and resolved from data at run time.
 _OPTIONAL = {("grid", "price_min"), ("grid", "price_max"), ("surface", "bins_per_day")}
-
-
-def n_threads() -> int:
-    """Worker cap from RLVS_THREADS (compute here is sequential; the cap is
-    honored trivially and echoed for the record)."""
-    try:
-        return max(1, int(os.environ.get("RLVS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def default_config() -> dict:
@@ -130,7 +120,6 @@ def apply_master_seed(cfg: dict, seed: int) -> None:
 
 def echo_config(cfg: dict, out=None) -> None:
     out = out or sys.stdout
-    print(f"rlvs_threads = {n_threads()}", file=out)
     for section, vals in cfg.items():
         print(f"[{section}]", file=out)
         for key, val in vals.items():
@@ -285,15 +274,13 @@ def run_compare(surface_path, quotes_path, spot, rate, yield_rate,
     with open(out_path, "w", newline="\n") as fh:
         fh.write("snapshot,strike,implied_vol,realized_vol,difference,masked\n")
         for t in snapshots:
-            i = min(max(int(np.floor(t * spec.n_time)), 0), spec.n_time - 1)
             for q in in_range:
                 try:
                     iv = voltools.implied_vol(q)
                 except voltools.VolToolsError as exc:
                     print(f"skipped strike {q.strike}: {exc}", file=sys.stderr)
                     continue
-                frac = ingest.normalize_price(q.strike, spec.price_min, spec.price_max)
-                j = min(max(int(np.floor(frac * spec.n_price)), 0), spec.n_price - 1)
+                i, j = grid_mod.assign_cell(t, q.strike, spec)
                 rv = float(surf.vol_mean[i, j])
                 fh.write(
                     f"{t!r},{q.strike!r},{iv!r},{rv!r},{rv - iv!r},"

@@ -8,7 +8,6 @@ marks cells the price path visited.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,13 +163,6 @@ def build_grid(series: TickSeries, spec: GridSpec) -> GridData:
     )
 
 
-def aggregate_return(cell_returns) -> float:
-    """Total log return of one cell (sum of its stored returns)."""
-    if len(cell_returns) == 0:
-        raise GridError("aggregate_return needs a non-empty cell")
-    return float(np.sum(np.asarray(cell_returns, dtype=float)))
-
-
 def standardize_returns(grid: GridData) -> tuple[GridData, float]:
     """Divide every stored return by the pooled standard deviation.
 
@@ -197,24 +189,3 @@ def standardize_returns(grid: GridData) -> tuple[GridData, float]:
     )
     return out, scale
 
-
-def destandardize_returns(grid: GridData, scale: float) -> GridData:
-    """Inverse of standardize_returns for a known scale."""
-    scaled = [[[r * scale for r in cell] for cell in row] for row in grid.returns]
-    return GridData(
-        spec=grid.spec,
-        mask=grid.mask.copy(),
-        returns=scaled,
-        cell_time=grid.cell_time.copy(),
-        cell_logprice=grid.cell_logprice.copy(),
-    )
-
-
-def save_grid(grid: GridData, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(grid.to_dict(), fh)
-
-
-def load_grid(path) -> GridData:
-    with open(path) as fh:
-        return GridData.from_dict(json.load(fh))

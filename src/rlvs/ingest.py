@@ -19,12 +19,6 @@ class TickDataError(ValueError):
     """Malformed or degenerate tick input."""
 
 
-@dataclass(frozen=True)
-class Tick:
-    time: float
-    price: float
-
-
 @dataclass
 class TickSeries:
     """Ordered ticks for one trading session, stored as parallel arrays."""
@@ -51,10 +45,6 @@ class TickSeries:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def __iter__(self):
-        for t, p in zip(self.times, self.prices):
-            yield Tick(float(t), float(p))
 
 
 def load_ticks(path, session_length: float = SESSION_SECONDS, symbol: str = "") -> TickSeries:

@@ -267,23 +267,27 @@ def _loglik_terms(params, means, logw, xs, ci, cj):
     return logw[ci, cj, :] - 0.5 * d * d - np.log(s) - 0.5 * LOG_2PI
 
 
-def log_likelihood(params: ModelParams, grid: GridData) -> float:
-    """Masked log likelihood: only visited cells contribute."""
-    xs, ci, cj = grid.observations()
-    if xs.size == 0:
-        return 0.0
-    means = component_means(params, grid)
-    logw = _log_stick_break(params.stick_raw)
-    return float(np.sum(logsumexp(_loglik_terms(params, means, logw, xs, ci, cj), axis=1)))
+def _log_posterior(params: ModelParams, grid: GridData, xs, ci, cj) -> float:
+    """Log prior plus the masked log likelihood of the observations (xs, ci, cj)."""
+    out = log_prior(params)
+    if xs.size:
+        means = component_means(params, grid)
+        logw = _log_stick_break(params.stick_raw)
+        terms = _loglik_terms(params, means, logw, xs, ci, cj)
+        out += float(np.sum(logsumexp(terms, axis=1)))
+    return out
 
 
 def log_posterior(params: ModelParams, grid: GridData) -> float:
-    """Unnormalized log posterior: log prior plus masked log likelihood."""
-    return log_prior(params) + log_likelihood(params, grid)
+    """Unnormalized log posterior: log prior plus masked log likelihood.
+
+    Only cells whose mask bit is set contribute likelihood.
+    """
+    return _log_posterior(params, grid, *grid.observations())
 
 
-def grad_log_posterior(params: ModelParams, grid: GridData) -> np.ndarray:
-    """Analytic gradient of log_posterior, flat in to_vector() order."""
+def _grad_log_posterior(params: ModelParams, grid: GridData, xs, ci, cj) -> np.ndarray:
+    """Gradient of _log_posterior for the observations (xs, ci, cj)."""
     dims = params.dims
     i_n, j_n, k_n = dims.n_time, dims.n_price, dims.n_components
     gamma = expit(params.stick_raw)
@@ -299,7 +303,6 @@ def grad_log_posterior(params: ModelParams, grid: GridData) -> np.ndarray:
     # d/d conc of [Beta(1,1) Jacobian + K * log a + (a - 1) sum log(1 - gamma)]
     g_c = (1.0 - 2.0 * a) + k_n * (1.0 - a) + a * (1.0 - a) * np.sum(log_1mg, axis=-1)
 
-    xs, ci, cj = grid.observations()
     if xs.size:
         s = params.component_scale
         means = component_means(params, grid)
@@ -338,6 +341,11 @@ def grad_log_posterior(params: ModelParams, grid: GridData) -> np.ndarray:
     ])
 
 
+def grad_log_posterior(params: ModelParams, grid: GridData) -> np.ndarray:
+    """Analytic gradient of log_posterior, flat in to_vector() order."""
+    return _grad_log_posterior(params, grid, *grid.observations())
+
+
 class Posterior:
     """Flat-vector view of the posterior for the HMC engine.
 
@@ -361,46 +369,7 @@ class Posterior:
         return ModelParams.from_vector(self.dims, vec, self.component_scale)
 
     def logp(self, vec: np.ndarray) -> float:
-        p = self.params(vec)
-        out = log_prior(p)
-        if self._xs.size:
-            means = component_means(p, self.grid)
-            logw = _log_stick_break(p.stick_raw)
-            terms = _loglik_terms(p, means, logw, self._xs, self._ci, self._cj)
-            out += float(np.sum(logsumexp(terms, axis=1)))
-        return out
+        return _log_posterior(self.params(vec), self.grid, self._xs, self._ci, self._cj)
 
     def grad(self, vec: np.ndarray) -> np.ndarray:
-        return grad_log_posterior(self.params(vec), self.grid)
-
-
-def params_to_dict(params: ModelParams, standardize_scale: float = 1.0,
-                   seed: int | None = None) -> dict:
-    """JSON-ready checkpoint form of one parameter set."""
-    d = params.dims
-    return {
-        "n_time": d.n_time,
-        "n_price": d.n_price,
-        "n_components": d.n_components,
-        "time_effect": params.time_effect.ravel().tolist(),
-        "price_effect": params.price_effect.ravel().tolist(),
-        "alpha": params.alpha.tolist(),
-        "stick_raw": params.stick_raw.ravel().tolist(),
-        "conc": params.conc.ravel().tolist(),
-        "component_scale": params.component_scale,
-        "standardize_scale": standardize_scale,
-        "seed": seed,
-    }
-
-
-def params_from_dict(d: dict) -> ModelParams:
-    dims = ModelDims(d["n_time"], d["n_price"], d["n_components"])
-    i, j, k = dims.n_time, dims.n_price, dims.n_components
-    return ModelParams(
-        time_effect=np.asarray(d["time_effect"], dtype=float).reshape(i, k),
-        price_effect=np.asarray(d["price_effect"], dtype=float).reshape(j, k),
-        alpha=np.asarray(d["alpha"], dtype=float),
-        stick_raw=np.asarray(d["stick_raw"], dtype=float).reshape(i, j, k),
-        conc=np.asarray(d["conc"], dtype=float).reshape(i, j),
-        component_scale=float(d.get("component_scale", 1.0)),
-    )
+        return _grad_log_posterior(self.params(vec), self.grid, self._xs, self._ci, self._cj)

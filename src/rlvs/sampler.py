@@ -81,11 +81,6 @@ def kinetic(p: np.ndarray, mass_diag) -> float:
     return 0.5 * float(np.sum(p * p / np.asarray(mass_diag, dtype=float)))
 
 
-def hamiltonian(q: np.ndarray, p: np.ndarray, target, mass_diag) -> float:
-    """Total energy K(p) - logp(q)."""
-    return kinetic(p, mass_diag) - target.logp(q)
-
-
 def leapfrog(q, p, target, step_size: float, n_steps: int, mass_diag):
     """Half/full/half leapfrog; returns (q, p, diverged).
 

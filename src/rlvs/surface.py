@@ -17,18 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridData, GridSpec
-from .model import (
-    ModelParams,
-    MixtureSpec,
-    component_means,
-    stick_break,
-    stick_weights_from_raw,
-)
+from .model import MixtureSpec, component_means, stick_break, stick_weights_from_raw
 
 # Concentration pinned at its flat-prior median, stick fractions at the
 # Beta(1, concentration) median for that value: 1 - 0.5**(1/0.5) = 0.75.
 COUNTERFACTUAL_CONC = 0.5
 COUNTERFACTUAL_STICK = 1.0 - 0.5 ** (1.0 / COUNTERFACTUAL_CONC)
+
+
+_CSV_COLUMNS = ("i", "j", "t_norm", "price_mid", "price_lo", "price_hi",
+                "vol_mean", "vol_lo", "vol_hi", "masked")
 
 
 class SurfaceError(ValueError):
@@ -45,8 +43,11 @@ class SurfaceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_param_draws < 1 or self.n_returns_per_draw < 1:
-            raise SurfaceError("draw counts must be >= 1")
+        # A sample std needs two returns, a credible interval two draws.
+        for key in ("n_param_draws", "n_returns_per_draw"):
+            value = getattr(self, key)
+            if value < 2:
+                raise SurfaceError(f"surface.{key} must be >= 2, got {value}")
         if not 0.0 < self.ci_level < 1.0:
             raise SurfaceError("ci_level must lie in (0, 1)")
         if self.bins_per_day < 1 or self.trading_days < 1:
@@ -109,32 +110,6 @@ def _sample_std(mix: MixtureSpec, n: int, rng: np.random.Generator,
     comp = np.clip(comp, 0, mix.weights.size - 1)
     vals = mix.means[comp] + mix.scale * rng.standard_normal(n)
     return float(np.std(vals * destandardize_scale, ddof=1))
-
-
-def predictive_std(params: ModelParams, grid: GridData, cell: tuple[int, int],
-                   n: int, rng: np.random.Generator,
-                   destandardize_scale: float = 1.0,
-                   counterfactual: bool = False) -> float:
-    """Sample std of n returns drawn from cell (i, j)'s mixture.
-
-    ``counterfactual=True`` replaces the cell's stick fractions with the
-    pinned prior summaries used for unvisited cells.
-    """
-    if n < 2:
-        raise SurfaceError("predictive_std needs n >= 2")
-    i, j = cell
-    k = params.dims.n_components
-    if counterfactual:
-        weights = stick_break(np.full(k, COUNTERFACTUAL_STICK))
-    else:
-        weights = stick_weights_from_raw(params.stick_raw[i, j])
-    mu = (
-        params.time_effect[i] * grid.cell_time[i]
-        + params.price_effect[j] * grid.cell_logprice[j]
-        + params.alpha
-    )
-    mix = MixtureSpec(weights, mu, params.component_scale)
-    return _sample_std(mix, n, rng, destandardize_scale)
 
 
 def annualize(std_per_bin: float, bins_per_day: int, trading_days: int) -> float:
@@ -237,13 +212,17 @@ def load_surface(path) -> VolSurface:
 
 
 def _write_csv(surface: VolSurface, path) -> None:
+    spec = surface.spec
+    # linspace pins the outer edges to price_min and price_max exactly.
+    edges = np.linspace(spec.price_min, spec.price_max, spec.n_price + 1)
     with open(path, "w", newline="\n") as fh:
-        fh.write("i,j,t_norm,price_mid,vol_mean,vol_lo,vol_hi,masked\n")
-        for i in range(surface.spec.n_time):
-            for j in range(surface.spec.n_price):
+        fh.write(",".join(_CSV_COLUMNS) + "\n")
+        for i in range(spec.n_time):
+            for j in range(spec.n_price):
                 fh.write(
                     f"{i},{j},{float(surface.cell_time[i])!r},"
                     f"{float(surface.price_mid[j])!r},"
+                    f"{float(edges[j])!r},{float(edges[j + 1])!r},"
                     f"{float(surface.vol_mean[i, j])!r},{float(surface.vol_lo[i, j])!r},"
                     f"{float(surface.vol_hi[i, j])!r},{int(surface.masked[i, j])}\n"
                 )
@@ -251,13 +230,18 @@ def _write_csv(surface: VolSurface, path) -> None:
 
 def _read_csv(path) -> VolSurface:
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
     if not rows:
         raise SurfaceError(f"{path}: empty surface file")
+    missing = [c for c in _CSV_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise SurfaceError(f"{path}: surface CSV has no column {', '.join(missing)}")
     i_n = max(int(r["i"]) for r in rows) + 1
     j_n = max(int(r["j"]) for r in rows) + 1
     cell_time = np.zeros(i_n)
     price_mid = np.zeros(j_n)
+    edges = np.zeros(j_n + 1)
     vol_mean = np.zeros((i_n, j_n))
     vol_lo = np.zeros((i_n, j_n))
     vol_hi = np.zeros((i_n, j_n))
@@ -266,18 +250,13 @@ def _read_csv(path) -> VolSurface:
         i, j = int(r["i"]), int(r["j"])
         cell_time[i] = float(r["t_norm"])
         price_mid[j] = float(r["price_mid"])
+        edges[j], edges[j + 1] = float(r["price_lo"]), float(r["price_hi"])
         vol_mean[i, j] = float(r["vol_mean"])
         vol_lo[i, j] = float(r["vol_lo"])
         vol_hi[i, j] = float(r["vol_hi"])
         masked[i, j] = r["masked"].strip() == "1"
-    # Rebuild the price band from adjacent bin midpoints (uniform bins).
-    width = price_mid[1] - price_mid[0] if j_n > 1 else 2.0 * price_mid[0]
-    spec = GridSpec(
-        n_time=i_n,
-        n_price=j_n,
-        price_min=float(price_mid[0] - width / 2.0),
-        price_max=float(price_mid[-1] + width / 2.0),
-    )
+    spec = GridSpec(n_time=i_n, n_price=j_n, price_min=float(edges[0]),
+                    price_max=float(edges[-1]))
     return VolSurface(
         spec=spec, vol_mean=vol_mean, vol_lo=vol_lo, vol_hi=vol_hi,
         masked=masked, cell_time=cell_time, price_mid=price_mid,

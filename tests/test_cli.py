@@ -75,7 +75,6 @@ class TestSynth:
         out = capsys.readouterr().out
         assert "[synth]" in out and "[hmc]" in out
         assert "n_ticks = 50" in out
-        assert "rlvs_threads" in out
 
 
 class TestFit:

@@ -2,17 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rlvs.grid import (
     GridData,
     GridError,
     GridSpec,
-    aggregate_return,
     assign_cell,
     build_grid,
-    destandardize_returns,
-    load_grid,
-    save_grid,
     standardize_returns,
 )
 from rlvs.ingest import TickSeries, normalize_time, synth_gbm_ticks
@@ -69,7 +66,7 @@ class TestBuildGrid:
                        np.array([100.0, 101.0, 99.5, 100.5]), session_length=1.0)
         spec = GridSpec(1, 1, 99.0, 102.0)
         g = build_grid(s, spec)
-        assert aggregate_return(g.returns[0][0]) == pytest.approx(np.log(100.5 / 100.0), abs=1e-12)
+        assert sum(g.returns[0][0]) == pytest.approx(np.log(100.5 / 100.0), abs=1e-12)
 
     def test_total_return_count(self):
         g, series = gbm_grid(n_ticks=800, seed=3)
@@ -105,25 +102,37 @@ class TestBuildGrid:
 
 
 class TestAggregateReturn:
-    def test_cancellation(self):
-        assert aggregate_return([0.01, -0.01]) == pytest.approx(0.0, abs=1e-18)
-
-    def test_singleton(self):
-        assert aggregate_return([np.log(1.02)]) == pytest.approx(np.log(1.02))
-
-    def test_empty_cell_errors(self):
-        with pytest.raises(GridError):
-            aggregate_return([])
+    """A cell's aggregate return is the sum of its stored log returns."""
 
     def test_full_session_telescopes(self):
         g, series = gbm_grid(n_ticks=1200, seed=19)
         total = sum(
-            aggregate_return(g.returns[i][j])
+            sum(g.returns[i][j])
             for i in range(g.spec.n_time)
             for j in range(g.spec.n_price)
             if g.mask[i, j]
         )
         assert total == pytest.approx(np.log(series.prices[-1] / series.prices[0]), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(st.floats(-0.05, 0.05), min_size=1, max_size=60),
+        n_time=st.integers(1, 6),
+        n_price=st.integers(1, 6),
+        band=st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)),
+    )
+    def test_build_grid_conserves_total_log_return(self, steps, n_time, n_price, band):
+        # Any path, any grid, any band (prices may fall outside it): every
+        # return lands in exactly one cell, so the cell sums add up to
+        # log(last / first).
+        prices = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
+        times = np.linspace(0.0, 1.0, prices.size)
+        lo, hi = 100.0 * min(band), 100.0 * max(band) + 1.0
+        g = build_grid(TickSeries(times, prices, session_length=1.0),
+                       GridSpec(n_time, n_price, lo, hi))
+        total = sum(sum(c) for row in g.returns for c in row)
+        assert g.n_observations() == prices.size - 1
+        assert total == pytest.approx(np.log(prices[-1] / prices[0]), abs=1e-12)
 
 
 class TestStandardize:
@@ -137,11 +146,10 @@ class TestStandardize:
     def test_round_trip(self):
         g, _ = gbm_grid(seed=29)
         out, scale = standardize_returns(g)
-        back = destandardize_returns(out, scale)
         for i in range(g.spec.n_time):
             for j in range(g.spec.n_price):
-                np.testing.assert_allclose(back.returns[i][j], g.returns[i][j],
-                                           rtol=1e-12, atol=1e-18)
+                np.testing.assert_allclose(np.multiply(out.returns[i][j], scale),
+                                           g.returns[i][j], rtol=1e-12, atol=1e-18)
 
     def test_constant_prices_degenerate(self):
         s = TickSeries(np.array([0.0, 0.1, 0.2]), np.array([100.0, 100.0, 100.0]),
@@ -168,18 +176,15 @@ class TestStandardize:
 
 
 class TestSerialization:
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
+        # The path a fit checkpoint takes: to_dict -> JSON text -> from_dict.
         g, _ = gbm_grid(seed=31)
-        p = tmp_path / "grid.json"
-        save_grid(g, p)
-        back = load_grid(p)
+        back = GridData.from_dict(json.loads(json.dumps(g.to_dict())))
         assert back.spec == g.spec
         np.testing.assert_array_equal(back.mask, g.mask)
-        np.testing.assert_allclose(back.cell_time, g.cell_time, rtol=1e-15)
-        np.testing.assert_allclose(back.cell_logprice, g.cell_logprice, rtol=1e-15)
-        for i in range(g.spec.n_time):
-            for j in range(g.spec.n_price):
-                np.testing.assert_allclose(back.returns[i][j], g.returns[i][j], rtol=1e-15)
+        np.testing.assert_array_equal(back.cell_time, g.cell_time)
+        np.testing.assert_array_equal(back.cell_logprice, g.cell_logprice)
+        assert back.returns == g.returns
 
     def test_dict_is_json_serializable(self):
         g, _ = gbm_grid(seed=37)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import expit
 
 from rlvs.grid import GridData, GridSpec, build_grid, standardize_returns
@@ -18,8 +19,6 @@ from rlvs.model import (
     log_prior,
     mixture_logpdf,
     mixture_moments,
-    params_from_dict,
-    params_to_dict,
     stick_break,
     stick_weights_from_raw,
 )
@@ -95,6 +94,13 @@ class TestStickBreak:
         w = stick_weights_from_raw(np.array([60.0, -60.0, 0.0]))
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert w[0] == pytest.approx(1.0)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=12))
+    def test_weights_sum_to_one_for_any_finite_raw(self, raw):
+        w = stick_weights_from_raw(np.array(raw))
+        assert np.all(w >= 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestComponentMeans:
@@ -335,6 +341,19 @@ class TestGradLogPosterior:
         assert np.linalg.norm(post.grad(res.x)) < 1e-8
 
 
+class TestPosterior:
+    def test_cached_observations_match_grid_path_bit_for_bit(self):
+        g = toy_grid(seed=22)
+        dims = ModelDims(3, 3, 3)
+        post = Posterior(g, dims, component_scale=0.8)
+        rng = np.random.default_rng(23)
+        for scale in (0.5, 1.0, 5.0):
+            v = rng.normal(scale=scale, size=dims.n_coords)
+            p = ModelParams.from_vector(dims, v, component_scale=0.8)
+            assert post.logp(v) == log_posterior(p, g)
+            np.testing.assert_array_equal(post.grad(v), grad_log_posterior(p, g))
+
+
 class TestParamsSerialization:
     def test_vector_round_trip(self):
         dims = ModelDims(3, 4, 2)
@@ -342,16 +361,6 @@ class TestParamsSerialization:
         q = ModelParams.from_vector(dims, p.to_vector(), component_scale=0.8)
         np.testing.assert_array_equal(q.stick_raw, p.stick_raw)
         np.testing.assert_array_equal(q.conc, p.conc)
-
-    def test_dict_round_trip(self):
-        dims = ModelDims(2, 3, 4)
-        p = ModelParams.random_init(dims, np.random.default_rng(21), component_scale=1.3)
-        d = params_to_dict(p, standardize_scale=0.002, seed=99)
-        q = params_from_dict(d)
-        np.testing.assert_allclose(q.to_vector(), p.to_vector(), rtol=1e-15)
-        assert q.component_scale == 1.3
-        assert d["standardize_scale"] == 0.002
-        assert d["seed"] == 99
 
     def test_mixture_weight_validation(self):
         with pytest.raises(ModelError):

@@ -8,7 +8,6 @@ from rlvs.sampler import (
     SamplerError,
     diagnostics,
     effective_sample_size,
-    hamiltonian,
     hmc_step,
     kinetic,
     leapfrog,
@@ -48,27 +47,6 @@ class TestKinetic:
     def test_mass_scaling_identity(self):
         p = np.array([1.3, -0.4])
         assert kinetic(p, 4.0) == pytest.approx(kinetic(p / 2.0, 1.0))
-
-
-class TestHamiltonian:
-    def test_zero_momentum_is_potential(self):
-        t = Gaussian(3)
-        q = np.array([0.5, -1.0, 2.0])
-        assert hamiltonian(q, np.zeros(3), t, 1.0) == pytest.approx(-t.logp(q))
-
-    def test_separable(self):
-        t = Gaussian(2)
-        q, p = np.array([0.3, 0.4]), np.array([1.0, -2.0])
-        assert hamiltonian(q, p, t, 1.0) - hamiltonian(q, np.zeros(2), t, 1.0) == pytest.approx(
-            kinetic(p, 1.0)
-        )
-
-    def test_recomposition_from_parts(self):
-        t = Gaussian(2)
-        q, p = np.array([0.7, -0.2]), np.array([0.5, 1.5])
-        mass = np.array([2.0, 0.5])
-        expected = 0.5 * (p[0] ** 2 / 2.0 + p[1] ** 2 / 0.5) - t.logp(q)
-        assert hamiltonian(q, p, t, mass) == pytest.approx(expected, rel=1e-12)
 
 
 class TestLeapfrog:

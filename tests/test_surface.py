@@ -2,6 +2,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rlvs.grid import GridSpec, build_grid
 from rlvs.ingest import normalize_time, synth_gbm_ticks
@@ -14,10 +15,9 @@ from rlvs.surface import (
     credible_interval,
     export_surface,
     load_surface,
-    predictive_std,
     render_svg,
 )
-from rlvs.surface import _sample_std
+from rlvs.surface import VolSurface, _sample_std
 
 
 def small_grid(seed=3, n_time=3, n_price=2):
@@ -61,29 +61,23 @@ class TestPredictiveStd:
         b = _sample_std(mix, 5000, np.random.default_rng(4), 0.002)
         assert b == pytest.approx(0.002 * a, rel=1e-12)
 
-    def test_params_level_wrapper(self):
-        g = small_grid()
-        dims = ModelDims(3, 2, 2)
-        p = ModelParams.random_init(dims, np.random.default_rng(5))
-        rng = np.random.default_rng(6)
-        s = predictive_std(p, g, (1, 1), 500, rng)
-        assert np.isfinite(s) and s > 0
-        with pytest.raises(SurfaceError):
-            predictive_std(p, g, (1, 1), 1, rng)
-
     def test_counterfactual_weights_are_deterministic(self):
-        g = small_grid()
-        dims = ModelDims(3, 2, 3)
+        g = small_grid(n_time=4, n_price=4)
+        assert not g.mask.all(), "the grid should leave some cells unvisited"
+        dims = ModelDims(4, 4, 3)
         a = ModelParams.random_init(dims, np.random.default_rng(7))
-        b = ModelParams.random_init(dims, np.random.default_rng(8))
-        # Same shared coefficients, different stick coordinates: the
-        # counterfactual path must ignore the per-cell sticks entirely.
-        b.time_effect[:] = a.time_effect
-        b.price_effect[:] = a.price_effect
-        b.alpha[:] = a.alpha
-        s1 = predictive_std(a, g, (0, 0), 400, np.random.default_rng(9), counterfactual=True)
-        s2 = predictive_std(b, g, (0, 0), 400, np.random.default_rng(9), counterfactual=True)
-        assert s1 == s2
+        b = ModelParams.from_vector(dims, a.to_vector())
+        # Same draw except the sticks and concentrations of unvisited cells:
+        # the surface must ignore those coordinates entirely.
+        rng = np.random.default_rng(8)
+        b.stick_raw[~g.mask] = rng.normal(size=b.stick_raw[~g.mask].shape)
+        b.conc[~g.mask] = rng.normal(size=b.conc[~g.mask].shape)
+        cfg = SurfaceConfig(n_param_draws=2, n_returns_per_draw=400, seed=9)
+        s1 = build_surface([a, a], g, cfg)
+        s2 = build_surface([b, b], g, cfg)
+        np.testing.assert_array_equal(s1.vol_mean, s2.vol_mean)
+        np.testing.assert_array_equal(s1.vol_lo, s2.vol_lo)
+        np.testing.assert_array_equal(s1.vol_hi, s2.vol_hi)
 
 
 class TestAnnualize:
@@ -200,12 +194,19 @@ class TestExport:
         p = tmp_path / "surf.csv"
         export_surface(surf, p, "csv")
         header = p.read_text().splitlines()[0]
-        assert header == "i,j,t_norm,price_mid,vol_mean,vol_lo,vol_hi,masked"
+        assert header == "i,j,t_norm,price_mid,price_lo,price_hi,vol_mean,vol_lo,vol_hi,masked"
         assert len(p.read_text().splitlines()) == 1 + 3 * 2
         back = load_surface(p)
         np.testing.assert_allclose(back.vol_mean, surf.vol_mean, atol=1e-9)
         np.testing.assert_allclose(back.vol_lo, surf.vol_lo, atol=1e-9)
         np.testing.assert_array_equal(back.masked, surf.masked)
+
+    def test_csv_without_price_edges_names_them(self, tmp_path):
+        p = tmp_path / "old.csv"
+        p.write_text("i,j,t_norm,price_mid,vol_mean,vol_lo,vol_hi,masked\n"
+                     "0,0,0.5,100.0,0.4,0.3,0.5,0\n")
+        with pytest.raises(SurfaceError, match="price_lo, price_hi"):
+            load_surface(p)
 
     def test_single_cell_csv(self, tmp_path):
         g = small_grid(seed=13, n_time=1, n_price=1)
@@ -246,6 +247,64 @@ class TestExport:
             export_surface(surf, tmp_path / "x.bin", "bin")
 
 
+@st.composite
+def surfaces(draw):
+    """Random surfaces over random specs, n_price = 1 included."""
+    n_time = draw(st.integers(1, 4))
+    n_price = draw(st.integers(1, 4))
+    price_min = draw(st.floats(0.0, 1e4))
+    price_max = price_min + draw(st.floats(1e-3, 1e4))
+    vols = st.floats(0.0, 10.0)
+    shape = (n_time, n_price)
+
+    def grid_of(values):
+        return np.array(draw(st.lists(values, min_size=n_time * n_price,
+                                      max_size=n_time * n_price))).reshape(shape)
+
+    width = (price_max - price_min) / n_price
+    return VolSurface(
+        spec=GridSpec(n_time, n_price, price_min, price_max),
+        vol_mean=grid_of(vols), vol_lo=grid_of(vols), vol_hi=grid_of(vols),
+        masked=grid_of(st.booleans()).astype(bool),
+        cell_time=(np.arange(n_time) + 0.5) / n_time,
+        price_mid=price_min + (np.arange(n_price) + 0.5) * width,
+    )
+
+
+def assert_same_surface(a, b):
+    assert a.spec == b.spec
+    for name in ("vol_mean", "vol_lo", "vol_hi", "masked", "cell_time", "price_mid"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def round_trip(surf, directory, fmt):
+    p = directory / f"surf.{fmt}"
+    export_surface(surf, p, fmt)
+    return load_surface(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(surf=surfaces())
+def test_json_round_trip_is_exact(tmp_path_factory, surf):
+    assert_same_surface(round_trip(surf, tmp_path_factory.mktemp("json"), "json"), surf)
+
+
+# One price bin over [90, 110]: the band must come back as [90, 110].
+ONE_PRICE_BIN = VolSurface(
+    GridSpec(2, 1, 90.0, 110.0), np.array([[0.4], [0.5]]), np.array([[0.3], [0.4]]),
+    np.array([[0.5], [0.6]]), np.array([[False], [True]]), np.array([0.25, 0.75]),
+    np.array([100.0]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(surf=surfaces())
+@example(surf=ONE_PRICE_BIN)
+def test_csv_round_trip_is_exact(tmp_path_factory, surf):
+    # The CSV does not carry session_length; these specs use the default.
+    assert_same_surface(round_trip(surf, tmp_path_factory.mktemp("csv"), "csv"), surf)
+
+
 def test_config_validation():
     with pytest.raises(SurfaceError):
         SurfaceConfig(n_param_draws=0)
@@ -253,3 +312,15 @@ def test_config_validation():
         SurfaceConfig(ci_level=1.0)
     with pytest.raises(SurfaceError):
         SurfaceConfig(seed=-1)
+
+
+def test_config_rejects_one_return_per_draw():
+    # The sample std of one return is NaN: the surface would be all NaN.
+    with pytest.raises(SurfaceError, match="n_returns_per_draw"):
+        SurfaceConfig(n_returns_per_draw=1)
+
+
+def test_config_rejects_one_param_draw():
+    # A credible interval needs at least two draws.
+    with pytest.raises(SurfaceError, match="n_param_draws"):
+        SurfaceConfig(n_param_draws=1)
