@@ -260,6 +260,9 @@ def run_implied(quotes_path, spot, rate, yield_rate, out_path) -> voltools.Impli
 
 def run_compare(surface_path, quotes_path, spot, rate, yield_rate,
                 snapshots, out_path) -> int:
+    for t in snapshots:
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"snapshot time {t!r} outside the session [0, 1]")
     surf = surface_mod.load_surface(surface_path)
     quotes = voltools.load_quotes(quotes_path, spot=spot, rate=rate, yield_rate=yield_rate)
     spec = surf.spec
@@ -270,20 +273,21 @@ def run_compare(surface_path, quotes_path, spot, rate, yield_rate,
             f"no overlapping price range: quote strikes all outside "
             f"[{spec.price_min}, {spec.price_max}]"
         )
+    solved = []
+    for q in in_range:
+        try:
+            solved.append((q.strike, voltools.implied_vol(q)))
+        except voltools.VolToolsError as exc:
+            print(f"skipped strike {q.strike}: {exc}", file=sys.stderr)
     n_rows = 0
     with open(out_path, "w", newline="\n") as fh:
         fh.write("snapshot,strike,implied_vol,realized_vol,difference,masked\n")
         for t in snapshots:
-            for q in in_range:
-                try:
-                    iv = voltools.implied_vol(q)
-                except voltools.VolToolsError as exc:
-                    print(f"skipped strike {q.strike}: {exc}", file=sys.stderr)
-                    continue
-                i, j = grid_mod.assign_cell(t, q.strike, spec)
+            for strike, iv in solved:
+                i, j = grid_mod.assign_cell(t, strike, spec)
                 rv = float(surf.vol_mean[i, j])
                 fh.write(
-                    f"{t!r},{q.strike!r},{iv!r},{rv!r},{rv - iv!r},"
+                    f"{t!r},{strike!r},{iv!r},{rv!r},{rv - iv!r},"
                     f"{int(surf.masked[i, j])}\n"
                 )
                 n_rows += 1

@@ -8,7 +8,7 @@ marks cells the price path visited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -95,13 +95,7 @@ class GridData:
 
     def to_dict(self) -> dict:
         return {
-            "spec": {
-                "n_time": self.spec.n_time,
-                "n_price": self.spec.n_price,
-                "price_min": self.spec.price_min,
-                "price_max": self.spec.price_max,
-                "session_length": self.spec.session_length,
-            },
+            "spec": asdict(self.spec),
             "mask": self.mask.astype(int).tolist(),
             "returns": [[list(map(float, c)) for c in row] for row in self.returns],
             "cell_time": self.cell_time.tolist(),

@@ -193,9 +193,12 @@ def stick_weights_from_raw(stick_raw: np.ndarray) -> np.ndarray:
 
     Equivalent to ``stick_break(expit(stick_raw))`` but computed in log
     space, so fractions driven against 0 or 1 by the sampler (where expit
-    saturates in floating point) still yield a valid weight vector.
+    saturates in floating point) still yield a valid weight vector. Raw
+    coordinates near the float limit overflow a log weight to -inf, whose
+    exp is the exact weight 0, so that overflow is not warned about.
     """
-    return np.exp(_log_stick_break(np.asarray(stick_raw, dtype=float)))
+    with np.errstate(over="ignore"):
+        return np.exp(_log_stick_break(np.asarray(stick_raw, dtype=float)))
 
 
 def component_means(params: ModelParams, grid: GridData) -> np.ndarray:

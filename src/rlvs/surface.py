@@ -3,21 +3,23 @@
 Every grid cell gets a value, including cells the price path never visited:
 those counterfactual cells inherit the shared coefficient draws, with their
 (data-free) stick fractions pinned at deterministic prior summaries instead
-of prior noise. Per-cell sampling streams are keyed by
-(seed, draw index, cell index) so results are reproducible and independent
-across cells and draws.
+of prior noise. Each retained draw samples all cells at once from its own
+stream, keyed by (seed, draw index): one (cells, returns) block of uniforms
+picks the components, then one block of standard normals adds the noise,
+with cells in row-major (time, price) order. Results are reproducible, and
+independent across draws.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .grid import GridData, GridSpec
-from .model import MixtureSpec, component_means, stick_break, stick_weights_from_raw
+from .model import component_means, stick_break, stick_weights_from_raw
 
 # Concentration pinned at its flat-prior median, stick fractions at the
 # Beta(1, concentration) median for that value: 1 - 0.5**(1/0.5) = 0.75.
@@ -74,13 +76,7 @@ class VolSurface:
 
     def to_dict(self) -> dict:
         return {
-            "spec": {
-                "n_time": self.spec.n_time,
-                "n_price": self.spec.n_price,
-                "price_min": self.spec.price_min,
-                "price_max": self.spec.price_max,
-                "session_length": self.spec.session_length,
-            },
+            "spec": asdict(self.spec),
             "cell_time": self.cell_time.tolist(),
             "price_mid": self.price_mid.tolist(),
             "vol_mean": self.vol_mean.tolist(),
@@ -102,42 +98,56 @@ class VolSurface:
         )
 
 
-def _sample_std(mix: MixtureSpec, n: int, rng: np.random.Generator,
-                destandardize_scale: float) -> float:
-    """Sample n returns from the mixture and return their sample std."""
-    cum = np.cumsum(mix.weights)
-    comp = np.searchsorted(cum, rng.random(n))
-    comp = np.clip(comp, 0, mix.weights.size - 1)
-    vals = mix.means[comp] + mix.scale * rng.standard_normal(n)
-    return float(np.std(vals * destandardize_scale, ddof=1))
+def _sample_std(weights: np.ndarray, means: np.ndarray, scale: float, n: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """Sample std of n returns drawn from each of C cell mixtures.
+
+    ``weights`` and ``means`` are (C, K). Draws one (C, n) block of uniforms
+    to pick components, then one (C, n) block of standard normals.
+    """
+    c, k = weights.shape
+    u = rng.random((c, n))
+    cum = np.cumsum(weights, axis=1)
+    # Counting the cumulative weights below u, all but the last, equals
+    # searchsorted clipped to K - 1: a u above a rounded-down cum[:, -1]
+    # still picks the last component.
+    comp = np.zeros((c, n), dtype=np.intp)
+    for m in range(k - 1):
+        comp += u > cum[:, m:m + 1]
+    vals = np.take_along_axis(means, comp, axis=1) + scale * rng.standard_normal((c, n))
+    return np.std(vals, axis=1, ddof=1)
 
 
-def annualize(std_per_bin: float, bins_per_day: int, trading_days: int) -> float:
-    """Scale a per-bin standard deviation by sqrt(bins per year)."""
+def annualize(std_per_bin, bins_per_day: int, trading_days: int):
+    """Scale per-bin standard deviations (scalar or array) by sqrt(bins per year)."""
     if bins_per_day < 1 or trading_days < 1:
         raise SurfaceError("bins_per_day and trading_days must be >= 1")
-    if std_per_bin < 0:
+    std = np.asarray(std_per_bin, dtype=float)
+    if np.any(std < 0):
         raise SurfaceError("std_per_bin must be non-negative")
-    return std_per_bin * float(np.sqrt(bins_per_day * trading_days))
+    return std * np.sqrt(bins_per_day * trading_days)
 
 
-def credible_interval(samples, level: float) -> tuple[float, float]:
-    """Central empirical interval via linear interpolation of order stats."""
+def credible_interval(samples, level: float):
+    """Central empirical interval via linear interpolation of order stats.
+
+    Samples lie along the first axis; the bounds have the shape of the rest.
+    """
     x = np.asarray(samples, dtype=float)
-    if x.size < 2:
+    if x.ndim == 0 or x.shape[0] < 2:
         raise SurfaceError("credible_interval needs at least 2 samples")
     if not 0.0 < level < 1.0:
         raise SurfaceError("level must lie in (0, 1)")
     tail = (1.0 - level) / 2.0
-    lo, hi = np.quantile(x, [tail, 1.0 - tail])
-    return float(lo), float(hi)
+    lo, hi = np.quantile(x, [tail, 1.0 - tail], axis=0)
+    return lo, hi
 
 
 def build_surface(draws, grid: GridData, config: SurfaceConfig,
                   destandardize_scale: float = 1.0) -> VolSurface:
     """Posterior-predictive volatility surface from retained parameter draws.
 
-    Uses the last ``n_param_draws`` draws. For each cell and each draw,
+    Uses the last ``n_param_draws`` draws. For each draw and every cell,
     ``n_returns_per_draw`` returns are sampled from the cell's mixture and
     their sample std is annualized; the cell's value is the arithmetic mean
     of those per-draw stds and its interval their empirical quantiles.
@@ -151,35 +161,25 @@ def build_surface(draws, grid: GridData, config: SurfaceConfig,
     spec = grid.spec
     i_n, j_n = spec.n_time, spec.n_price
     k = use[0].dims.n_components
-    ann = float(np.sqrt(config.bins_per_day * config.trading_days))
+    visited = grid.mask[..., None]
     w_cf = stick_break(np.full(k, COUNTERFACTUAL_STICK))
 
-    stds = np.empty((len(use), i_n, j_n))
+    stds = np.empty((len(use), i_n * j_n))
     for d, params in enumerate(use):
+        weights = np.where(visited, stick_weights_from_raw(params.stick_raw), w_cf)
         means = component_means(params, grid)
-        weights = stick_weights_from_raw(params.stick_raw)
-        scale = params.component_scale
-        for i in range(i_n):
-            for j in range(j_n):
-                w = weights[i, j] if grid.mask[i, j] else w_cf
-                mix = MixtureSpec(w, means[i, j], scale)
-                rng = np.random.default_rng([config.seed, d, i, j])
-                stds[d, i, j] = ann * _sample_std(
-                    mix, config.n_returns_per_draw, rng, destandardize_scale
-                )
-
-    vol_mean = stds.mean(axis=0)
-    vol_lo = np.empty((i_n, j_n))
-    vol_hi = np.empty((i_n, j_n))
-    for i in range(i_n):
-        for j in range(j_n):
-            vol_lo[i, j], vol_hi[i, j] = credible_interval(stds[:, i, j], config.ci_level)
+        rng = np.random.default_rng([config.seed, d])
+        stds[d] = _sample_std(weights.reshape(-1, k), means.reshape(-1, k),
+                              params.component_scale, config.n_returns_per_draw, rng)
+    vols = annualize(stds * destandardize_scale, config.bins_per_day,
+                     config.trading_days).reshape(len(use), i_n, j_n)
+    vol_lo, vol_hi = credible_interval(vols, config.ci_level)
 
     width = (spec.price_max - spec.price_min) / j_n
     price_mid = spec.price_min + (np.arange(j_n) + 0.5) * width
     return VolSurface(
         spec=spec,
-        vol_mean=vol_mean,
+        vol_mean=vols.mean(axis=0),
         vol_lo=vol_lo,
         vol_hi=vol_hi,
         masked=~grid.mask,

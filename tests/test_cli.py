@@ -239,6 +239,30 @@ class TestCompare:
         assert rc != 0
         assert "overlap" in capsys.readouterr().err
 
+    def test_unsolvable_strike_skipped_once(self, tmp_path, surface_file, capsys):
+        quotes = self.make_quotes(tmp_path, surface_file)
+        strike = float(load_surface(surface_file).price_mid[0])
+        # A call priced above spot has no implied vol.
+        with open(quotes, "a") as fh:
+            fh.write(f"{strike!r},{1.0 / 252.0},5.0,C\n")
+        out = tmp_path / "cmp.csv"
+        capsys.readouterr()
+        assert run(["compare", "--surface", str(surface_file), "--quotes", str(quotes),
+                    "--spot", "1.0", "--snapshots", "0.2,0.5,0.8", "--out", str(out)]) == 0
+        assert capsys.readouterr().err.count(f"skipped strike {strike!r}") == 1
+        assert len(out.read_text().splitlines()) == 1 + 3 * 3
+
+    @pytest.mark.parametrize("bad", ["1.5", "-0.25", "nan"])
+    def test_snapshot_outside_session_names_value(self, tmp_path, surface_file, capsys, bad):
+        quotes = self.make_quotes(tmp_path, surface_file)
+        out = tmp_path / "cmp.csv"
+        rc = run(["compare", "--surface", str(surface_file), "--quotes", str(quotes),
+                  "--spot", "1.0", "--snapshots", f"0.5,{bad}", "--out", str(out)])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert f"snapshot time {float(bad)!r}" in err
+        assert not out.exists()
+
     def test_empty_quotes_error(self, tmp_path, surface_file):
         quotes = tmp_path / "empty.csv"
         quotes.write_text("strike,expiry_years,mid,flag\n")

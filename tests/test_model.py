@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -101,6 +103,13 @@ class TestStickBreak:
         w = stick_weights_from_raw(np.array(raw))
         assert np.all(w >= 0.0)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_float_limit_raw_warns_nothing(self):
+        # Log weights overflow to -inf here; exp gives the exact weight 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = stick_weights_from_raw(np.array([1e308, -1e308, 1e308, 0.0]))
+        np.testing.assert_array_equal(w, [1.0, 0.0, 0.0, 0.0])
 
 
 class TestComponentMeans:

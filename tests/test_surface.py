@@ -5,9 +5,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rlvs.grid import GridSpec, build_grid
-from rlvs.ingest import normalize_time, synth_gbm_ticks
-from rlvs.model import MixtureSpec, ModelDims, ModelParams, mixture_moments
+from rlvs.ingest import TickSeries, normalize_time, synth_gbm_ticks
+from rlvs.model import (
+    MixtureSpec,
+    ModelDims,
+    ModelParams,
+    cell_mixture,
+    mixture_moments,
+    stick_break,
+)
 from rlvs.surface import (
+    COUNTERFACTUAL_STICK,
     SurfaceConfig,
     SurfaceError,
     annualize,
@@ -29,37 +37,85 @@ def small_grid(seed=3, n_time=3, n_price=2):
 
 class TestPredictiveStd:
     def test_collapsed_mixture_gives_zero(self):
-        mix = MixtureSpec([0.5, 0.5], [0.2, 0.2], 1e-12)
         rng = np.random.default_rng(0)
-        assert _sample_std(mix, 1000, rng, 1.0) < 1e-9
+        s = _sample_std(np.array([[0.5, 0.5]]), np.array([[0.2, 0.2]]), 1e-12, 1000, rng)
+        assert s.shape == (1,)
+        assert s[0] < 1e-9
+
+    def test_rounded_down_cumulative_weight_picks_last_component(self):
+        # Weights summing below 1, as rounding can leave them: a uniform
+        # above the total must still pick the last component, not index K.
+        rng = np.random.default_rng(5)
+        s = _sample_std(np.array([[0.25, 0.25]]), np.array([[0.0, 3.0]]), 1e-12, 1000, rng)
+        assert s[0] == pytest.approx(np.sqrt(0.75 * 0.25) * 3.0, rel=0.1)
 
     def test_single_component_recovers_scale(self):
-        mix = MixtureSpec([1.0], [0.0], 0.37)
         rng = np.random.default_rng(1)
-        s = _sample_std(mix, 10 ** 6, rng, 1.0)
-        assert abs(s - 0.37) / 0.37 < 0.01
+        s = _sample_std(np.ones((1, 1)), np.zeros((1, 1)), 0.37, 10 ** 6, rng)
+        assert abs(s[0] - 0.37) / 0.37 < 0.01
 
     def test_matches_analytic_moments(self):
-        rng = np.random.default_rng(2)
-        mix = MixtureSpec([0.3, 0.5, 0.2], [-1.0, 0.2, 2.0], 0.8)
-        _, var = mixture_moments(mix)
+        # Two cells in one batch, each checked against its own moments.
+        mixes = [MixtureSpec([0.3, 0.5, 0.2], [-1.0, 0.2, 2.0], 0.8),
+                 MixtureSpec([0.1, 0.1, 0.8], [1.5, -0.5, 0.0], 0.8)]
         n = 200_000
-        s = _sample_std(mix, n, rng, 1.0)
-        # SE of the sample std for a mixture, from the MC draws themselves.
-        draws = []
+        s = _sample_std(np.array([m.weights for m in mixes]),
+                        np.array([m.means for m in mixes]), 0.8, n,
+                        np.random.default_rng(2))
         r2 = np.random.default_rng(3)
-        comp = r2.choice(3, size=n, p=mix.weights)
-        draws = mix.means[comp] + mix.scale * r2.standard_normal(n)
-        m4 = np.mean((draws - draws.mean()) ** 4)
-        se_var = np.sqrt((m4 - draws.var() ** 2) / n)
-        se_std = se_var / (2 * np.sqrt(var))
-        assert abs(s - np.sqrt(var)) < 3 * se_std
+        for mix, got in zip(mixes, s):
+            _, var = mixture_moments(mix)
+            # SE of the sample std for a mixture, from the MC draws themselves.
+            comp = r2.choice(3, size=n, p=mix.weights)
+            draws = mix.means[comp] + mix.scale * r2.standard_normal(n)
+            m4 = np.mean((draws - draws.mean()) ** 4)
+            se_var = np.sqrt((m4 - draws.var() ** 2) / n)
+            se_std = se_var / (2 * np.sqrt(var))
+            assert abs(got - np.sqrt(var)) < 3 * se_std
 
     def test_destandardize_scales_linearly(self):
-        mix = MixtureSpec([1.0], [0.0], 1.0)
-        a = _sample_std(mix, 5000, np.random.default_rng(4), 1.0)
-        b = _sample_std(mix, 5000, np.random.default_rng(4), 0.002)
-        assert b == pytest.approx(0.002 * a, rel=1e-12)
+        g = small_grid()
+        dims = ModelDims(3, 2, 2)
+        draws = [ModelParams.random_init(dims, np.random.default_rng(4)) for _ in range(3)]
+        cfg = SurfaceConfig(n_param_draws=3, n_returns_per_draw=500, seed=4)
+        a = build_surface(draws, g, cfg, destandardize_scale=1.0)
+        b = build_surface(draws, g, cfg, destandardize_scale=0.002)
+        for name in ("vol_mean", "vol_lo", "vol_hi"):
+            np.testing.assert_allclose(getattr(b, name), 0.002 * getattr(a, name),
+                                       rtol=1e-12)
+
+    def test_stream_layout_matches_per_cell_reference(self):
+        # Per draw d: one stream default_rng([seed, d]) yields a (cells, n)
+        # block of uniforms, then a (cells, n) block of normals; row c is
+        # cell (c // n_price, c % n_price). Reference: one cell at a time.
+        g = small_grid(n_time=4, n_price=3)
+        assert not g.mask.all()
+        dims = ModelDims(4, 3, 3)
+        rng = np.random.default_rng(15)
+        draws = [ModelParams.random_init(dims, rng) for _ in range(5)]
+        cfg = SurfaceConfig(n_param_draws=4, n_returns_per_draw=30, seed=16,
+                            bins_per_day=78, trading_days=252)
+        scale = 0.003
+        n = cfg.n_returns_per_draw
+        w_cf = stick_break(np.full(3, COUNTERFACTUAL_STICK))
+        vols = np.empty((4, 4, 3))
+        for d, params in enumerate(draws[-4:]):
+            stream = np.random.default_rng([cfg.seed, d])
+            u = stream.random((12, n))
+            z = stream.standard_normal((12, n))
+            for i in range(4):
+                for j in range(3):
+                    c = i * 3 + j
+                    mix = cell_mixture(params, g, i, j)
+                    w = mix.weights if g.mask[i, j] else w_cf
+                    comp = np.clip(np.searchsorted(np.cumsum(w), u[c]), 0, 2)
+                    x = (mix.means[comp] + mix.scale * z[c]) * scale
+                    vols[d, i, j] = np.std(x, ddof=1) * np.sqrt(78 * 252)
+        surf = build_surface(draws, g, cfg, destandardize_scale=scale)
+        np.testing.assert_allclose(surf.vol_mean, vols.mean(axis=0), rtol=1e-12)
+        lo, hi = np.quantile(vols, [0.025, 0.975], axis=0)
+        np.testing.assert_allclose(surf.vol_lo, lo, rtol=1e-12)
+        np.testing.assert_allclose(surf.vol_hi, hi, rtol=1e-12)
 
     def test_counterfactual_weights_are_deterministic(self):
         g = small_grid(n_time=4, n_price=4)
@@ -122,6 +178,14 @@ class TestCredibleInterval:
         with pytest.raises(SurfaceError):
             credible_interval([1.0], 0.95)
 
+    def test_first_axis_matches_per_column_calls(self):
+        x = np.random.default_rng(17).normal(size=(50, 3, 2))
+        lo, hi = credible_interval(x, 0.9)
+        assert lo.shape == hi.shape == (3, 2)
+        for i in range(3):
+            for j in range(2):
+                assert (lo[i, j], hi[i, j]) == credible_interval(x[:, i, j], 0.9)
+
 
 class TestBuildSurface:
     def make_draws(self, n, seed=11, dims=None):
@@ -178,6 +242,52 @@ class TestBuildSurface:
         surf = build_surface([p, p, p], g, cfg, destandardize_scale=scale)
         expected = annualize(scale, 78, 252)
         np.testing.assert_allclose(surf.vol_mean, expected, rtol=0.1)
+
+
+@st.composite
+def degenerate_fits(draw):
+    """Small grids and draws: K = 1, n_price = 1 and one visited cell included."""
+    n_time = draw(st.integers(1, 3))
+    n_price = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    n_ticks = draw(st.integers(2, 6))
+    times = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=n_ticks,
+                                  max_size=n_ticks)))
+    prices = np.array(draw(st.lists(st.floats(90.0, 110.0), min_size=n_ticks,
+                                    max_size=n_ticks)))
+    grid = build_grid(TickSeries(times, prices), GridSpec(n_time, n_price, 90.0, 110.0))
+    # Raw coordinates up to +-50 saturate the stick fractions.
+    spread = draw(st.sampled_from([1.0, 50.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dims = ModelDims(n_time, n_price, k)
+    draws = [ModelParams.from_vector(dims, spread * rng.standard_normal(dims.n_coords))
+             for _ in range(draw(st.integers(2, 4)))]
+    cfg = SurfaceConfig(n_param_draws=len(draws),
+                        n_returns_per_draw=draw(st.integers(2, 20)),
+                        seed=draw(st.integers(0, 100)))
+    return draws, grid, cfg
+
+
+# One tick pair: exactly one visited cell, one component, one price bin.
+ONE_VISITED_CELL = (
+    [ModelParams.from_vector(ModelDims(2, 1, 1), np.zeros(ModelDims(2, 1, 1).n_coords))] * 2,
+    build_grid(TickSeries(np.array([0.1, 0.2]), np.array([100.0, 101.0])),
+               GridSpec(2, 1, 90.0, 110.0)),
+    SurfaceConfig(n_param_draws=2, n_returns_per_draw=2, seed=0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit=degenerate_fits())
+@example(fit=ONE_VISITED_CELL)
+def test_surface_finite_on_degenerate_shapes(fit):
+    draws, grid, cfg = fit
+    surf = build_surface(draws, grid, cfg, destandardize_scale=0.002)
+    assert surf.vol_mean.shape == (grid.spec.n_time, grid.spec.n_price)
+    for values in (surf.vol_mean, surf.vol_lo, surf.vol_hi):
+        assert np.isfinite(values).all()
+        assert (values >= 0).all()
+    assert (surf.vol_lo <= surf.vol_hi).all()
 
 
 class TestExport:
