@@ -58,15 +58,12 @@ from .surface import (
 )
 from .voltools import (
     CallGrid,
-    Greeks,
     ImpliedCurve,
     OptionQuote,
-    bs_greeks,
     bs_price,
     dupire_local_vol,
     implied_curve,
     implied_vol,
-    realized_var_proxy,
 )
 
 __version__ = "0.1.0"

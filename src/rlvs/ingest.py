@@ -7,6 +7,7 @@ All times are seconds since session open; a regular US cash session is
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,10 @@ def load_ticks(path, session_length: float = SESSION_SECONDS, symbol: str = "") 
                 p = float(row[1])
             except ValueError as exc:
                 raise TickDataError(f"{path}: line {lineno}: cannot parse row: {exc}") from exc
+            if not math.isfinite(t):
+                raise TickDataError(f"{path}: line {lineno}: non-finite time_s {t}")
+            if not math.isfinite(p):
+                raise TickDataError(f"{path}: line {lineno}: non-finite price {p}")
             if p <= 0:
                 raise TickDataError(f"{path}: line {lineno}: non-positive price {p}")
             times.append(t)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rlvs
 from rlvs.cli import apply_master_seed, load_checkpoint, load_config, main
 from rlvs.surface import load_surface
 from rlvs.voltools import bs_price
@@ -181,6 +186,22 @@ class TestImplied:
         assert rc != 0
         assert "no quotes" in capsys.readouterr().err
 
+    def test_non_finite_strike_names_line(self, tmp_path, capsys):
+        quotes = tmp_path / "q.csv"
+        quotes.write_text("strike,expiry_years,mid,flag\n0.95,0.004,0.01,P\nnan,0.004,0.01,C\n")
+        rc = run(["implied", "--quotes", str(quotes), "--spot", "1.0",
+                  "--out", str(tmp_path / "c.csv")])
+        assert rc != 0
+        assert f"{quotes}: line 3: strike must be finite, got nan" in capsys.readouterr().err
+
+    def test_non_finite_spot_named(self, tmp_path, capsys):
+        quotes = tmp_path / "q.csv"
+        quotes.write_text("strike,expiry_years,mid,flag\n0.95,0.004,0.01,P\n")
+        rc = run(["implied", "--quotes", str(quotes), "--spot", "nan",
+                  "--out", str(tmp_path / "c.csv")])
+        assert rc != 0
+        assert "spot must be finite, got nan" in capsys.readouterr().err
+
 
 class TestCompare:
     @pytest.fixture
@@ -316,3 +337,14 @@ class TestConfig:
         p.write_text(json.dumps({"kind": "other"}))
         with pytest.raises(ValueError):
             load_checkpoint(p)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # A fresh interpreter: this one has imported scipy.stats through the tests.
+    src = str(Path(rlvs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, rlvs.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

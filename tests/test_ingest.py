@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rlvs.ingest import (
     TickDataError,
@@ -50,6 +51,18 @@ class TestLoadTicks:
     def test_parse_failure_reports_line(self, tmp_path):
         p = write(tmp_path, "time_s,price\n0.0,100.0\nbogus,1.0\n")
         with pytest.raises(TickDataError, match="line 3"):
+            load_ticks(p)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_time_reports_line(self, tmp_path, bad):
+        p = write(tmp_path, f"time_s,price\n0.0,100.0\n{bad},101.0\n2.0,102.0\n")
+        with pytest.raises(TickDataError, match=f"line 3: non-finite time_s {bad}$"):
+            load_ticks(p)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_price_reports_line(self, tmp_path, bad):
+        p = write(tmp_path, f"time_s,price\n0.0,100.0\n1.0,101.0\n2.0,{bad}\n")
+        with pytest.raises(TickDataError, match=f"line 4: non-finite price {bad}$"):
             load_ticks(p)
 
     def test_bad_header(self, tmp_path):
@@ -169,6 +182,44 @@ class TestResample:
         out = resample(s, 300.0)
         assert list(out.times) == [300.0, 600.0]
         assert list(out.prices) == [1.0, 1.0]
+
+
+tick_rows = st.lists(
+    st.tuples(
+        # Few distinct times, so duplicates are common.
+        st.integers(0, 20).map(lambda k: k * 0.5),
+        st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=tick_rows)
+def test_load_ticks_is_stable_sort_of_file_rows(tmp_path_factory, rows):
+    p = tmp_path_factory.mktemp("ticks") / "ticks.csv"
+    p.write_text("time_s,price\n" + "".join(f"{t!r},{x!r}\n" for t, x in rows))
+    s = load_ticks(p)
+    want = sorted(rows, key=lambda row: row[0])  # sorted() is stable
+    assert list(zip(s.times.tolist(), s.prices.tolist())) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    steps=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+    interval=st.floats(1e-3, 1e4),
+    offset=st.integers(0, 3),
+)
+def test_resample_idempotent_on_grid_aligned_times(steps, interval, offset):
+    # Tick times on the interval's grid, with gaps and repeats.
+    k = offset + np.cumsum(steps)
+    s = TickSeries(k * interval, np.arange(1.0, k.size + 1.0))
+    once = resample(s, interval)
+    twice = resample(once, interval)
+    np.testing.assert_array_equal(twice.times, once.times)
+    np.testing.assert_array_equal(twice.prices, once.prices)
+    # Every grid point from the first tick to the last carries a price.
+    assert once.times.tolist() == (np.arange(k[0], k[-1] + 1) * interval).tolist()
 
 
 def test_series_rejects_unsorted_and_nonpositive():
