@@ -1,8 +1,9 @@
 """Command-line pipeline: synth -> fit -> surface, plus implied/compare.
 
-Every command reads an optional INI config (sections mirror the run
-stages), applies flag overrides, echoes the fully-resolved configuration,
-and draws all randomness from config seeds so runs are reproducible.
+``synth``, ``fit`` and ``surface`` read an optional INI config (sections
+mirror the run stages), apply flag overrides, echo the fully-resolved
+configuration, and draw all randomness from config seeds so runs are
+reproducible. ``implied`` and ``compare`` take only their flags.
 """
 
 from __future__ import annotations
@@ -11,13 +12,15 @@ import argparse
 import configparser
 import json
 import sys
-from importlib import resources
 
 import numpy as np
 
 from . import grid as grid_mod
 from . import ingest, model, sampler, surface as surface_mod, voltools
 
+# The defaults are the paper's protocol: 5-minute bins over a 23,400 s
+# session, a 78 x 10 grid, 5 components, 1000 burn-in and 5000 retained HMC
+# updates, and the last 100 draws x 100 returns per cell for the surface.
 DEFAULTS = {
     "synth": {
         "s0": 100.0,
@@ -54,14 +57,13 @@ DEFAULTS = {
         "n_param_draws": 100,
         "n_returns_per_draw": 100,
         "ci_level": 0.95,
-        "bins_per_day": None,
         "trading_days": 252,
         "seed": 3,
     },
 }
 
 # Keys that may be left unset and resolved from data at run time.
-_OPTIONAL = {("grid", "price_min"), ("grid", "price_max"), ("surface", "bins_per_day")}
+_OPTIONAL = {("grid", "price_min"), ("grid", "price_max")}
 
 
 def default_config() -> dict:
@@ -88,25 +90,16 @@ def _convert(section: str, key: str, raw: str):
     return raw
 
 
-def load_config(path=None, preset=None) -> dict:
-    """Defaults, optionally overlaid with a preset and/or an INI file."""
+def load_config(path=None) -> dict:
+    """Defaults, optionally overlaid with an INI file."""
     cfg = default_config()
-    sources = []
-    if preset:
-        name = preset.replace("-", "_") + ".ini"
-        ref = resources.files("rlvs").joinpath("presets").joinpath(name)
-        if not ref.is_file():
-            raise ValueError(f"unknown preset {preset!r}")
-        sources.append(("preset " + preset, ref.read_text()))
     if path:
-        with open(path) as fh:
-            sources.append((str(path), fh.read()))
-    for label, text in sources:
         parser = configparser.ConfigParser()
-        parser.read_string(text, source=label)
+        with open(path) as fh:
+            parser.read_file(fh)
         for section in parser.sections():
             if section not in cfg:
-                raise ValueError(f"{label}: unknown config section [{section}]")
+                raise ValueError(f"{path}: unknown config section [{section}]")
             for key, raw in parser.items(section):
                 cfg[section][key] = _convert(section, key, raw)
     return cfg
@@ -163,7 +156,7 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
         pmax = pmin + max(abs(pmin) * 1e-9, 1e-9)
 
     norm = ingest.normalize_time(series)
-    spec = grid_mod.GridSpec(g["n_time"], g["n_price"], pmin, pmax, session_length)
+    spec = grid_mod.GridSpec(g["n_time"], g["n_price"], pmin, pmax)
     gdata = grid_mod.build_grid(norm, spec)
     scale = 1.0
     if g["standardize"]:
@@ -228,14 +221,11 @@ def run_surface(cfg: dict, ckpt_path, out_path, fmt: str) -> surface_mod.VolSurf
         model.ModelParams.from_vector(dims, np.asarray(v), ckpt["component_scale"])
         for v in ckpt["draws"]
     ]
-    bins_per_day = s["bins_per_day"]
-    if bins_per_day is None:
-        bins_per_day = int(ckpt.get("bins_per_day", 78))
     surf_cfg = surface_mod.SurfaceConfig(
         n_param_draws=s["n_param_draws"],
         n_returns_per_draw=s["n_returns_per_draw"],
         ci_level=s["ci_level"],
-        bins_per_day=int(bins_per_day),
+        bins_per_day=ckpt["bins_per_day"],
         trading_days=s["trading_days"],
         seed=s["seed"],
     )
@@ -301,11 +291,9 @@ def run_compare(surface_path, quotes_path, spot, rate, yield_rate,
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
+def _add_config(p):
     p.add_argument("--config", help="INI config file")
-    p.add_argument("--preset", help="named preset (e.g. paper-protocol)")
     p.add_argument("--seed", type=int, help="master seed (stage seeds derive from it)")
-    p.add_argument("--out", help="output path")
 
 
 def _build_parser():
@@ -316,14 +304,14 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic tick CSV")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--s0", type=float)
     p.add_argument("--mu", type=float)
     p.add_argument("--sigma", type=float)
     p.add_argument("--n-ticks", type=int)
 
     p = sub.add_parser("fit", help="fit the mixture model to a tick CSV")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--ticks", required=True, help="input tick CSV")
     p.add_argument("--burn", type=int)
     p.add_argument("--draws", type=int)
@@ -331,20 +319,18 @@ def _build_parser():
     p.add_argument("--components", type=int)
 
     p = sub.add_parser("surface", help="build the volatility surface from a checkpoint")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p.add_argument("--param-draws", type=int)
 
     p = sub.add_parser("implied", help="implied-volatility curve from a quote CSV")
-    _add_common(p)
     p.add_argument("--quotes", required=True)
     p.add_argument("--spot", type=float, required=True)
     p.add_argument("--rate", type=float, default=0.0)
     p.add_argument("--yield", dest="yield_rate", type=float, default=0.0)
 
     p = sub.add_parser("compare", help="implied vs realized local vol at snapshots")
-    _add_common(p)
     p.add_argument("--surface", required=True, dest="surface_path")
     p.add_argument("--quotes", required=True)
     p.add_argument("--spot", type=float, required=True)
@@ -352,11 +338,13 @@ def _build_parser():
     p.add_argument("--yield", dest="yield_rate", type=float, default=0.0)
     p.add_argument("--snapshots", default="0.5",
                    help="comma-separated normalized session times in [0, 1]")
+    for p in sub.choices.values():
+        p.add_argument("--out", help="output path")
     return ap
 
 
 def _resolve(args) -> dict:
-    cfg = load_config(args.config, args.preset)
+    cfg = load_config(args.config)
     if args.seed is not None:
         apply_master_seed(cfg, args.seed)
     overrides = {
@@ -371,21 +359,20 @@ def _resolve(args) -> dict:
         val = getattr(args, attr, None)
         if val is not None:
             cfg[section][key] = val
+    echo_config(cfg)
     return cfg
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args)
-        echo_config(cfg)
         if args.command == "synth":
-            run_synth(cfg, args.out or "ticks.csv")
+            run_synth(_resolve(args), args.out or "ticks.csv")
         elif args.command == "fit":
-            run_fit(cfg, args.ticks, args.out or "checkpoint.json")
+            run_fit(_resolve(args), args.ticks, args.out or "checkpoint.json")
         elif args.command == "surface":
             out = args.out or f"surface.{args.format}"
-            run_surface(cfg, args.checkpoint, out, args.format)
+            run_surface(_resolve(args), args.checkpoint, out, args.format)
         elif args.command == "implied":
             run_implied(args.quotes, args.spot, args.rate, args.yield_rate,
                         args.out or "implied.csv")

@@ -8,11 +8,11 @@ marks cells the price path visited.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .ingest import SESSION_SECONDS, TickSeries, normalize_price
+from .ingest import TickSeries, normalize_price
 
 
 class GridError(ValueError):
@@ -25,7 +25,6 @@ class GridSpec:
     n_price: int
     price_min: float
     price_max: float
-    session_length: float = SESSION_SECONDS
 
     def __post_init__(self):
         if self.n_time < 1 or self.n_price < 1:
@@ -34,8 +33,15 @@ class GridSpec:
             raise GridError("price_max must exceed price_min")
         if self.price_min < 0:
             raise GridError("price_min must be non-negative")
-        if self.session_length <= 0:
-            raise GridError("session_length must be positive")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "GridSpec":
+        """The inverse of ``asdict``; a field it does not know is refused by name."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise GridError(f"unknown grid spec field {', '.join(unknown)} "
+                            "(an older rlvs file: re-run rlvs fit and rlvs surface)")
+        return cls(**d)
 
 
 @dataclass
@@ -104,9 +110,8 @@ class GridData:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridData":
-        spec = GridSpec(**d["spec"])
         return cls(
-            spec=spec,
+            spec=GridSpec.from_dict(d["spec"]),
             mask=np.asarray(d["mask"], dtype=bool),
             returns=[[list(map(float, c)) for c in row] for row in d["returns"]],
             cell_time=np.asarray(d["cell_time"], dtype=float),

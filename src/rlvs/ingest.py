@@ -27,13 +27,17 @@ class TickSeries:
     times: np.ndarray
     prices: np.ndarray
     session_length: float = SESSION_SECONDS
-    symbol: str = ""
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.prices = np.asarray(self.prices, dtype=float)
         if self.times.ndim != 1 or self.times.shape != self.prices.shape:
             raise TickDataError("times and prices must be 1-d arrays of equal length")
+        for name, values in (("times", self.times), ("prices", self.prices)):
+            bad = ~np.isfinite(values)
+            if bad.any():
+                n = int(np.argmax(bad))
+                raise TickDataError(f"tick {name} must be finite, got {values[n]} at index {n}")
         if self.session_length <= 0:
             raise TickDataError("session_length must be positive")
         if self.times.size:
@@ -48,7 +52,7 @@ class TickSeries:
         return int(self.times.size)
 
 
-def load_ticks(path, session_length: float = SESSION_SECONDS, symbol: str = "") -> TickSeries:
+def load_ticks(path, session_length: float = SESSION_SECONDS) -> TickSeries:
     """Read a tick CSV (header ``time_s,price``) and return a sorted TickSeries.
 
     Rows are sorted ascending by time with a stable sort, so duplicate
@@ -85,8 +89,7 @@ def load_ticks(path, session_length: float = SESSION_SECONDS, symbol: str = "") 
         raise TickDataError(f"{path}: file contains no tick rows")
     order = np.argsort(np.asarray(times), kind="stable")
     return TickSeries(
-        np.asarray(times)[order], np.asarray(prices)[order],
-        session_length=session_length, symbol=symbol,
+        np.asarray(times)[order], np.asarray(prices)[order], session_length=session_length
     )
 
 
@@ -125,7 +128,7 @@ def synth_gbm_ticks(
     steps = mu * dt_years + sigma * np.sqrt(dt_years) * z
     cum = np.concatenate([[0.0], np.cumsum(steps)])
     times = np.linspace(0.0, session_length, n_ticks)
-    return TickSeries(times, s0 * np.exp(cum), session_length=session_length, symbol="SYNTH")
+    return TickSeries(times, s0 * np.exp(cum), session_length=session_length)
 
 
 def normalize_time(series: TickSeries) -> TickSeries:
@@ -133,10 +136,7 @@ def normalize_time(series: TickSeries) -> TickSeries:
     if series.session_length <= 0:
         raise TickDataError("session_length must be positive")
     return TickSeries(
-        series.times / series.session_length,
-        series.prices.copy(),
-        session_length=1.0,
-        symbol=series.symbol,
+        series.times / series.session_length, series.prices.copy(), session_length=1.0
     )
 
 
@@ -161,18 +161,12 @@ def resample(series: TickSeries, interval: float) -> TickSeries:
     if interval <= 0:
         raise TickDataError("resample interval must be positive")
     if len(series) == 0:
-        return TickSeries(
-            np.empty(0), np.empty(0),
-            session_length=series.session_length, symbol=series.symbol,
-        )
+        return TickSeries(np.empty(0), np.empty(0), session_length=series.session_length)
     last = float(series.times[-1])
     n_bounds = int(np.floor(last / interval + 1e-9)) + 1
     bounds = np.arange(n_bounds) * interval
     idx = np.searchsorted(series.times, bounds * (1 + 1e-15) + 1e-12, side="right") - 1
     keep = idx >= 0
     return TickSeries(
-        bounds[keep],
-        series.prices[idx[keep]],
-        session_length=series.session_length,
-        symbol=series.symbol,
+        bounds[keep], series.prices[idx[keep]], session_length=series.session_length
     )

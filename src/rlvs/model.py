@@ -54,8 +54,7 @@ class ModelParams:
     """Full parameter set in unconstrained coordinates.
 
     ``stick_raw`` and ``conc`` live on the real line; the constrained stick
-    fractions and concentrations are their logistic images, exposed via
-    :meth:`stick_fractions` and :meth:`concentration`. ``component_scale``
+    fractions and concentrations are their logistic images. ``component_scale``
     is a fixed hyperparameter (the common component standard deviation), not
     a sampled coordinate.
     """
@@ -89,12 +88,6 @@ class ModelParams:
     def dims(self) -> ModelDims:
         i, k = self.time_effect.shape
         return ModelDims(i, self.price_effect.shape[0], k)
-
-    def stick_fractions(self) -> np.ndarray:
-        return expit(self.stick_raw)
-
-    def concentration(self) -> np.ndarray:
-        return expit(self.conc)
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([
@@ -363,10 +356,6 @@ class Posterior:
         self.dims = dims
         self.component_scale = float(component_scale)
         self._xs, self._ci, self._cj = grid.observations()
-
-    @property
-    def n_dim(self) -> int:
-        return self.dims.n_coords
 
     def params(self, vec: np.ndarray) -> ModelParams:
         return ModelParams.from_vector(self.dims, vec, self.component_scale)

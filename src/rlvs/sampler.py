@@ -50,7 +50,6 @@ class Chain:
 
     draws: list = field(default_factory=list)
     accept_flags: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
-    energies: np.ndarray = field(default_factory=lambda: np.empty(0))
     delta_h: np.ndarray = field(default_factory=lambda: np.empty(0))
     divergent: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     n_burn: int = 0
@@ -111,7 +110,7 @@ def hmc_step(q, logp_q: float, target, rng: np.random.Generator,
              step_size: float, n_leapfrog: int, mass_diag):
     """One momentum-refresh / leapfrog / Metropolis cycle.
 
-    Returns (q, logp_q, accepted, delta_h, diverged, h0). On rejection the
+    Returns (q, logp_q, accepted, delta_h, diverged). On rejection the
     position object is returned untouched.
     """
     mass = np.asarray(mass_diag, dtype=float)
@@ -121,16 +120,16 @@ def hmc_step(q, logp_q: float, target, rng: np.random.Generator,
     q_new, p_new, diverged = leapfrog(q, p0, target, step_size, n_leapfrog, mass)
     u = rng.random()
     if diverged:
-        return q, logp_q, False, float("inf"), True, h0
+        return q, logp_q, False, float("inf"), True
 
     logp_new = target.logp(q_new)
     h1 = kinetic(p_new, mass) - logp_new
     delta_h = h1 - h0
     if not np.isfinite(delta_h):
-        return q, logp_q, False, float("inf"), True, h0
+        return q, logp_q, False, float("inf"), True
     if u < np.exp(min(0.0, -delta_h)):
-        return q_new, logp_new, True, delta_h, False, h0
-    return q, logp_q, False, delta_h, False, h0
+        return q_new, logp_new, True, delta_h, False
+    return q, logp_q, False, delta_h, False
 
 
 class _DualAveraging:
@@ -174,7 +173,6 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
 
     total = config.n_burn + config.n_draws
     accept = np.zeros(total, dtype=bool)
-    energies = np.zeros(total)
     dh = np.zeros(total)
     divergent = np.zeros(total, dtype=bool)
     draws: list[np.ndarray] = []
@@ -185,11 +183,10 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
         adapter = _DualAveraging(eps, config.target_accept)
 
     for step in range(total):
-        q, logp_q, acc, delta_h, div, h0 = hmc_step(
+        q, logp_q, acc, delta_h, div = hmc_step(
             q, logp_q, target, rng, eps, config.n_leapfrog, config.mass_diag
         )
         accept[step] = acc
-        energies[step] = h0
         dh[step] = delta_h
         divergent[step] = div
         if adapter is not None and step < config.n_burn:
@@ -203,7 +200,6 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
     return Chain(
         draws=draws,
         accept_flags=accept,
-        energies=energies,
         delta_h=dh,
         divergent=divergent,
         n_burn=config.n_burn,

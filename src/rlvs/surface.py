@@ -88,7 +88,7 @@ class VolSurface:
     @classmethod
     def from_dict(cls, d: dict) -> "VolSurface":
         return cls(
-            spec=GridSpec(**d["spec"]),
+            spec=GridSpec.from_dict(d["spec"]),
             vol_mean=np.asarray(d["vol_mean"], dtype=float),
             vol_lo=np.asarray(d["vol_lo"], dtype=float),
             vol_hi=np.asarray(d["vol_hi"], dtype=float),
@@ -272,9 +272,10 @@ def _heat_color(x: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_svg(surface: VolSurface, cell_px: int = 14) -> str:
+def render_svg(surface: VolSurface) -> str:
     """Heatmap of vol_mean; cells the path visited are outlined."""
     i_n, j_n = surface.spec.n_time, surface.spec.n_price
+    cell_px = 14
     margin = 40
     legend_h = 42
     w = margin + i_n * cell_px + 10

@@ -47,6 +47,9 @@ class CallGrid:
         self.strikes = np.asarray(self.strikes, dtype=float)
         self.expiries = np.asarray(self.expiries, dtype=float)
         self.prices = np.asarray(self.prices, dtype=float)
+        for name in ("strikes", "expiries", "prices"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise VolToolsError(f"{name} must be finite")
         if np.any(np.diff(self.strikes) <= 0) or np.any(np.diff(self.expiries) <= 0):
             raise VolToolsError("strikes and expiries must be strictly ascending")
         if self.prices.shape != (self.expiries.size, self.strikes.size):
@@ -62,12 +65,12 @@ def _d1_d2(spot, strike, rate, yield_rate, expiry, vol):
 
 
 def _check_positive(spot, strike, expiry, vol):
-    if spot <= 0 or strike <= 0:
-        raise VolToolsError("spot and strike must be positive")
-    if expiry <= 0:
-        raise VolToolsError("expiry must be positive")
-    if vol <= 0:
-        raise VolToolsError("vol must be positive")
+    # One chained test per call on the Newton path; the loop only names the field.
+    if not (0.0 < spot < math.inf and 0.0 < strike < math.inf
+            and 0.0 < expiry < math.inf and 0.0 < vol < math.inf):
+        for name, value in (("spot", spot), ("strike", strike), ("expiry", expiry), ("vol", vol)):
+            if not 0.0 < value < math.inf:
+                raise VolToolsError(f"{name} must be positive and finite, got {value!r}")
 
 
 def bs_price(spot, strike, rate, yield_rate, expiry, vol, is_call: bool = True) -> float:
@@ -101,7 +104,7 @@ def no_arbitrage_bounds(quote: OptionQuote) -> tuple[float, float]:
     return max(df_k - df_s, 0.0), df_k
 
 
-def implied_vol(quote: OptionQuote, initial: float = 0.3, max_iter: int = 200) -> float:
+def implied_vol(quote: OptionQuote) -> float:
     """Newton-Raphson implied volatility with bracketed bisection fallback.
 
     Iterates until the volatility step stabilizes (well past the pricing
@@ -129,7 +132,8 @@ def implied_vol(quote: OptionQuote, initial: float = 0.3, max_iter: int = 200) -
         if hi > 1e6:
             raise VolToolsError("implied volatility bracket expansion failed")
 
-    sigma = min(max(initial, lo), hi)
+    max_iter = 200
+    sigma = min(max(0.3, lo), hi)  # Newton starts at 30 % vol
     diff = price(sigma) - quote.mid_price
     for _ in range(max_iter):
         if diff > 0:

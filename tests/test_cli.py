@@ -54,6 +54,17 @@ def run(argv):
     return main(argv)
 
 
+def toy_checkpoint(d):
+    """Synth and fit the toy config in directory d; returns the checkpoint path."""
+    cfg = d / "toy.ini"
+    cfg.write_text(TOY_CONFIG)
+    ticks = d / "ticks.csv"
+    ckpt = d / "ckpt.json"
+    run(["synth", "--config", str(cfg), "--out", str(ticks)])
+    run(["fit", "--config", str(cfg), "--ticks", str(ticks), "--out", str(ckpt)])
+    return ckpt
+
+
 class TestSynth:
     def test_default_tick_count(self, tmp_path, capsys):
         out = tmp_path / "ticks.csv"
@@ -129,13 +140,9 @@ class TestFit:
 
 
 class TestSurface:
-    @pytest.fixture
-    def fitted(self, tmp_path, toy_cfg):
-        ticks = tmp_path / "ticks.csv"
-        ckpt = tmp_path / "ckpt.json"
-        run(["synth", "--config", str(toy_cfg), "--out", str(ticks)])
-        run(["fit", "--config", str(toy_cfg), "--ticks", str(ticks), "--out", str(ckpt)])
-        return ckpt
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        return toy_checkpoint(tmp_path_factory.mktemp("fit"))
 
     def test_surface_shape(self, tmp_path, toy_cfg, fitted):
         out = tmp_path / "surf.csv"
@@ -160,6 +167,29 @@ class TestSurface:
         run(["surface", "--config", str(toy_cfg), "--checkpoint", str(fitted), "--out", str(a)])
         run(["surface", "--config", str(toy_cfg), "--checkpoint", str(fitted), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_annualizes_at_checkpoint_bins_per_day(self, tmp_path, toy_cfg, fitted):
+        ckpt = json.loads(fitted.read_text())
+        ckpt["bins_per_day"] *= 4
+        quadrupled = tmp_path / "ckpt4.json"
+        quadrupled.write_text(json.dumps(ckpt))
+        vols = []
+        for path in (fitted, quadrupled):
+            out = tmp_path / f"{path.stem}.json"
+            assert run(["surface", "--config", str(toy_cfg), "--checkpoint", str(path),
+                        "--format", "json", "--out", str(out)]) == 0
+            vols.append(load_surface(out).vol_mean)
+        np.testing.assert_allclose(vols[1], 2.0 * vols[0], rtol=1e-12)
+
+    def test_checkpoint_with_session_length_named(self, tmp_path, toy_cfg, fitted, capsys):
+        ckpt = json.loads(fitted.read_text())
+        ckpt["grid"]["spec"]["session_length"] = 23400.0
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(ckpt))
+        rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(old),
+                  "--out", str(tmp_path / "s.csv")])
+        assert rc != 0
+        assert "unknown grid spec field session_length" in capsys.readouterr().err
 
 
 class TestImplied:
@@ -202,16 +232,25 @@ class TestImplied:
         assert rc != 0
         assert "spot must be finite, got nan" in capsys.readouterr().err
 
+    def test_echoes_no_config(self, tmp_path, capsys):
+        quotes = tmp_path / "q.csv"
+        rows = ["strike,expiry_years,mid,flag"]
+        for k in (1.0, 1.05):
+            rows.append(f"{k},{1.0 / 252.0},{bs_price(1.0, k, 0.0, 0.0, 1.0 / 252.0, 0.5)!r},C")
+        quotes.write_text("\n".join(rows) + "\n")
+        assert run(["implied", "--quotes", str(quotes), "--spot", "1.0",
+                    "--out", str(tmp_path / "c.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "[hmc]" not in out and "seed =" not in out
+
 
 class TestCompare:
-    @pytest.fixture
-    def surface_file(self, tmp_path, toy_cfg):
-        ticks = tmp_path / "ticks.csv"
-        ckpt = tmp_path / "ckpt.json"
-        surf = tmp_path / "surf.json"
-        run(["synth", "--config", str(toy_cfg), "--out", str(ticks)])
-        run(["fit", "--config", str(toy_cfg), "--ticks", str(ticks), "--out", str(ckpt)])
-        run(["surface", "--config", str(toy_cfg), "--checkpoint", str(ckpt),
+    @pytest.fixture(scope="class")
+    def surface_file(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("surface")
+        ckpt = toy_checkpoint(d)
+        surf = d / "surf.json"
+        run(["surface", "--config", str(d / "toy.ini"), "--checkpoint", str(ckpt),
              "--format", "json", "--out", str(surf)])
         return surf
 
@@ -293,25 +332,6 @@ class TestCompare:
 
 
 class TestConfig:
-    def test_preset_loads(self):
-        cfg = load_config(preset="paper-protocol")
-        assert cfg["hmc"]["n_burn"] == 1000
-        assert cfg["hmc"]["n_draws"] == 5000
-        assert cfg["model"]["n_components"] == 5
-        assert cfg["grid"]["n_price"] == 10
-        assert cfg["surface"]["n_param_draws"] == 100
-
-    def test_preset_flag_reaches_commands(self, tmp_path, capsys):
-        run(["synth", "--preset", "paper-protocol", "--n-ticks", "30",
-             "--out", str(tmp_path / "t.csv")])
-        out = capsys.readouterr().out
-        assert "n_burn = 1000" in out
-        assert "n_ticks = 30" in out  # flag overrides preset
-
-    def test_unknown_preset(self):
-        with pytest.raises(ValueError):
-            load_config(preset="bogus")
-
     def test_file_overrides_defaults(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text("[hmc]\nn_burn = 7\n")
@@ -324,6 +344,26 @@ class TestConfig:
         p.write_text("[hmc]\nbogus = 1\n")
         with pytest.raises(ValueError):
             load_config(p)
+
+    def test_bins_per_day_key_rejected(self, tmp_path):
+        # The surface annualizes at the bins per day the fit worked out.
+        p = tmp_path / "c.ini"
+        p.write_text("[surface]\nbins_per_day = 78\n")
+        with pytest.raises(ValueError, match=r"unknown config key \[surface\] bins_per_day"):
+            load_config(p)
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--preset", "paper-protocol"],
+        ["implied", "--quotes", "q.csv", "--spot", "1.0", "--seed", "1"],
+        ["compare", "--surface", "s.json", "--quotes", "q.csv", "--spot", "1.0",
+         "--config", "x.ini"],
+    ])
+    def test_flag_with_no_reader_rejected(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_master_seed_derivation(self):
         cfg = load_config()

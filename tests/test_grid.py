@@ -186,6 +186,13 @@ class TestSerialization:
         np.testing.assert_array_equal(back.cell_logprice, g.cell_logprice)
         assert back.returns == g.returns
 
+    def test_unknown_spec_field_named(self):
+        # Files written before GridSpec dropped session_length carry it.
+        d = gbm_grid(seed=41)[0].to_dict()
+        d["spec"]["session_length"] = 23400.0
+        with pytest.raises(GridError, match="unknown grid spec field session_length"):
+            GridData.from_dict(d)
+
     def test_dict_is_json_serializable(self):
         g, _ = gbm_grid(seed=37)
         json.dumps(g.to_dict())

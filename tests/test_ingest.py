@@ -227,3 +227,14 @@ def test_series_rejects_unsorted_and_nonpositive():
         TickSeries(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
     with pytest.raises(TickDataError):
         TickSeries(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["times", "prices"])
+def test_series_rejects_non_finite_naming_field(field, bad):
+    # A nan time passes the non-decreasing check, so resample would carry
+    # prices across it; an infinite price passes the positivity check.
+    arrays = {"times": [0.0, 1.0, 2.0], "prices": [1.0, 1.1, 1.2]}
+    arrays[field][1] = bad
+    with pytest.raises(TickDataError, match=f"tick {field} must be finite, got {bad} at index 1"):
+        TickSeries(**arrays)

@@ -120,7 +120,7 @@ class TestHmcStep:
         q = np.array([3.0, -3.0])  # far out: proposals typically reduce energy
         logp = t.logp(q)
         for _ in range(200):
-            q2, logp2, acc, dh, div, _ = hmc_step(q, logp, t, rng, 0.05, 10, 1.0)
+            q2, logp2, acc, dh, div = hmc_step(q, logp, t, rng, 0.05, 10, 1.0)
             if dh <= 0:
                 trials += 1
                 accepted += acc
@@ -133,7 +133,7 @@ class TestHmcStep:
         rng = np.random.default_rng(2)
         q = np.array([0.5, 1.5])
         for _ in range(20):
-            q2, _, acc, dh, div, _ = hmc_step(q, t.logp(q), t, rng, 0.0, 5, 1.0)
+            q2, _, acc, dh, div = hmc_step(q, t.logp(q), t, rng, 0.0, 5, 1.0)
             assert acc and dh == 0.0 and not div
             np.testing.assert_array_equal(q2, q)
 
@@ -144,7 +144,7 @@ class TestHmcStep:
         logp = t.logp(q)
         acc = 0
         for _ in range(2000):
-            q, logp, a, _, _, _ = hmc_step(q, logp, t, rng, 0.1, 20, 1.0)
+            q, logp, a, _, _ = hmc_step(q, logp, t, rng, 0.1, 20, 1.0)
             acc += a
         assert 0.8 <= acc / 2000 <= 1.0
 
@@ -155,7 +155,7 @@ class TestHmcStep:
         logp = t.logp(q)
         saw_reject = False
         for _ in range(300):
-            q2, logp2, acc, _, _, _ = hmc_step(q, logp, t, rng, 1.95, 40, 1.0)
+            q2, logp2, acc, _, _ = hmc_step(q, logp, t, rng, 1.95, 40, 1.0)
             if not acc:
                 assert q2 is q
                 saw_reject = True
@@ -227,14 +227,14 @@ class TestDiagnostics:
     def test_all_accepted(self):
         ch = Chain(draws=[np.zeros(1)] * 4,
                    accept_flags=np.array([True] * 4),
-                   energies=np.zeros(4), delta_h=np.zeros(4),
+                   delta_h=np.zeros(4),
                    divergent=np.zeros(4, bool), n_burn=0)
         assert diagnostics(ch).acceptance_rate == 1.0
 
     def test_alternating(self):
         ch = Chain(draws=[np.zeros(1)] * 4,
                    accept_flags=np.array([True, False, True, False]),
-                   energies=np.zeros(4), delta_h=np.zeros(4),
+                   delta_h=np.zeros(4),
                    divergent=np.zeros(4, bool), n_burn=0)
         assert diagnostics(ch).acceptance_rate == 0.5
 

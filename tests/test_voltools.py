@@ -61,6 +61,16 @@ class TestBsPrice:
         with pytest.raises(VolToolsError):
             bs_price(100.0, 100.0, 0.0, 0.0, 1.0, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["spot", "strike", "expiry", "vol"])
+    def test_rejects_non_finite_inputs(self, field, bad):
+        args = {"spot": 100.0, "strike": 100.0, "rate": 0.0, "yield_rate": 0.0,
+                "expiry": 1.0, "vol": 0.2}
+        args[field] = bad
+        with pytest.raises(VolToolsError, match=f"{field} must be positive and finite, got {bad!r}"):
+            bs_price(**args)
+
     def test_bitwise_equal_to_scipy_norm_cdf(self):
         rng = np.random.default_rng(6)
         for _ in range(1000):
@@ -203,6 +213,17 @@ class TestDupire:
         grid = CallGrid(strikes, expiries, prices)
         with pytest.raises(VolToolsError, match="butterfly"):
             dupire_local_vol(grid, 0.0, 0.0, 100.0, 0.5)
+
+    @pytest.mark.parametrize("field", ["strikes", "expiries", "prices"])
+    def test_non_finite_grid_refused(self, field):
+        # A nan centre price made dupire_local_vol return nan: its
+        # butterfly and calendar checks are False for nan.
+        grid = flat_call_grid(strikes=np.array([90.0, 100.0, 110.0]),
+                              expiries=np.array([0.4, 0.5, 0.6]))
+        arrays = {"strikes": grid.strikes, "expiries": grid.expiries, "prices": grid.prices}
+        arrays[field][1:2] = np.nan
+        with pytest.raises(VolToolsError, match=f"{field} must be finite"):
+            CallGrid(**arrays)
 
     def test_boundary_point_rejected(self):
         grid = flat_call_grid()
