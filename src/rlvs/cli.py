@@ -83,11 +83,12 @@ def _convert(section: str, key: str, raw: str):
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"[{section}] {key}: expected a boolean, got {raw!r}")
-    if isinstance(ref, int) and not isinstance(ref, bool):
-        return int(raw)
-    if isinstance(ref, float) or ref is None:
-        return float(raw)
-    return raw
+    kind = int if isinstance(ref, int) else float  # None marks an optional float
+    try:
+        return kind(raw)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
 
 
 def load_config(path=None) -> dict:
@@ -96,7 +97,11 @@ def load_config(path=None) -> dict:
     if path:
         parser = configparser.ConfigParser()
         with open(path) as fh:
-            parser.read_file(fh)
+            try:
+                parser.read_file(fh)
+            except configparser.Error as exc:
+                detail = " ".join(str(exc).split())
+                raise ValueError(f"{path}: not a valid config file: {detail}") from None
         for section in parser.sections():
             if section not in cfg:
                 raise ValueError(f"{path}: unknown config section [{section}]")

@@ -165,12 +165,10 @@ def stick_break(gamma) -> np.ndarray:
     return w
 
 
-def _log_stick_break(stick_raw: np.ndarray) -> np.ndarray:
-    """log stick-break weights straight from unconstrained coordinates."""
-    log_g = log_expit(stick_raw)
-    log_1mg = log_expit(-stick_raw)
-    k = stick_raw.shape[-1]
-    logw = np.empty_like(stick_raw)
+def _log_stick_break(log_g: np.ndarray, log_1mg: np.ndarray) -> np.ndarray:
+    """log stick-break weights from log(gamma) and log(1 - gamma)."""
+    k = log_g.shape[-1]
+    logw = np.empty_like(log_g)
     if k == 1:
         logw[..., 0] = 0.0
         return logw
@@ -190,8 +188,9 @@ def stick_weights_from_raw(stick_raw: np.ndarray) -> np.ndarray:
     coordinates near the float limit overflow a log weight to -inf, whose
     exp is the exact weight 0, so that overflow is not warned about.
     """
+    stick_raw = np.asarray(stick_raw, dtype=float)
     with np.errstate(over="ignore"):
-        return np.exp(_log_stick_break(np.asarray(stick_raw, dtype=float)))
+        return np.exp(_log_stick_break(log_expit(stick_raw), log_expit(-stick_raw)))
 
 
 def component_means(params: ModelParams, grid: GridData) -> np.ndarray:
@@ -233,8 +232,12 @@ def cell_mixture(params: ModelParams, grid: GridData, i: int, j: int) -> Mixture
                        mu, params.component_scale)
 
 
-def log_prior(params: ModelParams) -> float:
-    """Log prior density in unconstrained coordinates (Jacobians included)."""
+def _prior_terms(params: ModelParams):
+    """Log prior value and gradient, plus the log stick weights and the stick
+    fractions, from one evaluation of the logistic terms.
+
+    Returns (value, [g_time, g_price, g_alpha, g_stick, g_conc], logw, gamma).
+    """
     sq = (
         float(np.sum(params.time_effect ** 2))
         + float(np.sum(params.price_effect ** 2))
@@ -244,79 +247,102 @@ def log_prior(params: ModelParams) -> float:
     out = -0.5 * sq - 0.5 * n_norm * LOG_2PI
 
     # Beta(1,1) on the concentrations is flat; only the logistic Jacobian remains.
-    out += float(np.sum(log_expit(params.conc) + log_expit(-params.conc)))
+    log_a = log_expit(params.conc)
+    out += float(np.sum(log_a + log_expit(-params.conc)))
 
     # Beta(1, a_ij) on each stick fraction, plus its logistic Jacobian.
-    log_a = log_expit(params.conc)
     a = expit(params.conc)
     log_g = log_expit(params.stick_raw)
     log_1mg = log_expit(-params.stick_raw)
     out += float(np.sum(log_a[..., None] + (a[..., None] - 1.0) * log_1mg))
     out += float(np.sum(log_g + log_1mg))
-    return out
 
-
-def _loglik_terms(params, means, logw, xs, ci, cj):
-    """Per-observation (N, K) joint log terms: log w_k + log N(x; mu_k, s)."""
-    s = params.component_scale
-    d = (xs[:, None] - means[ci, cj, :]) / s
-    return logw[ci, cj, :] - 0.5 * d * d - np.log(s) - 0.5 * LOG_2PI
-
-
-def _log_posterior(params: ModelParams, grid: GridData, xs, ci, cj) -> float:
-    """Log prior plus the masked log likelihood of the observations (xs, ci, cj)."""
-    out = log_prior(params)
-    if xs.size:
-        means = component_means(params, grid)
-        logw = _log_stick_break(params.stick_raw)
-        terms = _loglik_terms(params, means, logw, xs, ci, cj)
-        out += float(np.sum(logsumexp(terms, axis=1)))
-    return out
-
-
-def log_posterior(params: ModelParams, grid: GridData) -> float:
-    """Unnormalized log posterior: log prior plus masked log likelihood.
-
-    Only cells whose mask bit is set contribute likelihood.
-    """
-    return _log_posterior(params, grid, *grid.observations())
-
-
-def _grad_log_posterior(params: ModelParams, grid: GridData, xs, ci, cj) -> np.ndarray:
-    """Gradient of _log_posterior for the observations (xs, ci, cj)."""
-    dims = params.dims
-    i_n, j_n, k_n = dims.n_time, dims.n_price, dims.n_components
     gamma = expit(params.stick_raw)
-    a = expit(params.conc)
-    log_1mg = log_expit(-params.stick_raw)
+    k_n = params.stick_raw.shape[-1]
+    grads = [
+        -params.time_effect,
+        -params.price_effect,
+        -params.alpha,
+        # d/d stick_raw of [log Beta(gamma; 1, a) + log Jacobian]
+        (1.0 - gamma) - a[..., None] * gamma,
+        # d/d conc of [Beta(1,1) Jacobian + K * log a + (a - 1) sum log(1 - gamma)]
+        (1.0 - 2.0 * a) + k_n * (1.0 - a) + a * (1.0 - a) * np.sum(log_1mg, axis=-1),
+    ]
+    return out, grads, _log_stick_break(log_g, log_1mg), gamma
 
-    # Prior parts.
-    g_te = -params.time_effect.copy()
-    g_pe = -params.price_effect.copy()
-    g_al = -params.alpha.copy()
-    # d/d stick_raw of [log Beta(gamma; 1, a) + log Jacobian]: (1 - gamma) - a * gamma
-    g_sr = (1.0 - gamma) - a[..., None] * gamma
-    # d/d conc of [Beta(1,1) Jacobian + K * log a + (a - 1) sum log(1 - gamma)]
-    g_c = (1.0 - 2.0 * a) + k_n * (1.0 - a) + a * (1.0 - a) * np.sum(log_1mg, axis=-1)
 
+def log_prior(params: ModelParams) -> float:
+    """Log prior density in unconstrained coordinates (Jacobians included)."""
+    return _prior_terms(params)[0]
+
+
+def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
+    """log(sum(exp(terms), axis=0)) for a (K, N) array, as scipy 1.17 computes it.
+
+    The max element(s) of each column are left out of the shifted sum, which
+    is then ``log1p(sum / count) + log(count) + max``; columns where that is
+    not finite (every term -inf, say) fall back to the direct formula.
+    """
+    mx = terms.max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = terms - mx
+        is_max = e == 0.0
+        np.exp(e, out=e)
+        e -= is_max  # exp(0) == 1 exactly: this takes the max elements out
+        count = is_max.sum(axis=0, dtype=float)
+        out = np.log1p(e.sum(axis=0) / count) + np.log(count) + mx
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(terms[:, bad]), axis=0))
+    return out
+
+
+def _observations(grid: GridData, dims: ModelDims):
+    """Stored returns and, per return, its component-major flat index
+    ``k * n_cells + cell`` as a (K, N) array, where ``cell = i * n_price + j``."""
+    xs, ci, cj = grid.observations()
+    n_cells = dims.n_time * dims.n_price
+    cell = ci * dims.n_price + cj
+    return xs, np.arange(dims.n_components)[:, None] * n_cells + cell
+
+
+def _value_and_grad(params: ModelParams, grid: GridData, xs, index):
+    """Log posterior and its gradient (flat, in to_vector() order) in one pass
+    over the observations ``(xs, index)`` of ``_observations``.
+    """
+    i_n, j_n, k_n = params.dims.n_time, params.dims.n_price, params.dims.n_components
+    out, (g_te, g_pe, g_al, g_sr, g_c), logw, gamma = _prior_terms(params)
     if xs.size:
         s = params.component_scale
-        means = component_means(params, grid)
-        logw = _log_stick_break(params.stick_raw)
-        terms = _loglik_terms(params, means, logw, xs, ci, cj)
-        resp = np.exp(terms - logsumexp(terms, axis=1)[:, None])  # (N, K)
-        d_over_s = (xs[:, None] - means[ci, cj, :]) / (s * s)
+        # (2, K, cells): component means and log weights, component-major.
+        table = np.empty((2, k_n, i_n * j_n))
+        table[0] = component_means(params, grid).reshape(-1, k_n).T
+        table[1] = logw.reshape(-1, k_n).T
+        both = np.take(table.reshape(2, -1), index, axis=1)  # (2, K, N)
 
-        lin = ci * j_n + cj
-        n_cells = i_n * j_n
-        resp_cell = np.empty((n_cells, k_n))
-        dmu_cell = np.empty((n_cells, k_n))
-        for k in range(k_n):
-            resp_cell[:, k] = np.bincount(lin, weights=resp[:, k], minlength=n_cells)
-            dmu_cell[:, k] = np.bincount(lin, weights=resp[:, k] * d_over_s[:, k],
-                                         minlength=n_cells)
-        resp_cell = resp_cell.reshape(i_n, j_n, k_n)
-        dmu_cell = dmu_cell.reshape(i_n, j_n, k_n)
+        diff = np.subtract(xs, both[0], out=both[0])
+        d = diff / s
+        terms = both[1]  # log w_k + log N(x; mu_k, s), built in place
+        terms -= 0.5 * d * d
+        terms -= np.log(s)
+        terms -= 0.5 * LOG_2PI
+        lse = _log_sum_exp(terms)
+        out += float(np.sum(lse))
+        terms -= lse
+        resp = np.exp(terms, out=terms)
+        diff /= s * s
+        diff *= resp  # resp * (x - mu) / s^2, the weight of d/d mu
+
+        # Two bincounts over k * n_cells + cell, each copied to a C-ordered
+        # (I, J, K) array: the sums below then round the same whatever the
+        # observation layout.
+        flat = index.ravel()
+        n_bins = k_n * i_n * j_n
+        resp_cell, dmu_cell = (
+            np.bincount(flat, weights=w.ravel(), minlength=n_bins)
+            .reshape(k_n, -1).T.copy().reshape(i_n, j_n, k_n)
+            for w in (resp, diff)
+        )
 
         g_te += dmu_cell.sum(axis=1) * grid.cell_time[:, None]
         g_pe += dmu_cell.sum(axis=0) * grid.cell_logprice[:, None]
@@ -332,21 +358,32 @@ def _grad_log_posterior(params: ModelParams, grid: GridData, xs, ci, cj) -> np.n
             g_lik_sr[..., -1] = 0.0
             g_sr += g_lik_sr
 
-    return np.concatenate([
+    return out, np.concatenate([
         g_te.ravel(), g_pe.ravel(), g_al.ravel(), g_sr.ravel(), g_c.ravel(),
     ])
 
 
+def log_posterior(params: ModelParams, grid: GridData) -> float:
+    """Unnormalized log posterior: log prior plus masked log likelihood.
+
+    Only cells whose mask bit is set contribute likelihood.
+    """
+    return _value_and_grad(params, grid, *_observations(grid, params.dims))[0]
+
+
 def grad_log_posterior(params: ModelParams, grid: GridData) -> np.ndarray:
     """Analytic gradient of log_posterior, flat in to_vector() order."""
-    return _grad_log_posterior(params, grid, *grid.observations())
+    return _value_and_grad(params, grid, *_observations(grid, params.dims))[1]
 
 
 class Posterior:
     """Flat-vector view of the posterior for the HMC engine.
 
-    Caches the grid's flattened observations so repeated logp/grad calls
-    during sampling avoid re-walking the ragged cell lists.
+    ``logp`` and ``grad`` share one kernel pass that yields both the value
+    and the gradient. The observations are cached, laid out for that kernel,
+    and the last pass is memoized on a copy of its point, so the ``logp``
+    the sampler asks for at the end of a trajectory, where it has just taken
+    the gradient, costs no second pass.
     """
 
     def __init__(self, grid: GridData, dims: ModelDims, component_scale: float = 1.0):
@@ -355,13 +392,24 @@ class Posterior:
         self.grid = grid
         self.dims = dims
         self.component_scale = float(component_scale)
-        self._xs, self._ci, self._cj = grid.observations()
+        self._xs, self._index = _observations(grid, dims)
+        self._last = None  # (point, value, gradient) of the last pass
 
     def params(self, vec: np.ndarray) -> ModelParams:
         return ModelParams.from_vector(self.dims, vec, self.component_scale)
 
+    def _pass(self, vec):
+        vec = np.asarray(vec, dtype=float)
+        last = self._last
+        # Bitwise comparison: -0.0 and NaN coordinates must not alias.
+        if (last is None or last[0].shape != vec.shape
+                or not np.array_equal(last[0].view(np.int64), vec.view(np.int64))):
+            value, grad = _value_and_grad(self.params(vec), self.grid, self._xs, self._index)
+            last = self._last = (vec.copy(), value, grad)
+        return last
+
     def logp(self, vec: np.ndarray) -> float:
-        return _log_posterior(self.params(vec), self.grid, self._xs, self._ci, self._cj)
+        return self._pass(vec)[1]
 
     def grad(self, vec: np.ndarray) -> np.ndarray:
-        return _grad_log_posterior(self.params(vec), self.grid, self._xs, self._ci, self._cj)
+        return self._pass(vec)[2].copy()

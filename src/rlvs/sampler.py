@@ -5,6 +5,8 @@ The engine is target-agnostic: anything exposing ``logp(q) -> float`` and
 ``grad(q) -> ndarray`` can be sampled (the grid posterior via
 ``model.Posterior``, plain Gaussians in tests). Potential energy is
 U(q) = -logp(q); momenta are drawn from N(0, M) with diagonal mass M.
+The gradient at the current point is carried from one iteration to the
+next, so an iteration of n leapfrog steps evaluates ``grad`` n times.
 """
 
 from __future__ import annotations
@@ -80,56 +82,73 @@ def kinetic(p: np.ndarray, mass_diag) -> float:
     return 0.5 * float(np.sum(p * p / np.asarray(mass_diag, dtype=float)))
 
 
+def _integrate(q, p, grad_q, target, step_size: float, n_steps: int, inv_mass):
+    """Leapfrog from (q, p) given the gradient at q; returns
+    (q, p, gradient at the returned q, diverged).
+
+    Each step evaluates the gradient once. A non-finite state anywhere along
+    the trajectory flags divergence and stops integration early; the
+    gradient returned then is of no use.
+    """
+    if n_steps < 1:
+        raise SamplerError("leapfrog needs n_steps >= 1")
+    if step_size < 0:
+        raise SamplerError("step_size must be non-negative")
+    g = grad_q
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = p + 0.5 * step_size * g
+        for step in range(n_steps):
+            q = q + step_size * inv_mass * p
+            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+                return q, p, g, True
+            g = target.grad(q)
+            p = p + (step_size if step < n_steps - 1 else 0.5 * step_size) * g
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+            return q, p, g, True
+    return q, p, g, False
+
+
 def leapfrog(q, p, target, step_size: float, n_steps: int, mass_diag):
     """Half/full/half leapfrog; returns (q, p, diverged).
 
     A non-finite state anywhere along the trajectory flags divergence and
     stops integration early (the proposal is then rejected upstream).
     """
-    if n_steps < 1:
-        raise SamplerError("leapfrog needs n_steps >= 1")
-    if step_size < 0:
-        raise SamplerError("step_size must be non-negative")
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
     inv_mass = 1.0 / np.asarray(mass_diag, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = p + 0.5 * step_size * target.grad(q)
-        for step in range(n_steps):
-            q = q + step_size * inv_mass * p
-            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-                return q, p, True
-            g = target.grad(q)
-            p = p + (step_size if step < n_steps - 1 else 0.5 * step_size) * g
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            return q, p, True
-    return q, p, False
+    q, p, _, diverged = _integrate(q, p, target.grad(q), target, step_size, n_steps, inv_mass)
+    return q, p, diverged
 
 
-def hmc_step(q, logp_q: float, target, rng: np.random.Generator,
+def hmc_step(q, logp_q: float, grad_q, target, rng: np.random.Generator,
              step_size: float, n_leapfrog: int, mass_diag):
-    """One momentum-refresh / leapfrog / Metropolis cycle.
+    """One momentum-refresh / leapfrog / Metropolis cycle from q, whose log
+    density and gradient the caller already has.
 
-    Returns (q, logp_q, accepted, delta_h, diverged). On rejection the
-    position object is returned untouched.
+    Returns (q, logp_q, grad_q, accepted, delta_h, diverged). On rejection
+    the position and gradient objects are returned untouched. The only
+    ``logp`` call is at the end of the trajectory, where ``grad`` was just
+    evaluated.
     """
     mass = np.asarray(mass_diag, dtype=float)
     p0 = rng.standard_normal(np.shape(q)) * np.sqrt(mass)
     h0 = kinetic(p0, mass) - logp_q
 
-    q_new, p_new, diverged = leapfrog(q, p0, target, step_size, n_leapfrog, mass)
+    q_new, p_new, g_new, diverged = _integrate(
+        np.asarray(q, dtype=float), p0, grad_q, target, step_size, n_leapfrog, 1.0 / mass)
     u = rng.random()
     if diverged:
-        return q, logp_q, False, float("inf"), True
+        return q, logp_q, grad_q, False, float("inf"), True
 
     logp_new = target.logp(q_new)
     h1 = kinetic(p_new, mass) - logp_new
     delta_h = h1 - h0
     if not np.isfinite(delta_h):
-        return q, logp_q, False, float("inf"), True
+        return q, logp_q, grad_q, False, float("inf"), True
     if u < np.exp(min(0.0, -delta_h)):
-        return q_new, logp_new, True, delta_h, False
-    return q, logp_q, False, delta_h, False
+        return q_new, logp_new, g_new, True, delta_h, False
+    return q, logp_q, grad_q, False, delta_h, False
 
 
 class _DualAveraging:
@@ -170,6 +189,7 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
     logp_q = target.logp(q)
     if not np.isfinite(logp_q):
         raise SamplerError("initial point has non-finite log density")
+    grad_q = target.grad(q)
 
     total = config.n_burn + config.n_draws
     accept = np.zeros(total, dtype=bool)
@@ -183,8 +203,8 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
         adapter = _DualAveraging(eps, config.target_accept)
 
     for step in range(total):
-        q, logp_q, acc, delta_h, div = hmc_step(
-            q, logp_q, target, rng, eps, config.n_leapfrog, config.mass_diag
+        q, logp_q, grad_q, acc, delta_h, div = hmc_step(
+            q, logp_q, grad_q, target, rng, eps, config.n_leapfrog, config.mass_diag
         )
         accept[step] = acc
         dh[step] = delta_h

@@ -75,6 +75,9 @@ def _check_positive(spot, strike, expiry, vol):
 
 def bs_price(spot, strike, rate, yield_rate, expiry, vol, is_call: bool = True) -> float:
     _check_positive(spot, strike, expiry, vol)
+    if not (math.isfinite(rate) and math.isfinite(yield_rate)):
+        name, value = ("rate", rate) if not math.isfinite(rate) else ("yield_rate", yield_rate)
+        raise VolToolsError(f"{name} must be finite, got {value!r}")
     d1, d2 = _d1_d2(spot, strike, rate, yield_rate, expiry, vol)
     df_s = spot * np.exp(-yield_rate * expiry)
     df_k = strike * np.exp(-rate * expiry)

@@ -365,6 +365,27 @@ class TestConfig:
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_file_without_section_header_named(self, tmp_path, capsys):
+        p = tmp_path / "nohdr.ini"
+        p.write_text("n_time = 3\n")
+        out = tmp_path / "t.csv"
+        rc = main(["synth", "--config", str(p), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {p}: not a valid config file: ")
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("section, key, raw, expected", [
+        ("grid", "n_time", "1.5", "an integer"),
+        ("hmc", "step_size", "fast", "a number"),
+    ])
+    def test_malformed_number_names_key(self, tmp_path, capsys, section, key, raw, expected):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[{section}]\n{key} = {raw}\n")
+        rc = main(["synth", "--config", str(p), "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: [{section}] {key}: expected {expected}, got {raw!r}\n"
+
     def test_master_seed_derivation(self):
         cfg = load_config()
         apply_master_seed(cfg, 100)

@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
+from rlvs import model
 from rlvs.grid import GridData, GridSpec, build_grid, standardize_returns
 from rlvs.ingest import normalize_time, synth_gbm_ticks
+from rlvs.sampler import HmcConfig, run_chain
 from rlvs.model import (
     LOG_2PI,
     MixtureSpec,
@@ -361,6 +363,151 @@ class TestPosterior:
             p = ModelParams.from_vector(dims, v, component_scale=0.8)
             assert post.logp(v) == log_posterior(p, g)
             np.testing.assert_array_equal(post.grad(v), grad_log_posterior(p, g))
+
+
+    def test_memo_never_serves_a_stale_result(self):
+        g = toy_grid(seed=24)
+        dims = ModelDims(3, 3, 3)
+        post = Posterior(g, dims)
+        rng = np.random.default_rng(25)
+
+        def fresh(v):
+            p = post.params(v)
+            return log_posterior(p, g), grad_log_posterior(p, g)
+
+        v1, v2 = rng.normal(size=(2, dims.n_coords))
+        post.grad(v1)
+        assert post.logp(v2) == fresh(v2)[0]
+        np.testing.assert_array_equal(post.grad(v1), fresh(v1)[1])
+
+        # The caller mutates its vector in place between calls.
+        v = v1.copy()
+        post.grad(v)
+        v[dims.n_coords - 1] += 0.5
+        assert post.logp(v) == fresh(v)[0]
+        np.testing.assert_array_equal(post.grad(v), fresh(v)[1])
+
+        # Mutating a returned gradient does not reach the memo.
+        grad = post.grad(v)
+        grad[:] = 0.0
+        np.testing.assert_array_equal(post.grad(v), fresh(v)[1])
+
+    @pytest.mark.parametrize("step_size, accept_rate", [(0.005, 1.0), (0.6, 0.0)])
+    def test_one_kernel_pass_per_leapfrog_step(self, monkeypatch, step_size, accept_rate):
+        g = toy_grid(seed=26)
+        dims = ModelDims(3, 3, 2)
+        post = Posterior(g, dims)
+        passes = []
+        kernel = model._value_and_grad
+        monkeypatch.setattr(model, "_value_and_grad",
+                            lambda *a: passes.append(1) or kernel(*a))
+        cfg = HmcConfig(step_size=step_size, n_leapfrog=6, n_burn=4, n_draws=5, seed=27)
+        init = np.random.default_rng(28).normal(scale=0.1, size=dims.n_coords)
+        chain = run_chain(init, cfg, post)
+        assert not chain.divergent.any()
+        assert chain.accept_flags.mean() == accept_rate
+        assert len(passes) == 1 + cfg.n_leapfrog * (cfg.n_burn + cfg.n_draws)
+
+
+def _reference_log_posterior(params, grid):
+    """log_prior plus each visited cell's mixture density, cell by cell."""
+    out = log_prior(params)
+    for i in range(grid.spec.n_time):
+        for j in range(grid.spec.n_price):
+            if grid.mask[i, j]:
+                out += float(np.sum(mixture_logpdf(np.asarray(grid.returns[i][j]),
+                                                   cell_mixture(params, grid, i, j))))
+    return out
+
+
+def one_cell_grid(n_time=2, n_price=2, xs=(0.3, -1.1, 0.8)):
+    g = empty_grid(n_time, n_price)
+    g.mask[0, 1] = True
+    g.returns[0][1].extend(xs)
+    return g
+
+
+GRIDS = {
+    "empty": lambda: empty_grid(2, 2),
+    "one visited cell": one_cell_grid,
+    "toy": lambda: toy_grid(2, 2, n_ticks=60, seed=29),
+}
+
+
+class TestKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.sampled_from([1, 2, 3, 8]), grid=st.sampled_from(sorted(GRIDS)),
+           scale=st.floats(0.1, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference_and_finite_differences(self, k, grid, scale, seed):
+        g = GRIDS[grid]()
+        dims = ModelDims(g.spec.n_time, g.spec.n_price, k)
+        post = Posterior(g, dims)
+        v = np.random.default_rng(seed).normal(scale=scale, size=dims.n_coords)
+        value = post.logp(v)
+        assert value == pytest.approx(_reference_log_posterior(post.params(v), g),
+                                      rel=1e-12, abs=1e-12)
+        ga = post.grad(v)
+        gf = fd_grad(post.logp, v)
+        err = np.abs(ga - gf) / np.maximum(1.0, np.abs(gf))
+        assert err.max() < 1e-5
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_vanishing_weight_matches_reference(self, k):
+        # exp(-800) underflows: the reference mixture holds a weight of
+        # exactly 0 (log weight -inf), the kernel a finite log weight.
+        g = one_cell_grid()
+        dims = ModelDims(2, 2, k)
+        p = ModelParams.random_init(dims, np.random.default_rng(30))
+        p.stick_raw[0, 1, 0] = -800.0
+        assert cell_mixture(p, g, 0, 1).weights[0] == 0.0
+        post = Posterior(g, dims)
+        value = post.logp(p.to_vector())
+        assert np.isfinite(value)
+        assert value == pytest.approx(_reference_log_posterior(p, g), rel=1e-12)
+        assert np.all(np.isfinite(post.grad(p.to_vector())))
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_non_finite_log_sum_exp_row(self, k):
+        # Means this far out overflow every term of the row to -inf, so the
+        # shifted log-sum-exp is NaN and the direct formula's -inf is kept.
+        g = one_cell_grid()
+        dims = ModelDims(2, 2, k)
+        p = ModelParams.random_init(dims, np.random.default_rng(31))
+        p.alpha[:] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = Posterior(g, dims).logp(p.to_vector())
+            assert value == _reference_log_posterior(p, g) == -np.inf
+
+    def test_log_weight_driven_to_minus_infinity(self):
+        # Two stick coordinates this large overflow the prefix sum of
+        # log(1 - gamma): one log weight is -inf, and so is the prior.
+        g = one_cell_grid()
+        dims = ModelDims(2, 2, 3)
+        p = ModelParams.random_init(dims, np.random.default_rng(32))
+        p.stick_raw[0, 1, :2] = [1e308, -1e308]
+        with np.errstate(over="ignore"):
+            assert model._prior_terms(p)[2][0, 1, 1] == -np.inf
+            value = Posterior(g, dims).logp(p.to_vector())
+            assert value == _reference_log_posterior(p, g) == -np.inf
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_log_sum_exp_matches_scipy(self, k):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(33)
+        terms = rng.normal(scale=5.0, size=(500, k))
+        terms[:50] = np.round(terms[:50])  # ties at the max
+        terms[50:60, 0] = -np.inf
+        terms[60:70] = -np.inf
+        terms[70, 0] = np.inf
+        terms[71, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            ours = model._log_sum_exp(np.ascontiguousarray(terms.T))
+            ref = logsumexp(terms, axis=1)
+        if k < 8:
+            np.testing.assert_array_equal(ours, ref)
+        else:  # numpy's row sum turns pairwise at 8 terms; the column sum does not
+            np.testing.assert_allclose(ours, ref, rtol=1e-15)
 
 
 class TestParamsSerialization:

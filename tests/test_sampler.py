@@ -28,6 +28,22 @@ class Gaussian:
         return -np.asarray(q, dtype=float)
 
 
+class CountingGaussian(Gaussian):
+    """Gaussian target that counts its logp and grad evaluations."""
+
+    def __init__(self, dim: int):
+        super().__init__(dim)
+        self.n_logp = self.n_grad = 0
+
+    def logp(self, q):
+        self.n_logp += 1
+        return super().logp(q)
+
+    def grad(self, q):
+        self.n_grad += 1
+        return super().grad(q)
+
+
 class Quadratic1D:
     # U(q) = 0.5 q^2  ->  logp = -0.5 q^2
     def logp(self, q):
@@ -118,13 +134,13 @@ class TestHmcStep:
         accepted = 0
         trials = 0
         q = np.array([3.0, -3.0])  # far out: proposals typically reduce energy
-        logp = t.logp(q)
+        logp, grad = t.logp(q), t.grad(q)
         for _ in range(200):
-            q2, logp2, acc, dh, div = hmc_step(q, logp, t, rng, 0.05, 10, 1.0)
+            q2, logp2, grad2, acc, dh, div = hmc_step(q, logp, grad, t, rng, 0.05, 10, 1.0)
             if dh <= 0:
                 trials += 1
                 accepted += acc
-            q, logp = q2, logp2
+            q, logp, grad = q2, logp2, grad2
         assert trials > 0
         assert accepted == trials
 
@@ -133,7 +149,7 @@ class TestHmcStep:
         rng = np.random.default_rng(2)
         q = np.array([0.5, 1.5])
         for _ in range(20):
-            q2, _, acc, dh, div = hmc_step(q, t.logp(q), t, rng, 0.0, 5, 1.0)
+            q2, _, _, acc, dh, div = hmc_step(q, t.logp(q), t.grad(q), t, rng, 0.0, 5, 1.0)
             assert acc and dh == 0.0 and not div
             np.testing.assert_array_equal(q2, q)
 
@@ -141,10 +157,10 @@ class TestHmcStep:
         t = Gaussian(2)
         rng = np.random.default_rng(3)
         q = np.zeros(2)
-        logp = t.logp(q)
+        logp, grad = t.logp(q), t.grad(q)
         acc = 0
         for _ in range(2000):
-            q, logp, a, _, _ = hmc_step(q, logp, t, rng, 0.1, 20, 1.0)
+            q, logp, grad, a, _, _ = hmc_step(q, logp, grad, t, rng, 0.1, 20, 1.0)
             acc += a
         assert 0.8 <= acc / 2000 <= 1.0
 
@@ -152,14 +168,16 @@ class TestHmcStep:
         t = Gaussian(2)
         rng = np.random.default_rng(4)
         q = np.array([0.1, 0.2])
-        logp = t.logp(q)
+        logp, grad = t.logp(q), t.grad(q)
         saw_reject = False
         for _ in range(300):
-            q2, logp2, acc, _, _ = hmc_step(q, logp, t, rng, 1.95, 40, 1.0)
+            q2, logp2, grad2, acc, _, _ = hmc_step(q, logp, grad, t, rng, 1.95, 40, 1.0)
             if not acc:
-                assert q2 is q
+                assert q2 is q and grad2 is grad
                 saw_reject = True
-            q, logp = q2, logp2
+            else:
+                np.testing.assert_array_equal(grad2, t.grad(q2))
+            q, logp, grad = q2, logp2, grad2
         assert saw_reject
 
 
@@ -171,6 +189,33 @@ class TestRunChain:
         b = run_chain(np.zeros(3), cfg, t)
         np.testing.assert_array_equal(np.array(a.draws), np.array(b.draws))
         np.testing.assert_array_equal(a.accept_flags, b.accept_flags)
+
+    @pytest.mark.parametrize("step_size", [0.2, 2.5])
+    def test_one_gradient_per_leapfrog_step(self, step_size):
+        t = CountingGaussian(3)
+        cfg = HmcConfig(step_size=step_size, n_leapfrog=7, n_burn=6, n_draws=9, seed=15)
+        ch = run_chain(np.zeros(3), cfg, t)
+        assert not ch.divergent.any()
+        assert t.n_grad == 1 + cfg.n_leapfrog * (cfg.n_burn + cfg.n_draws)
+        assert t.n_logp == 1 + cfg.n_burn + cfg.n_draws
+
+    def test_carried_gradient_leaves_chain_unchanged(self):
+        # The same chain with the gradient at the start point evaluated
+        # afresh each iteration, through the public leapfrog.
+        t = Gaussian(3)
+        cfg = HmcConfig(step_size=1.5, n_leapfrog=8, n_burn=0, n_draws=60, seed=16)
+        ch = run_chain(np.full(3, 0.5), cfg, t)
+        rng = np.random.default_rng(cfg.seed)
+        q, draws = np.full(3, 0.5), []
+        for _ in range(cfg.n_draws):
+            p0 = rng.standard_normal(3)
+            q_new, p_new, _ = leapfrog(q, p0, t, cfg.step_size, cfg.n_leapfrog, 1.0)
+            dh = (kinetic(p_new, 1.0) - t.logp(q_new)) - (kinetic(p0, 1.0) - t.logp(q))
+            if rng.random() < np.exp(min(0.0, -dh)):
+                q = q_new
+            draws.append(q)
+        np.testing.assert_array_equal(np.array(ch.draws), np.array(draws))
+        assert 0.0 < ch.accept_flags.mean() < 1.0
 
     def test_zero_draws(self):
         t = Gaussian(1)

@@ -71,6 +71,16 @@ class TestBsPrice:
         with pytest.raises(VolToolsError, match=f"{field} must be positive and finite, got {bad!r}"):
             bs_price(**args)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["rate", "yield_rate"])
+    def test_rejects_non_finite_rates(self, field, bad):
+        args = {"spot": 100.0, "strike": 100.0, "rate": 0.0, "yield_rate": 0.0,
+                "expiry": 1.0, "vol": 0.2}
+        args[field] = bad
+        with pytest.raises(VolToolsError, match=f"{field} must be finite, got {bad!r}"):
+            bs_price(**args)
+
     def test_bitwise_equal_to_scipy_norm_cdf(self):
         rng = np.random.default_rng(6)
         for _ in range(1000):
