@@ -180,8 +180,10 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     chain = sampler.run_chain(init.to_vector(), hmc_cfg, post)
     report = sampler.diagnostics(chain)
     print(f"acceptance rate: {report.acceptance_rate:.4f}")
-    print(str(report))
+    print(f"{report}, coordinates sampled {post.active.size:,} of {dims.n_coords:,}")
 
+    # The surface reads only the sampled coordinates: the others hold their
+    # initial values in every draw.
     kept = chain.draws[-h["keep_last"]:]
     checkpoint = {
         "kind": "rlvs-checkpoint",
@@ -199,7 +201,8 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
             "n_divergent": report.n_divergent,
         },
         "n_kept": len(kept),
-        "draws": [d.tolist() for d in kept],
+        "active": post.active.tolist(),
+        "draws": [d[post.active].tolist() for d in kept],
         "grid": gdata.to_dict(),
         "config": cfg,
     }
@@ -214,18 +217,34 @@ def load_checkpoint(path) -> dict:
         ckpt = json.load(fh)
     if ckpt.get("kind") != "rlvs-checkpoint":
         raise ValueError(f"{path}: not a fit checkpoint")
+    if "active" not in ckpt:
+        raise ValueError(f"{path}: an older rlvs checkpoint: re-run rlvs fit")
+    n_coords = model.ModelDims(**ckpt["dims"]).n_coords
+    active = np.asarray(ckpt["active"])
+    if (active.ndim != 1 or active.size == 0 or active.dtype.kind != "i"
+            or active[0] < 0 or active[-1] >= n_coords or np.any(np.diff(active) <= 0)):
+        raise ValueError(
+            f"{path}: 'active' is not a sorted index into {n_coords} coordinates")
+    if any(len(d) != active.size for d in ckpt["draws"]):
+        raise ValueError(f"{path}: a draw is not of length {active.size}, the size of 'active'")
     return ckpt
+
+
+def checkpoint_draws(ckpt: dict) -> list:
+    """The checkpoint's draws as full ``ModelParams``; the coordinates outside
+    ``active``, which ``build_surface`` never reads, are zero."""
+    dims = model.ModelDims(**ckpt["dims"])
+    active = np.asarray(ckpt["active"], dtype=np.intp)
+    full = np.zeros((len(ckpt["draws"]), dims.n_coords))
+    full[:, active] = np.asarray(ckpt["draws"], dtype=float).reshape(len(full), active.size)
+    return [model.ModelParams.from_vector(dims, v, ckpt["component_scale"]) for v in full]
 
 
 def run_surface(cfg: dict, ckpt_path, out_path, fmt: str) -> surface_mod.VolSurface:
     s = cfg["surface"]
     ckpt = load_checkpoint(ckpt_path)
-    dims = model.ModelDims(**ckpt["dims"])
     gdata = grid_mod.GridData.from_dict(ckpt["grid"])
-    draws = [
-        model.ModelParams.from_vector(dims, np.asarray(v), ckpt["component_scale"])
-        for v in ckpt["draws"]
-    ]
+    draws = checkpoint_draws(ckpt)
     surf_cfg = surface_mod.SurfaceConfig(
         n_param_draws=s["n_param_draws"],
         n_returns_per_draw=s["n_returns_per_draw"],

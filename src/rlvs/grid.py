@@ -51,7 +51,8 @@ class GridData:
     ``returns[i][j]`` holds the log returns observed in cell (i, j);
     ``mask[i, j]`` is True exactly when that list is non-empty.
     ``cell_time`` is the normalized midpoint of each time bin and
-    ``cell_logprice`` the log of each price bin's midpoint in currency.
+    ``cell_logprice`` the log of each price bin's midpoint relative to the
+    session's first price, so it does not depend on the currency unit.
     """
 
     spec: GridSpec
@@ -132,7 +133,8 @@ def build_grid(series: TickSeries, spec: GridSpec) -> GridData:
     """Collect consecutive-tick log returns into grid cells.
 
     ``series`` must already be time-normalized (times in [0, 1]). The return
-    of the pair (n-1, n) lands in the cell containing tick n.
+    of the pair (n-1, n) lands in the cell containing tick n. The price
+    covariate is ``log(mid / series.prices[0])``.
     """
     if len(series) < 2:
         raise GridError("build_grid needs at least 2 ticks")
@@ -158,7 +160,7 @@ def build_grid(series: TickSeries, spec: GridSpec) -> GridData:
         mask=mask,
         returns=returns,
         cell_time=cell_time,
-        cell_logprice=np.log(mid),
+        cell_logprice=np.log(mid / series.prices[0]),
     )
 
 

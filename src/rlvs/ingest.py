@@ -163,9 +163,13 @@ def resample(series: TickSeries, interval: float) -> TickSeries:
     if len(series) == 0:
         return TickSeries(np.empty(0), np.empty(0), session_length=series.session_length)
     last = float(series.times[-1])
+    # A time within 1e-9 of an interval of boundary k counts as on it, on
+    # both sides: k * interval can divide back to just under k, and a tick
+    # parsed from decimal text can land a few ulps past k * interval (2.1
+    # against 3 * 0.7 = 2.0999999999999996).
     n_bounds = int(np.floor(last / interval + 1e-9)) + 1
     bounds = np.arange(n_bounds) * interval
-    idx = np.searchsorted(series.times, bounds * (1 + 1e-15) + 1e-12, side="right") - 1
+    idx = np.searchsorted(series.times, bounds + 1e-9 * interval, side="right") - 1
     keep = idx >= 0
     return TickSeries(
         bounds[keep], series.prices[idx[keep]], session_length=series.session_length

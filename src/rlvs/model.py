@@ -5,7 +5,8 @@ means are affine in the cell's time and log-price coordinates,
 
     mean[i, j, k] = time_effect[i, k] * t_i + price_effect[j, k] * logS_j + alpha[k],
 
-and whose weights come from truncated stick-breaking fractions
+where logS_j is the grid's ``cell_logprice`` (the log of the price bin's
+midpoint over the session's first price), and whose weights come from truncated stick-breaking fractions
 gamma[i, j, k] in (0, 1), with the leftover mass absorbed into the last
 weight so the weights always sum to one. Priors: standard normal on the
 mean coefficients, Beta(1, 1) on each cell concentration a[i, j], and
@@ -14,12 +15,16 @@ Beta(1, a[i, j]) on each stick fraction.
 HMC needs an unconstrained space, so the (0, 1) parameters are stored in
 logistic coordinates and every density below includes the log-Jacobian of
 that transform. The observation mask enters as a hard filter: cells the
-path never visited contribute no likelihood at all.
+path never visited contribute no likelihood at all, so their coordinates
+feel only their own prior and ``Posterior`` leaves them out of the vector
+the sampler integrates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, log_expit, logsumexp
@@ -44,9 +49,13 @@ class ModelDims:
             raise ModelError("all model dimensions must be >= 1")
 
     @property
+    def n_shared(self) -> int:
+        """The mean coefficients: time and price effects and intercepts."""
+        return (self.n_time + self.n_price + 1) * self.n_components
+
+    @property
     def n_coords(self) -> int:
-        i, j, k = self.n_time, self.n_price, self.n_components
-        return i * k + j * k + k + i * j * k + i * j
+        return self.n_shared + self.n_time * self.n_price * (self.n_components + 1)
 
 
 @dataclass
@@ -232,48 +241,46 @@ def cell_mixture(params: ModelParams, grid: GridData, i: int, j: int) -> Mixture
                        mu, params.component_scale)
 
 
-def _prior_terms(params: ModelParams):
-    """Log prior value and gradient, plus the log stick weights and the stick
-    fractions, from one evaluation of the logistic terms.
+def _prior(vec: np.ndarray, n_shared: int, k_n: int):
+    """Log prior and its gradient at a vector laid out as ``n_shared`` mean
+    coefficients, then the K stick coordinates of each of n cells, then the
+    n concentrations; also the cells' log stick weights and stick fractions.
 
-    Returns (value, [g_time, g_price, g_alpha, g_stick, g_conc], logw, gamma).
+    The coefficients are standard normal, each concentration Beta(1, 1) and
+    each stick fraction Beta(1, a) given its cell's concentration a, with
+    their logistic Jacobians. Any set of cells can be passed, so the sampled
+    cells and the prior-only ones share this one function.
     """
-    sq = (
-        float(np.sum(params.time_effect ** 2))
-        + float(np.sum(params.price_effect ** 2))
-        + float(np.sum(params.alpha ** 2))
+    shared = vec[:n_shared]
+    cells = vec[n_shared:]  # the stick coordinates, then the concentrations
+    n_sticks = cells.size // (k_n + 1) * k_n
+    log_x = log_expit(cells)
+    log_1mx = log_expit(-cells)
+    x = expit(cells)
+    log_1mg = log_1mx[:n_sticks].reshape(-1, k_n)
+    sum_log_1mg = log_1mg.sum(axis=1)
+    gamma = x[:n_sticks].reshape(-1, k_n)
+    a = x[n_sticks:]
+    value = (
+        -0.5 * float(shared @ shared) - 0.5 * n_shared * LOG_2PI
+        # Every logistic Jacobian, log x + log(1 - x); Beta(1, 1) is flat.
+        + float((log_x + log_1mx).sum())
+        # Beta(1, a) on each stick fraction: K log a + (a - 1) sum log(1 - gamma).
+        + float(k_n * log_x[n_sticks:].sum() + (a - 1.0) @ sum_log_1mg)
     )
-    n_norm = params.time_effect.size + params.price_effect.size + params.alpha.size
-    out = -0.5 * sq - 0.5 * n_norm * LOG_2PI
-
-    # Beta(1,1) on the concentrations is flat; only the logistic Jacobian remains.
-    log_a = log_expit(params.conc)
-    out += float(np.sum(log_a + log_expit(-params.conc)))
-
-    # Beta(1, a_ij) on each stick fraction, plus its logistic Jacobian.
-    a = expit(params.conc)
-    log_g = log_expit(params.stick_raw)
-    log_1mg = log_expit(-params.stick_raw)
-    out += float(np.sum(log_a[..., None] + (a[..., None] - 1.0) * log_1mg))
-    out += float(np.sum(log_g + log_1mg))
-
-    gamma = expit(params.stick_raw)
-    k_n = params.stick_raw.shape[-1]
-    grads = [
-        -params.time_effect,
-        -params.price_effect,
-        -params.alpha,
-        # d/d stick_raw of [log Beta(gamma; 1, a) + log Jacobian]
-        (1.0 - gamma) - a[..., None] * gamma,
-        # d/d conc of [Beta(1,1) Jacobian + K * log a + (a - 1) sum log(1 - gamma)]
-        (1.0 - 2.0 * a) + k_n * (1.0 - a) + a * (1.0 - a) * np.sum(log_1mg, axis=-1),
-    ]
-    return out, grads, _log_stick_break(log_g, log_1mg), gamma
+    grad = np.empty(vec.size)
+    np.negative(shared, out=grad[:n_shared])
+    # d/d stick_raw of [log Beta(gamma; 1, a) + log Jacobian] = 1 - gamma - a gamma
+    grad[n_shared:n_shared + n_sticks] = (1.0 - (1.0 + a)[:, None] * gamma).ravel()
+    # d/d conc of [Jacobian + K log a + (a - 1) sum log(1 - gamma)]
+    grad[n_shared + n_sticks:] = (1.0 - 2.0 * a) + k_n * (1.0 - a) + a * (1.0 - a) * sum_log_1mg
+    return value, grad, _log_stick_break(log_x[:n_sticks].reshape(-1, k_n), log_1mg), gamma
 
 
 def log_prior(params: ModelParams) -> float:
     """Log prior density in unconstrained coordinates (Jacobians included)."""
-    return _prior_terms(params)[0]
+    dims = params.dims
+    return _prior(params.to_vector(), dims.n_shared, dims.n_components)[0]
 
 
 def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
@@ -297,70 +304,68 @@ def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _observations(grid: GridData, dims: ModelDims):
-    """Stored returns and, per return, its component-major flat index
-    ``k * n_cells + cell`` as a (K, N) array, where ``cell = i * n_price + j``."""
-    xs, ci, cj = grid.observations()
-    n_cells = dims.n_time * dims.n_price
-    cell = ci * dims.n_price + cj
-    return xs, np.arange(dims.n_components)[:, None] * n_cells + cell
+class _Observed(NamedTuple):
+    """What the kernel reads of the grid, for its V visited cells.
 
-
-def _value_and_grad(params: ModelParams, grid: GridData, xs, index):
-    """Log posterior and its gradient (flat, in to_vector() order) in one pass
-    over the observations ``(xs, index)`` of ``_observations``.
+    ``coef[:, v]`` indexes, into the vector, the time, price and intercept
+    coefficients of cell v's component means, and ``cov[:, v]`` holds the
+    covariates they multiply (``cell_time``, ``cell_logprice``, 1). Each
+    return in ``xs`` has the component-major index ``k * V + v`` in
+    ``index``; ``index2`` is ``index`` followed by ``index + K * V``, flat,
+    and ``index`` is a view of its first half.
     """
-    i_n, j_n, k_n = params.dims.n_time, params.dims.n_price, params.dims.n_components
-    out, (g_te, g_pe, g_al, g_sr, g_c), logw, gamma = _prior_terms(params)
-    if xs.size:
-        s = params.component_scale
-        # (2, K, cells): component means and log weights, component-major.
-        table = np.empty((2, k_n, i_n * j_n))
-        table[0] = component_means(params, grid).reshape(-1, k_n).T
-        table[1] = logw.reshape(-1, k_n).T
-        both = np.take(table.reshape(2, -1), index, axis=1)  # (2, K, N)
 
-        diff = np.subtract(xs, both[0], out=both[0])
-        d = diff / s
+    n_shared: int
+    n_components: int
+    scale: float
+    coef: np.ndarray    # (3, V, K) int
+    cov: np.ndarray     # (3, V, 1)
+    xs: np.ndarray      # (N,)
+    index: np.ndarray   # (K, N) int
+    index2: np.ndarray  # (2 K N,) int
+
+
+def _value_and_grad(vec: np.ndarray, obs: _Observed):
+    """Log posterior and its gradient at a vector in ``Posterior.active``
+    order (the mean coefficients, then each visited cell's stick coordinates,
+    then their concentrations), in one pass over the observations.
+    """
+    n_shared, k_n = obs.n_shared, obs.n_components
+    out, grad, logw, gamma = _prior(vec, n_shared, k_n)
+    if obs.xs.size:
+        s = obs.scale
+        v_n = obs.coef.shape[1]
+        # (2, K, V): component means and log weights, component-major.
+        table = np.empty((2, k_n, v_n))
+        table[0] = np.sum(vec[obs.coef] * obs.cov, axis=0).T
+        table[1] = logw.T
+        both = np.take(table.reshape(2, -1), obs.index, axis=1)  # (2, K, N)
+
+        diff = np.subtract(obs.xs, both[0], out=both[0])
         terms = both[1]  # log w_k + log N(x; mu_k, s), built in place
-        terms -= 0.5 * d * d
-        terms -= np.log(s)
-        terms -= 0.5 * LOG_2PI
+        terms -= (0.5 / (s * s)) * diff * diff
+        terms -= math.log(s) + 0.5 * LOG_2PI
         lse = _log_sum_exp(terms)
-        out += float(np.sum(lse))
+        out += float(lse.sum())
         terms -= lse
         resp = np.exp(terms, out=terms)
-        diff /= s * s
-        diff *= resp  # resp * (x - mu) / s^2, the weight of d/d mu
+        diff *= resp
 
-        # Two bincounts over k * n_cells + cell, each copied to a C-ordered
-        # (I, J, K) array: the sums below then round the same whatever the
-        # observation layout.
-        flat = index.ravel()
-        n_bins = k_n * i_n * j_n
-        resp_cell, dmu_cell = (
-            np.bincount(flat, weights=w.ravel(), minlength=n_bins)
-            .reshape(k_n, -1).T.copy().reshape(i_n, j_n, k_n)
-            for w in (resp, diff)
-        )
+        # One bincount sums resp * (x - mu) and resp per component and cell.
+        sums = np.bincount(obs.index2, weights=both.ravel(), minlength=2 * k_n * v_n)
+        dmu_cell, resp_cell = sums.reshape(2, k_n, v_n).transpose(0, 2, 1)  # (V, K) each
+        dmu_cell = dmu_cell / (s * s)
+        grad[:n_shared] += np.bincount(obs.coef.ravel(), weights=(obs.cov * dmu_cell).ravel(),
+                                       minlength=n_shared)
 
-        g_te += dmu_cell.sum(axis=1) * grid.cell_time[:, None]
-        g_pe += dmu_cell.sum(axis=0) * grid.cell_logprice[:, None]
-        g_al += dmu_cell.sum(axis=(0, 1))
-
-        # d loglik / d stick_raw_l = R_l (1 - gamma_l) - (sum_{k > l} R_k) gamma_l,
-        # and zero for the last index (the remainder weight has no gamma of its own).
+        # d loglik / d stick_raw_l = R_l (1 - gamma_l) - (sum_{k > l} R_k) gamma_l
+        # = R_l - (sum_{k >= l} R_k) gamma_l, and zero for the last index (the
+        # remainder weight has no gamma of its own).
         if k_n > 1:
-            tail = np.cumsum(resp_cell[..., ::-1], axis=-1)[..., ::-1]  # sum_{k >= l}
-            suffix = np.zeros_like(resp_cell)
-            suffix[..., :-1] = tail[..., 1:]
-            g_lik_sr = resp_cell * (1.0 - gamma) - suffix * gamma
-            g_lik_sr[..., -1] = 0.0
-            g_sr += g_lik_sr
-
-    return out, np.concatenate([
-        g_te.ravel(), g_pe.ravel(), g_al.ravel(), g_sr.ravel(), g_c.ravel(),
-    ])
+            tail = np.cumsum(resp_cell[:, ::-1], axis=1)[:, ::-1]
+            g_stick = grad[n_shared:n_shared + v_n * k_n].reshape(v_n, k_n)
+            g_stick[:, :-1] += (resp_cell - tail * gamma)[:, :-1]
+    return out, grad
 
 
 def log_posterior(params: ModelParams, grid: GridData) -> float:
@@ -368,16 +373,26 @@ def log_posterior(params: ModelParams, grid: GridData) -> float:
 
     Only cells whose mask bit is set contribute likelihood.
     """
-    return _value_and_grad(params, grid, *_observations(grid, params.dims))[0]
+    return Posterior(grid, params.dims, params.component_scale).logp(params.to_vector())
 
 
 def grad_log_posterior(params: ModelParams, grid: GridData) -> np.ndarray:
     """Analytic gradient of log_posterior, flat in to_vector() order."""
-    return _value_and_grad(params, grid, *_observations(grid, params.dims))[1]
+    return Posterior(grid, params.dims, params.component_scale).grad(params.to_vector())
 
 
 class Posterior:
     """Flat-vector view of the posterior for the HMC engine.
+
+    The coordinates of a cell the path never visited appear only in that
+    cell's own prior terms, so the posterior factorizes: ``active`` holds the
+    sorted indices, into ``ModelParams.to_vector()`` order, of the rest (the
+    (I + J + 1) K mean coefficients, then the K stick coordinates and the
+    concentration of each visited cell), and the sampler integrates only
+    those. ``logp`` and ``grad`` take a vector of ``active`` length, or of
+    length ``dims.n_coords``, whose prior-only coordinates then add their
+    prior terms through the same prior function. When every cell is visited
+    the two lengths are equal.
 
     ``logp`` and ``grad`` share one kernel pass that yields both the value
     and the gradient. The observations are cached, laid out for that kernel,
@@ -392,11 +407,56 @@ class Posterior:
         self.grid = grid
         self.dims = dims
         self.component_scale = float(component_scale)
-        self._xs, self._index = _observations(grid, dims)
+        i_n, j_n, k_n = dims.n_time, dims.n_price, dims.n_components
+        n_shared, n_cells = dims.n_shared, i_n * j_n
+        cells = np.flatnonzero(grid.mask)  # visited, row-major
+        self.active = np.concatenate([
+            np.arange(n_shared),
+            (n_shared + cells[:, None] * k_n + np.arange(k_n)).ravel(),
+            n_shared + n_cells * k_n + cells,
+        ])
+        self.active.flags.writeable = False
+        self._prior_only = np.setdiff1d(np.arange(dims.n_coords), self.active,
+                                        assume_unique=True)
+
+        ci, cj = np.divmod(cells, j_n)
+        rows = np.stack([ci, i_n + cj, np.full_like(ci, i_n + j_n)])
+        xs, oi, oj = grid.observations()
+        rank = np.zeros(n_cells, dtype=np.intp)
+        rank[cells] = np.arange(cells.size)
+        index = np.arange(k_n)[:, None] * cells.size + rank[oi * j_n + oj]
+        index2 = np.concatenate([index, index + k_n * cells.size])
+        self._obs = _Observed(
+            n_shared=n_shared,
+            n_components=k_n,
+            scale=self.component_scale,
+            coef=rows[..., None] * k_n + np.arange(k_n),
+            cov=np.stack([grid.cell_time[ci], grid.cell_logprice[cj],
+                          np.ones(cells.size)])[..., None],
+            xs=xs,
+            index=index2[:k_n],
+            index2=index2.ravel(),
+        )
         self._last = None  # (point, value, gradient) of the last pass
 
     def params(self, vec: np.ndarray) -> ModelParams:
         return ModelParams.from_vector(self.dims, vec, self.component_scale)
+
+    def _evaluate(self, vec):
+        n_active, n_coords = self.active.size, self.dims.n_coords
+        if vec.shape not in ((n_active,), (n_coords,)):
+            raise ModelError(f"expected a vector of length {n_active} (the active "
+                             f"coordinates) or {n_coords}, got shape {vec.shape}")
+        if not np.all(np.isfinite(vec)):
+            raise ModelError("parameters must be finite")
+        if vec.size == n_active:
+            return _value_and_grad(vec, self._obs)
+        value, g_active = _value_and_grad(vec[self.active], self._obs)
+        v_rest, g_rest, _, _ = _prior(vec[self._prior_only], 0, self.dims.n_components)
+        grad = np.empty(n_coords)
+        grad[self.active] = g_active
+        grad[self._prior_only] = g_rest
+        return value + v_rest, grad
 
     def _pass(self, vec):
         vec = np.asarray(vec, dtype=float)
@@ -404,8 +464,7 @@ class Posterior:
         # Bitwise comparison: -0.0 and NaN coordinates must not alias.
         if (last is None or last[0].shape != vec.shape
                 or not np.array_equal(last[0].view(np.int64), vec.view(np.int64))):
-            value, grad = _value_and_grad(self.params(vec), self.grid, self._xs, self._index)
-            last = self._last = (vec.copy(), value, grad)
+            last = self._last = (vec.copy(), *self._evaluate(vec))
         return last
 
     def logp(self, vec: np.ndarray) -> float:

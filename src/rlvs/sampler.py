@@ -6,7 +6,10 @@ The engine is target-agnostic: anything exposing ``logp(q) -> float`` and
 ``model.Posterior``, plain Gaussians in tests). Potential energy is
 U(q) = -logp(q); momenta are drawn from N(0, M) with diagonal mass M.
 The gradient at the current point is carried from one iteration to the
-next, so an iteration of n leapfrog steps evaluates ``grad`` n times.
+next, so an iteration of n leapfrog steps evaluates ``grad`` n times. A
+target that also exposes ``active``, an index into the position vector, is
+integrated on those coordinates alone; ``logp`` and ``grad`` then see
+vectors of that length.
 """
 
 from __future__ import annotations
@@ -48,7 +51,11 @@ class HmcConfig:
 
 @dataclass
 class Chain:
-    """Retained draws plus per-proposal bookkeeping (burn-in included)."""
+    """Retained draws plus per-proposal bookkeeping (burn-in included).
+
+    ``n_grad`` counts the gradient evaluations of the whole run, the start
+    point's and those of trajectories stopped early by divergence included.
+    """
 
     draws: list = field(default_factory=list)
     accept_flags: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
@@ -56,6 +63,7 @@ class Chain:
     divergent: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     n_burn: int = 0
     step_size_used: float = float("nan")
+    n_grad: int = 0
 
 
 @dataclass
@@ -66,12 +74,13 @@ class DiagnosticsReport:
     n_divergent: int
     n_draws: int
     all_rejected_post_burn: bool
+    n_grad: int = 0
 
     def __str__(self):
         return (
             f"acceptance {self.acceptance_rate:.4f} (post-burn {self.post_burn_rate:.4f}), "
             f"mean |dH| {self.mean_abs_delta_h:.4g}, divergences {self.n_divergent}, "
-            f"draws {self.n_draws}"
+            f"draws {self.n_draws}, gradient evaluations {self.n_grad:,}"
             + (", WARNING: no post-burn proposal accepted" if self.all_rejected_post_burn else "")
         )
 
@@ -177,15 +186,41 @@ class _DualAveraging:
         return float(np.exp(self.log_eps_bar))
 
 
+class _Counted:
+    """``target`` with its gradient evaluations counted."""
+
+    def __init__(self, target):
+        self.target = target
+        self.n_grad = 0
+
+    def logp(self, q):
+        return self.target.logp(q)
+
+    def grad(self, q):
+        self.n_grad += 1
+        return self.target.grad(q)
+
+
 def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
     """Run burn-in plus retained draws; deterministic for a fixed seed.
 
     Burn-in proposals are discarded from ``draws`` but kept in the
     acceptance bookkeeping. With ``adapt_step_size`` the step size is tuned
-    during burn-in by dual averaging and then frozen.
+    during burn-in by dual averaging and then frozen. When ``target`` has
+    ``active``, only ``init[active]`` moves (momenta are drawn for those
+    coordinates alone, and a vector ``mass_diag`` is sliced to them); each
+    draw is still full length, holding ``init`` everywhere else.
     """
     rng = np.random.default_rng(config.seed)
-    q = np.array(init, dtype=float)
+    start = np.array(init, dtype=float)
+    active = getattr(target, "active", None)
+    if active is None:
+        active = np.arange(start.size)
+    q = start[active]
+    mass = np.asarray(config.mass_diag, dtype=float)
+    if mass.ndim:
+        mass = mass[active]
+    target = _Counted(target)
     logp_q = target.logp(q)
     if not np.isfinite(logp_q):
         raise SamplerError("initial point has non-finite log density")
@@ -204,7 +239,7 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
 
     for step in range(total):
         q, logp_q, grad_q, acc, delta_h, div = hmc_step(
-            q, logp_q, grad_q, target, rng, eps, config.n_leapfrog, config.mass_diag
+            q, logp_q, grad_q, target, rng, eps, config.n_leapfrog, mass
         )
         accept[step] = acc
         dh[step] = delta_h
@@ -215,7 +250,9 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
             if step == config.n_burn - 1:
                 eps = adapter.final()
         if step >= config.n_burn:
-            draws.append(q.copy())
+            draw = start.copy()
+            draw[active] = q
+            draws.append(draw)
 
     return Chain(
         draws=draws,
@@ -224,6 +261,7 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
         divergent=divergent,
         n_burn=config.n_burn,
         step_size_used=eps,
+        n_grad=target.n_grad,
     )
 
 
@@ -251,6 +289,7 @@ def diagnostics(chain: Chain) -> DiagnosticsReport:
         n_divergent=int(np.sum(chain.divergent)),
         n_draws=len(chain.draws),
         all_rejected_post_burn=bool(post.size) and not bool(post.any()),
+        n_grad=chain.n_grad,
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 import rlvs
+from rlvs import cli
 from rlvs.cli import apply_master_seed, load_checkpoint, load_config, main
+from rlvs.grid import GridData
+from rlvs.model import ModelDims, Posterior
 from rlvs.surface import load_surface
 from rlvs.voltools import bs_price
 
@@ -120,6 +124,61 @@ class TestFit:
         assert rc != 0
         assert "degenerate" in capsys.readouterr().err
 
+    def test_summary_reports_coordinates_and_gradient_evaluations(self, tmp_path, capsys):
+        ckpt_path = toy_checkpoint(tmp_path)
+        out = capsys.readouterr().out
+        ckpt = load_checkpoint(ckpt_path)
+        n_visited = int(np.sum(ckpt["grid"]["mask"]))
+        n_active = (3 + 3 + 1) * 2 + n_visited * 3
+        assert f"coordinates sampled {n_active} of 41" in out
+        n_grad = int(re.search(r"gradient evaluations ([\d,]+)", out)[1].replace(",", ""))
+        full = 1 + 20 * (50 + 60)  # the start point, then n_leapfrog per iteration
+        assert n_grad == full if ckpt["acceptance"]["n_divergent"] == 0 else n_grad < full
+
+    def test_checkpoint_draws_are_the_chain_on_its_active_coordinates(
+            self, tmp_path, monkeypatch):
+        chains = []
+        run_chain = cli.sampler.run_chain
+        monkeypatch.setattr(cli.sampler, "run_chain",
+                            lambda *a: chains.append(run_chain(*a)) or chains[-1])
+        ckpt = load_checkpoint(toy_checkpoint(tmp_path))
+        grid = GridData.from_dict(ckpt["grid"])
+        dims = ModelDims(**ckpt["dims"])
+        active = Posterior(grid, dims).active
+        assert ckpt["active"] == active.tolist()
+        kept = chains[0].draws[-20:]
+        expanded = cli.checkpoint_draws(ckpt)
+        assert len(expanded) == len(kept) == 20
+        rest = np.setdiff1d(np.arange(dims.n_coords), active)
+        for params, draw in zip(expanded, kept):
+            vec = params.to_vector()
+            np.testing.assert_array_equal(vec[active], draw[active])
+            assert np.all(vec[rest] == 0.0)
+
+    def test_surface_level_does_not_depend_on_price_unit(self, tmp_path):
+        # The acceptance protocol's session and fit at three price units. The
+        # returns differ in their last bits, so the chains differ; the
+        # visited-cell mean vol must not.
+        vols = {}
+        for s0 in (1.0, 100.0, 5000.0):
+            d = tmp_path / f"s0_{s0:g}"
+            d.mkdir()
+            cfg = d / "proto.ini"
+            cfg.write_text(
+                f"[synth]\ns0 = {s0}\nsigma = 0.5\nseed = 1\n"
+                "[hmc]\nn_burn = 200\nn_draws = 500\nkeep_last = 100\nseed = 2\n"
+                "[surface]\nseed = 3\n"
+            )
+            ticks, ckpt, surf = d / "t.csv", d / "c.json", d / "s.json"
+            assert run(["synth", "--config", str(cfg), "--out", str(ticks)]) == 0
+            assert run(["fit", "--config", str(cfg), "--ticks", str(ticks),
+                        "--out", str(ckpt)]) == 0
+            assert run(["surface", "--config", str(cfg), "--checkpoint", str(ckpt),
+                        "--format", "json", "--out", str(surf)]) == 0
+            s = load_surface(surf)
+            vols[s0] = float(s.vol_mean[~s.masked].mean())
+        assert max(vols.values()) / min(vols.values()) < 1.05, vols
+
     def test_protocol_scale_acceptance_band(self, tmp_path, capsys):
         # Full grid / component count at reduced chain length: the tuned
         # acceptance rate should land inside the wide empirical band.
@@ -180,6 +239,43 @@ class TestSurface:
                         "--format", "json", "--out", str(out)]) == 0
             vols.append(load_surface(out).vol_mean)
         np.testing.assert_allclose(vols[1], 2.0 * vols[0], rtol=1e-12)
+
+    def test_older_checkpoint_refused_by_name(self, tmp_path, toy_cfg, fitted, capsys):
+        # The layout before the active index: full-length draws, no "active".
+        ckpt = json.loads(fitted.read_text())
+        ckpt["draws"] = [p.to_vector().tolist() for p in cli.checkpoint_draws(ckpt)]
+        del ckpt["active"]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(ckpt))
+        rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(old),
+                  "--out", str(tmp_path / "s.csv")])
+        assert rc != 0
+        assert capsys.readouterr().err == (
+            f"error: {old}: an older rlvs checkpoint: re-run rlvs fit\n")
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["active"].reverse(), "'active' is not a sorted index into 41 coordinates"),
+        (lambda c: c["active"].__setitem__(-1, 41), "'active' is not a sorted index into 41 coordinates"),
+        (lambda c: c["active"].__setitem__(0, -1), "'active' is not a sorted index into 41 coordinates"),
+        (lambda c: c["active"].insert(0, c["active"][0]), "'active' is not a sorted index into 41 coordinates"),
+        (lambda c: c["draws"][3].pop(), "a draw is not of length {n}, the size of 'active'"),
+        # Full-length draws whose total size a regrouping could hide.
+        (lambda c: c.update(active=c["active"][:1], draws=[d[:1] * 2 for d in c["draws"]]),
+         "a draw is not of length 1, the size of 'active'"),
+    ])
+    def test_corrupted_checkpoint_refused_by_name(self, tmp_path, toy_cfg, fitted, capsys,
+                                                  edit, message):
+        ckpt = json.loads(fitted.read_text())
+        n = len(ckpt["active"])
+        edit(ckpt)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(ckpt))
+        rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(bad),
+                  "--out", str(tmp_path / "s.csv")])
+        assert rc != 0
+        assert capsys.readouterr().err == f"error: {bad}: {message.format(n=n)}\n"
+        assert not (tmp_path / "s.csv").exists()
 
     def test_checkpoint_with_session_length_named(self, tmp_path, toy_cfg, fitted, capsys):
         ckpt = json.loads(fitted.read_text())

@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,6 +184,22 @@ class TestResample:
         out = resample(s, 300.0)
         assert list(out.times) == [300.0, 600.0]
         assert list(out.prices) == [1.0, 1.0]
+
+    def test_decimal_tick_on_a_boundary_counts_as_on_it(self):
+        # float("2.1") lies just above 3 * 0.7 = 2.0999999999999996.
+        out = resample(TickSeries(np.array([0.0, 2.1]), np.array([1.0, 2.0])), 0.7)
+        assert out.times.tolist() == [0.0, 0.7, 1.4, 3 * 0.7]
+        assert out.prices.tolist() == [1.0, 1.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("interval", ["0.1", "0.3", "0.7", "1.1", "2.9", "7.3"])
+    def test_decimal_boundary_ticks_keep_the_last_return(self, interval):
+        # Tick times as a CSV holds them: the decimal value of k * interval.
+        for k in range(1, 400):
+            t = float(Decimal(interval) * k)
+            out = resample(TickSeries(np.array([0.0, t]), np.array([1.0, 2.0])),
+                           float(interval))
+            assert len(out) == k + 1
+            assert out.prices[-1] == 2.0 and np.all(out.prices[:-1] == 1.0)
 
 
 tick_rows = st.lists(

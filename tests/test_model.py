@@ -8,7 +8,7 @@ from scipy.special import expit
 from rlvs import model
 from rlvs.grid import GridData, GridSpec, build_grid, standardize_returns
 from rlvs.ingest import normalize_time, synth_gbm_ticks
-from rlvs.sampler import HmcConfig, run_chain
+from rlvs.sampler import HmcConfig, effective_sample_size, run_chain
 from rlvs.model import (
     LOG_2PI,
     MixtureSpec,
@@ -486,7 +486,8 @@ class TestKernel:
         p = ModelParams.random_init(dims, np.random.default_rng(32))
         p.stick_raw[0, 1, :2] = [1e308, -1e308]
         with np.errstate(over="ignore"):
-            assert model._prior_terms(p)[2][0, 1, 1] == -np.inf
+            logw = model._prior(p.to_vector(), dims.n_shared, 3)[2]
+            assert logw.reshape(2, 2, 3)[0, 1, 1] == -np.inf
             value = Posterior(g, dims).logp(p.to_vector())
             assert value == _reference_log_posterior(p, g) == -np.inf
 
@@ -523,3 +524,160 @@ class TestParamsSerialization:
             MixtureSpec([0.6, 0.6], [0.0, 1.0], 1.0)
         with pytest.raises(ModelError):
             MixtureSpec([1.0], [0.0], 0.0)
+
+
+def few_cells_grid(n_time=3, n_price=3, seed=40):
+    """A grid with three visited cells of eight standardized returns each."""
+    g = empty_grid(n_time, n_price)
+    rng = np.random.default_rng(seed)
+    for (i, j), loc in zip([(0, 1), (1, 1), (2, 0)], (-0.5, 0.0, 0.8)):
+        g.mask[i, j] = True
+        g.returns[i][j].extend((loc + rng.standard_normal(8)).tolist())
+    return g
+
+
+class FullLength:
+    """The same posterior with no ``active``: the sampler moves every coordinate."""
+
+    def __init__(self, post):
+        self.logp = post.logp
+        self.grad = post.grad
+
+
+def predictive_vols(draws, grid, dims):
+    """(draws, visited cells) analytic predictive std of each visited cell."""
+    cells = list(zip(*np.nonzero(grid.mask)))
+    return np.array([
+        [np.sqrt(mixture_moments(cell_mixture(p, grid, i, j))[1]) for i, j in cells]
+        for p in (ModelParams.from_vector(dims, v) for v in draws)
+    ])
+
+
+class TestActiveCoordinates:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_active_index_layout(self, k):
+        g = few_cells_grid()
+        dims = ModelDims(3, 3, k)
+        post = Posterior(g, dims)
+        n_visited = int(g.mask.sum())
+        assert post.active.size == dims.n_shared + n_visited * (k + 1)
+        assert np.all(np.diff(post.active) > 0)
+        # The stick coordinates and the concentration of each visited cell.
+        p = ModelParams.from_vector(dims, np.arange(dims.n_coords, dtype=float))
+        want = np.concatenate([np.arange(dims.n_shared), p.stick_raw[g.mask].ravel(),
+                               p.conc[g.mask]]).astype(int)
+        np.testing.assert_array_equal(post.active, want)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_full_length_is_active_plus_prior_only_block(self, k):
+        g = few_cells_grid()
+        dims = ModelDims(3, 3, k)
+        post = Posterior(g, dims)
+        rng = np.random.default_rng(41)
+        unvisited = ~g.mask
+        for scale in (0.3, 1.0, 3.0):
+            v = rng.normal(scale=scale, size=dims.n_coords)
+            p = ModelParams.from_vector(dims, v)
+            block = np.concatenate([p.stick_raw[unvisited].ravel(), p.conc[unvisited]])
+            v_rest, g_rest, _, _ = model._prior(block, 0, k)
+            active = v[post.active]
+            full_value, full_grad = post.logp(v), post.grad(v)
+            assert full_value == pytest.approx(post.logp(active) + v_rest, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(full_grad[post.active], post.grad(active),
+                                       rtol=1e-12, atol=1e-12)
+            rest = np.setdiff1d(np.arange(dims.n_coords), post.active)
+            np.testing.assert_allclose(full_grad[rest], g_rest, rtol=1e-12, atol=1e-12)
+            # And the whole agrees with the cell-by-cell reference.
+            ref = _reference_log_posterior(p, g)
+            assert full_value == pytest.approx(ref, rel=1e-12)
+
+    def test_every_cell_visited_makes_both_forms_one(self):
+        spec = GridSpec(1, 2, 99.0, 103.0)
+        g = GridData(spec, np.ones((1, 2), bool), [[[0.3, -0.4], [1.1]]],
+                     np.array([0.5]), np.log([100.0, 102.0]))
+        dims = ModelDims(1, 2, 3)
+        post = Posterior(g, dims)
+        np.testing.assert_array_equal(post.active, np.arange(dims.n_coords))
+        v = np.random.default_rng(42).normal(size=dims.n_coords)
+        p = post.params(v)
+        assert post.logp(v) == pytest.approx(_reference_log_posterior(p, g), rel=1e-12)
+
+    def test_empty_grid_samples_only_the_coefficients(self):
+        g = empty_grid()
+        dims = ModelDims(3, 3, 2)
+        post = Posterior(g, dims)
+        np.testing.assert_array_equal(post.active, np.arange(dims.n_shared))
+        v = np.random.default_rng(43).normal(size=dims.n_coords)
+        assert post.logp(v) == pytest.approx(log_prior(post.params(v)), rel=1e-12)
+        shared = v[:dims.n_shared]
+        assert post.logp(shared) == pytest.approx(
+            -0.5 * shared @ shared - 0.5 * shared.size * LOG_2PI, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("length", ["active", "full"])
+    def test_non_finite_vector_refused(self, length, bad):
+        g = few_cells_grid()
+        dims = ModelDims(3, 3, 2)
+        post = Posterior(g, dims)
+        v = np.zeros(post.active.size if length == "active" else dims.n_coords)
+        v[-1] = bad
+        for f in (post.logp, post.grad):
+            with pytest.raises(ModelError, match="parameters must be finite"):
+                f(v)
+
+    def test_other_length_refused(self):
+        g = few_cells_grid()
+        dims = ModelDims(3, 3, 2)
+        post = Posterior(g, dims)
+        with pytest.raises(ModelError, match=f"{post.active.size} .* or {dims.n_coords}"):
+            post.logp(np.zeros(dims.n_coords - 1))
+
+    @pytest.mark.parametrize("k, seed", [(2, 44), (3, 45)])
+    def test_active_chain_matches_full_dimension_chain(self, k, seed):
+        # The posterior factorizes, so integrating only the active coordinates
+        # must leave the marginals the surface reads unchanged.
+        g = few_cells_grid()
+        dims = ModelDims(3, 3, k)
+        post = Posterior(g, dims)
+        init = np.random.default_rng(seed).normal(scale=0.5, size=dims.n_coords)
+        cfg = HmcConfig(step_size=0.1, n_leapfrog=8, n_burn=300, n_draws=2000, seed=seed,
+                        adapt_step_size=True)
+        active = run_chain(init, cfg, post)
+        full = run_chain(init, cfg, FullLength(post))
+        a, f = np.array(active.draws), np.array(full.draws)
+        rest = np.setdiff1d(np.arange(dims.n_coords), post.active)
+        assert np.all(a[:, rest] == init[rest])
+        assert not np.all(f[:, rest] == init[rest])
+
+        def z_scores(x, y):
+            se2 = [c.var(axis=0) / np.array([effective_sample_size(col) for col in c.T])
+                   for c in (x, y)]
+            return np.abs(x.mean(axis=0) - y.mean(axis=0)) / np.sqrt(se2[0] + se2[1])
+
+        shared = np.s_[:, :dims.n_shared]
+        assert z_scores(a[shared], f[shared]).max() < 4.0
+        assert z_scores(predictive_vols(a, g, dims), predictive_vols(f, g, dims)).max() < 4.0
+
+
+class TestPriceUnit:
+    def test_covariate_and_posterior_ignore_the_currency_unit(self):
+        base = synth_gbm_ticks(1.0, 0.0, 0.5, 400, seed=46)
+        grids = []
+        for unit in (1.0, 100.0, 5000.0):
+            series = normalize_time(type(base)(base.times, base.prices * unit,
+                                               base.session_length))
+            spec = GridSpec(4, 3, float(series.prices.min()), float(series.prices.max()))
+            grids.append(standardize_returns(build_grid(series, spec))[0])
+        dims = ModelDims(4, 3, 3)
+        posts = [Posterior(g, dims) for g in grids]
+        for g in grids[1:]:
+            np.testing.assert_allclose(g.cell_logprice, grids[0].cell_logprice,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(g.mask, grids[0].mask)
+        rng = np.random.default_rng(47)
+        for _ in range(5):
+            v = rng.normal(size=dims.n_coords)
+            ref = posts[0]
+            for post in posts[1:]:
+                assert post.logp(v) == pytest.approx(ref.logp(v), rel=1e-9, abs=1e-9)
+                np.testing.assert_allclose(post.grad(v), ref.grad(v), rtol=1e-9, atol=1e-9)

@@ -196,7 +196,7 @@ class TestRunChain:
         cfg = HmcConfig(step_size=step_size, n_leapfrog=7, n_burn=6, n_draws=9, seed=15)
         ch = run_chain(np.zeros(3), cfg, t)
         assert not ch.divergent.any()
-        assert t.n_grad == 1 + cfg.n_leapfrog * (cfg.n_burn + cfg.n_draws)
+        assert t.n_grad == ch.n_grad == 1 + cfg.n_leapfrog * (cfg.n_burn + cfg.n_draws)
         assert t.n_logp == 1 + cfg.n_burn + cfg.n_draws
 
     def test_carried_gradient_leaves_chain_unchanged(self):
@@ -266,6 +266,52 @@ class TestRunChain:
         post_rate = np.mean(ch.accept_flags[cfg.n_burn:])
         assert 0.5 <= post_rate <= 0.95
         assert ch.step_size_used > 1e-3  # adapted far away from the poor initial value
+
+
+class ActiveGaussian(Gaussian):
+    """A Gaussian on the coordinates ``active`` of a longer vector."""
+
+    def __init__(self, active):
+        super().__init__(len(active))
+        self.active = np.asarray(active)
+
+
+class TestActiveTarget:
+    def test_moves_only_active_coordinates(self):
+        # The chain on q[active] is the chain of the smaller target, bit for
+        # bit, with the vector mass sliced the same way.
+        init = np.array([0.3, 7.0, -0.2, 9.0, 0.1])
+        active = [0, 2, 4]
+        mass = np.array([1.0, 5.0, 2.0, 3.0, 0.5])
+        cfg = HmcConfig(step_size=0.4, n_leapfrog=6, n_burn=20, n_draws=50, seed=17,
+                        mass_diag=mass, adapt_step_size=True)
+        ch = run_chain(init, cfg, ActiveGaussian(active))
+        ref = run_chain(init[active], HmcConfig(**{**vars(cfg), "mass_diag": mass[active]}),
+                        Gaussian(3))
+        draws = np.array(ch.draws)
+        assert draws.shape == (50, 5)
+        np.testing.assert_array_equal(draws[:, active], np.array(ref.draws))
+        assert np.all(draws[:, [1, 3]] == init[[1, 3]])
+        np.testing.assert_array_equal(ch.accept_flags, ref.accept_flags)
+        assert ch.n_grad == ref.n_grad == 1 + 6 * 70
+
+    def test_gradient_count_includes_divergent_early_stops(self):
+        class CountingCliff(CountingGaussian):
+            # Steep enough that every trajectory overflows within a few steps.
+            def logp(self, q):
+                return super().logp(q) * 1e200
+
+            def grad(self, q):
+                return super().grad(q) * 1e200
+
+        t = CountingCliff(2)
+        cfg = HmcConfig(step_size=1.0, n_leapfrog=10, n_burn=5, n_draws=20, seed=11)
+        ch = run_chain(np.ones(2) * 1e-3, cfg, t)
+        assert ch.divergent.all()
+        assert ch.n_grad == t.n_grad < 1 + cfg.n_leapfrog * (cfg.n_burn + cfg.n_draws)
+        rep = diagnostics(ch)
+        assert rep.n_grad == t.n_grad
+        assert f"gradient evaluations {t.n_grad:,}" in str(rep)
 
 
 class TestDiagnostics:
