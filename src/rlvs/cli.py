@@ -143,6 +143,9 @@ def run_synth(cfg: dict, out_path) -> ingest.TickSeries:
 
 def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     g, m, h = cfg["grid"], cfg["model"], cfg["hmc"]
+    if h["keep_last"] < 1:
+        # draws[-0:] would keep every draw, and a negative count drop the first ones.
+        raise ValueError(f"[hmc] keep_last must be >= 1, got {h['keep_last']}")
     session_length = cfg["synth"]["session_length"]
     series = ingest.load_ticks(ticks_path, session_length=session_length)
 

@@ -70,11 +70,12 @@ class GridData:
             raise GridError("mask shape does not match spec")
         for ii in range(i):
             for jj in range(j):
-                if bool(self.mask[ii, jj]) != (len(self.returns[ii][jj]) > 0):
+                cell = self.returns[ii][jj]
+                n = len(cell)
+                if bool(self.mask[ii, jj]) != (n > 0):
                     raise GridError(f"mask/returns mismatch at cell ({ii}, {jj})")
-                for r in self.returns[ii][jj]:
-                    if not np.isfinite(r):
-                        raise GridError(f"non-finite return in cell ({ii}, {jj})")
+                if n and not np.isfinite(cell).all():
+                    raise GridError(f"non-finite return in cell ({ii}, {jj})")
 
     def n_observations(self) -> int:
         return sum(len(c) for row in self.returns for c in row)

@@ -27,11 +27,31 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, log_expit, logsumexp
 
 from .grid import GridData
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _log_expit(x):
+    """log(1 / (1 + exp(-x))) without overflow.
+
+    numpy's ``logaddexp`` runs libm's ``exp`` and ``log1p`` element by
+    element, so this equals ``scipy.special.log_expit`` bit for bit.
+    """
+    return -np.logaddexp(0.0, -x)
+
+
+def _expit(x):
+    """The logistic function 1 / (1 + exp(-x)); exp(-x) overflowing to inf
+    gives the exact limit 0.
+
+    numpy's vectorized ``exp`` differs from libm's in the last bit on a few
+    per cent of inputs, so the result can differ from
+    ``scipy.special.expit`` by a few ulps.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 class ModelError(ValueError):
@@ -199,7 +219,7 @@ def stick_weights_from_raw(stick_raw: np.ndarray) -> np.ndarray:
     """
     stick_raw = np.asarray(stick_raw, dtype=float)
     with np.errstate(over="ignore"):
-        return np.exp(_log_stick_break(log_expit(stick_raw), log_expit(-stick_raw)))
+        return np.exp(_log_stick_break(_log_expit(stick_raw), _log_expit(-stick_raw)))
 
 
 def component_means(params: ModelParams, grid: GridData) -> np.ndarray:
@@ -214,12 +234,16 @@ def component_means(params: ModelParams, grid: GridData) -> np.ndarray:
 
 
 def mixture_logpdf(x, mix: MixtureSpec):
-    """Log density of the mixture at x (scalar or array), via log-sum-exp."""
+    """Log density of the mixture at x (scalar or array), via log-sum-exp.
+
+    The reference the kernel's tests compare against, so it sums with
+    ``np.logaddexp`` rather than the kernel's own ``_log_sum_exp``.
+    """
     x = np.asarray(x, dtype=float)
     d = (x[..., None] - mix.means) / mix.scale
     with np.errstate(divide="ignore"):
         log_terms = np.log(mix.weights) - 0.5 * d * d - np.log(mix.scale) - 0.5 * LOG_2PI
-    out = logsumexp(log_terms, axis=-1)
+    out = np.logaddexp.reduce(log_terms, axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -254,9 +278,11 @@ def _prior(vec: np.ndarray, n_shared: int, k_n: int):
     shared = vec[:n_shared]
     cells = vec[n_shared:]  # the stick coordinates, then the concentrations
     n_sticks = cells.size // (k_n + 1) * k_n
-    log_x = log_expit(cells)
-    log_1mx = log_expit(-cells)
-    x = expit(cells)
+    log_x = _log_expit(cells)
+    # log(1 - x) = log x - logit x: one logaddexp pass fewer, with an absolute
+    # error of about ulp(cells), which is all the sums below need.
+    log_1mx = log_x - cells
+    x = _expit(cells)
     log_1mg = log_1mx[:n_sticks].reshape(-1, k_n)
     sum_log_1mg = log_1mg.sum(axis=1)
     gamma = x[:n_sticks].reshape(-1, k_n)
@@ -284,7 +310,8 @@ def log_prior(params: ModelParams) -> float:
 
 
 def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
-    """log(sum(exp(terms), axis=0)) for a (K, N) array, as scipy 1.17 computes it.
+    """log(sum(exp(terms), axis=0)) for a (K, N) array, as
+    ``scipy.special.logsumexp`` 1.17 computes it (its tests compare the two).
 
     The max element(s) of each column are left out of the shifted sum, which
     is then ``log1p(sum / count) + log(count) + max``; columns where that is

@@ -7,9 +7,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 
 class VolToolsError(ValueError):
@@ -58,14 +58,116 @@ class CallGrid:
             raise VolToolsError("call prices must be non-negative")
 
 
+# The standard normal CDF as scipy computes it (cephes ``ndtr``, ``erf`` and
+# ``erfc`` by S. Moshier): the same branches, coefficients and Horner order
+# on Python floats, with libm's exp through ``math.exp``, so prices match
+# ``scipy.special.ndtr`` bit for bit without importing scipy. Only the
+# branches ``ndtr`` reaches are kept, and the monic denominators (cephes
+# ``p1evl``) carry their leading 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX)
+_SQRT1_2 = 0.70710678118654752440
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _polevl(x, coef):
+    """Horner's rule, highest power first; for finite x the leading
+    ``0 * x + c`` is exactly c."""
+    ans = 0.0
+    for c in coef:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x):
+    """erf for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(x):
+    """erfc for x >= 1; 0 once exp(-x * x) underflows."""
+    if x * x > _MAXLOG:
+        return 0.0
+    z = math.exp(-x * x)
+    if x < 8.0:
+        return z * _polevl(x, _ERFC_P) / _polevl(x, _ERFC_Q)
+    return z * _polevl(x, _ERFC_R) / _polevl(x, _ERFC_S)
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF at a float, equal to ``scipy.special.ndtr``; NaN
+    falls through every comparison to NaN."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * (1.0 - _erf(z) if z < 1.0 else _erfc(z))
+    return 1.0 - y if x > 0 else y
+
+
+class _Terms(NamedTuple):
+    """The parts of a Black-Scholes price that do not depend on the vol."""
+
+    df_s: float    # spot * exp(-yield_rate * expiry)
+    df_k: float    # strike * exp(-rate * expiry)
+    log_m: float   # log(spot / strike)
+    drift: float   # rate - yield_rate
+    expiry: float
+    sqrt_t: float
+
+
+def _terms(spot, strike, rate, yield_rate, expiry) -> _Terms:
+    return _Terms(float(spot * np.exp(-yield_rate * expiry)),
+                  float(strike * np.exp(-rate * expiry)),
+                  float(np.log(spot / strike)), rate - yield_rate, expiry,
+                  float(np.sqrt(expiry)))
+
+
+def _d1(c: _Terms, vol):
+    """(d1, vol * sqrt(expiry)); d2 is their difference."""
+    srt = vol * c.sqrt_t
+    return (c.log_m + (c.drift + 0.5 * vol * vol) * c.expiry) / srt, srt
+
+
+def _price_vega(c: _Terms, vol, is_call: bool) -> tuple[float, float]:
+    """Black-Scholes price and dPrice/dvol (the same for a call and a put)
+    from one d1; inputs already checked.
+
+    The normal pdf is scipy's own ``norm.pdf`` formula, with numpy's exp and
+    ``d1 * d1`` for the square: a scalar ``d1**2`` takes another code path
+    and differs in the last bit about once in 1,500 calls.
+    """
+    d1, srt = _d1(c, vol)
+    d2 = d1 - srt
+    if is_call:
+        price = c.df_s * _ndtr(d1) - c.df_k * _ndtr(d2)
+    else:
+        price = c.df_k * _ndtr(-d2) - c.df_s * _ndtr(-d1)
+    pdf1 = float(np.exp(-d1 * d1 / 2.0)) / _SQRT_2PI
+    return price, c.df_s * pdf1 * c.sqrt_t
+
+
 def _d1_d2(spot, strike, rate, yield_rate, expiry, vol):
-    srt = vol * np.sqrt(expiry)
-    d1 = (np.log(spot / strike) + (rate - yield_rate + 0.5 * vol * vol) * expiry) / srt
+    d1, srt = _d1(_terms(spot, strike, rate, yield_rate, expiry), vol)
     return d1, d1 - srt
 
 
 def _check_positive(spot, strike, expiry, vol):
-    # One chained test per call on the Newton path; the loop only names the field.
+    # One chained test per call; the loop only names the field.
     if not (0.0 < spot < math.inf and 0.0 < strike < math.inf
             and 0.0 < expiry < math.inf and 0.0 < vol < math.inf):
         for name, value in (("spot", spot), ("strike", strike), ("expiry", expiry), ("vol", vol)):
@@ -78,33 +180,20 @@ def bs_price(spot, strike, rate, yield_rate, expiry, vol, is_call: bool = True) 
     if not (math.isfinite(rate) and math.isfinite(yield_rate)):
         name, value = ("rate", rate) if not math.isfinite(rate) else ("yield_rate", yield_rate)
         raise VolToolsError(f"{name} must be finite, got {value!r}")
-    d1, d2 = _d1_d2(spot, strike, rate, yield_rate, expiry, vol)
-    df_s = spot * np.exp(-yield_rate * expiry)
-    df_k = strike * np.exp(-rate * expiry)
-    if is_call:
-        return float(df_s * ndtr(d1) - df_k * ndtr(d2))
-    return float(df_k * ndtr(-d2) - df_s * ndtr(-d1))
+    return _price_vega(_terms(spot, strike, rate, yield_rate, expiry), vol, is_call)[0]
 
 
 def _vega(spot, strike, rate, yield_rate, expiry, vol) -> float:
-    """dPrice/dvol, the same for a call and a put; inputs already checked.
-
-    The normal pdf is scipy's own formula, with ``d1 * d1`` for the square:
-    a scalar ``d1**2`` takes another code path and differs in the last bit
-    about once in 1,500 calls.
-    """
-    d1, _ = _d1_d2(spot, strike, rate, yield_rate, expiry, vol)
-    pdf1 = np.exp(-d1 * d1 / 2.0) / np.sqrt(2.0 * np.pi)
-    return float(spot * np.exp(-yield_rate * expiry) * pdf1 * np.sqrt(expiry))
+    """dPrice/dvol, the same for a call and a put; inputs already checked."""
+    return _price_vega(_terms(spot, strike, rate, yield_rate, expiry), vol, True)[1]
 
 
 def no_arbitrage_bounds(quote: OptionQuote) -> tuple[float, float]:
     """(lower, upper) price bounds for a European quote."""
-    df_s = quote.spot * np.exp(-quote.yield_rate * quote.expiry)
-    df_k = quote.strike * np.exp(-quote.rate * quote.expiry)
+    c = _terms(quote.spot, quote.strike, quote.rate, quote.yield_rate, quote.expiry)
     if quote.is_call:
-        return max(df_s - df_k, 0.0), df_s
-    return max(df_k - df_s, 0.0), df_k
+        return max(c.df_s - c.df_k, 0.0), c.df_s
+    return max(c.df_k - c.df_s, 0.0), c.df_k
 
 
 def implied_vol(quote: OptionQuote) -> float:
@@ -112,7 +201,8 @@ def implied_vol(quote: OptionQuote) -> float:
 
     Iterates until the volatility step stabilizes (well past the pricing
     tolerance of 1e-10 * spot), so round trips are accurate even deep out of
-    the money where vega is tiny.
+    the money where vega is tiny. The quote's vol-free terms are computed
+    once, and each iterate's price and vega come from one d1.
     """
     lower, upper = no_arbitrage_bounds(quote)
     if quote.mid_price <= lower:
@@ -124,27 +214,23 @@ def implied_vol(quote: OptionQuote) -> float:
             f"mid price {quote.mid_price} at or above no-arbitrage upper bound {upper:.6g}"
         )
 
-    def price(v):
-        return bs_price(quote.spot, quote.strike, quote.rate, quote.yield_rate,
-                        quote.expiry, v, quote.is_call)
-
+    c = _terms(quote.spot, quote.strike, quote.rate, quote.yield_rate, quote.expiry)
     price_tol = 1e-10 * quote.spot
     lo, hi = 1e-12, 4.0
-    while price(hi) < quote.mid_price:
+    while _price_vega(c, hi, quote.is_call)[0] < quote.mid_price:
         hi *= 2.0
         if hi > 1e6:
             raise VolToolsError("implied volatility bracket expansion failed")
 
     max_iter = 200
     sigma = min(max(0.3, lo), hi)  # Newton starts at 30 % vol
-    diff = price(sigma) - quote.mid_price
+    price, vega = _price_vega(c, sigma, quote.is_call)
+    diff = price - quote.mid_price
     for _ in range(max_iter):
         if diff > 0:
             hi = min(hi, sigma)
         else:
             lo = max(lo, sigma)
-        vega = _vega(quote.spot, quote.strike, quote.rate, quote.yield_rate,
-                     quote.expiry, sigma)
         if vega > 1e-14:
             step = diff / vega
             new = sigma - step
@@ -154,7 +240,8 @@ def implied_vol(quote: OptionQuote) -> float:
             new = 0.5 * (lo + hi)
         moved = abs(new - sigma)
         sigma = new
-        diff = price(sigma) - quote.mid_price
+        price, vega = _price_vega(c, sigma, quote.is_call)
+        diff = price - quote.mid_price
         if moved < 1e-12 and abs(diff) < price_tol:
             return float(sigma)
     if abs(diff) < price_tol:

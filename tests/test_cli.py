@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rlvs
-from rlvs import cli
+from rlvs import cli, model
 from rlvs.cli import apply_master_seed, load_checkpoint, load_config, main
 from rlvs.grid import GridData
 from rlvs.model import ModelDims, Posterior
@@ -110,6 +110,21 @@ class TestFit:
         assert loaded["n_kept"] == 20
         assert len(loaded["draws"]) == 20
         assert loaded["dims"] == {"n_time": 3, "n_price": 3, "n_components": 2}
+
+    @pytest.mark.parametrize("keep", [0, -5])
+    def test_keep_last_below_one_refused_before_fitting(self, tmp_path, capsys, keep):
+        # draws[-0:] would write every draw, and draws[5:] drop the first five.
+        cfg = tmp_path / "toy.ini"
+        cfg.write_text(TOY_CONFIG.replace("keep_last = 20", f"keep_last = {keep}"))
+        ticks, ckpt = tmp_path / "ticks.csv", tmp_path / "ckpt.json"
+        assert run(["synth", "--config", str(cfg), "--out", str(ticks)]) == 0
+        capsys.readouterr()
+        assert run(["fit", "--config", str(cfg), "--ticks", str(ticks),
+                    "--out", str(ckpt)]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: [hmc] keep_last must be >= 1, got {keep}\n"
+        assert "acceptance" not in out
+        assert not ckpt.exists()
 
     def test_missing_input_nonzero_exit_names_path(self, tmp_path, capsys):
         rc = run(["fit", "--ticks", str(tmp_path / "nope.csv")])
@@ -220,6 +235,16 @@ class TestSurface:
                   "--param-draws", "50", "--out", str(tmp_path / "s.csv")])
         assert rc != 0
         assert "50" in capsys.readouterr().err
+
+    def test_bitwise_equal_to_scipy_log_expit(self, tmp_path, toy_cfg, fitted, monkeypatch):
+        # The surface reads stick weights through model._log_expit.
+        from scipy.special import log_expit
+
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        run(["surface", "--config", str(toy_cfg), "--checkpoint", str(fitted), "--out", str(a)])
+        monkeypatch.setattr(model, "_log_expit", log_expit)
+        run(["surface", "--config", str(toy_cfg), "--checkpoint", str(fitted), "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
 
     def test_reruns_identical(self, tmp_path, toy_cfg, fitted):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -505,3 +530,17 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    # A fresh interpreter: this one has imported scipy through the tests.
+    src = str(Path(rlvs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\n"
+            "def scipy(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "import rlvs; print(scipy())\n"
+            "import rlvs.cli; print(scipy())\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "[]"]

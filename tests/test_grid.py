@@ -175,6 +175,16 @@ class TestStandardize:
             standardize_returns(g)
 
 
+class TestGridData:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_return_names_first_bad_cell(self, bad):
+        spec = GridSpec(2, 2, 99.0, 101.0)
+        returns = [[[0.1], [0.2, bad]], [[bad], [0.3]]]
+        with pytest.raises(GridError, match=r"^non-finite return in cell \(0, 1\)$"):
+            GridData(spec, np.ones((2, 2), bool), returns,
+                     (np.arange(2) + 0.5) / 2, np.log([99.5, 100.5]))
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         # The path a fit checkpoint takes: to_dict -> JSON text -> from_dict.

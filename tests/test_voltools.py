@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from rlvs.voltools import (
@@ -7,6 +8,7 @@ from rlvs.voltools import (
     OptionQuote,
     VolToolsError,
     _d1_d2,
+    _ndtr,
     _vega,
     bs_price,
     dupire_local_vol,
@@ -95,6 +97,23 @@ class TestBsPrice:
             assert bs_price(s, k, r, q, t, v, False) == put
 
 
+class TestNdtr:
+    def test_bitwise_equal_to_scipy_ndtr(self):
+        # The port's branch edges: |a| = 1 (erf against erfc), sqrt(2) (erfc's
+        # own erf branch), 8 sqrt(2) (erfc's two rational fits) and about
+        # 37.68, where exp(-a * a / 2) underflows.
+        rng = np.random.default_rng(8)
+        edges = [1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * 709.782712893384)]
+        near = [sign * e + k * np.spacing(e) for e in edges for sign in (1.0, -1.0)
+                for k in range(-300, 301)]
+        xs = np.concatenate([rng.normal(0.0, 3.0, 100_000), rng.uniform(-40.0, 40.0, 50_000),
+                             near, [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+                                    np.inf, -np.inf]])
+        ours = np.array([_ndtr(x) for x in xs.tolist()])
+        np.testing.assert_array_equal(ours.view(np.int64), ndtr(xs).view(np.int64))
+        assert np.isnan(_ndtr(np.nan))
+
+
 class TestOptionQuote:
     FIELDS = {"strike": 105.0, "expiry": 0.5, "mid_price": 2.0, "is_call": True,
               "spot": 100.0, "rate": 0.01, "yield_rate": 0.0}
@@ -156,6 +175,44 @@ class TestVega:
             assert _vega(s, k, r, q, t, v) == float(s * np.exp(-q * t) * pdf1 * np.sqrt(t))
 
 
+def scipy_implied_vol(q):
+    """implied_vol's Newton iteration with every price and vega computed through
+    scipy, each from the quote's raw fields, as the solver did while the
+    package imported scipy."""
+    def price(v):
+        d1, d2 = _d1_d2(q.spot, q.strike, q.rate, q.yield_rate, q.expiry, v)
+        df_s = q.spot * np.exp(-q.yield_rate * q.expiry)
+        df_k = q.strike * np.exp(-q.rate * q.expiry)
+        if q.is_call:
+            return float(df_s * ndtr(d1) - df_k * ndtr(d2))
+        return float(df_k * ndtr(-d2) - df_s * ndtr(-d1))
+
+    def vega(v):
+        d1 = _d1_d2(q.spot, q.strike, q.rate, q.yield_rate, q.expiry, v)[0]
+        pdf1 = norm.pdf(np.array([d1]))[0]
+        return float(q.spot * np.exp(-q.yield_rate * q.expiry) * pdf1 * np.sqrt(q.expiry))
+
+    lo, hi = 1e-12, 4.0
+    while price(hi) < q.mid_price:
+        hi *= 2.0
+    sigma = 0.3
+    diff = price(sigma) - q.mid_price
+    for _ in range(200):
+        if diff > 0:
+            hi = min(hi, sigma)
+        else:
+            lo = max(lo, sigma)
+        vg = vega(sigma)
+        new = sigma - diff / vg if vg > 1e-14 else 0.5 * (lo + hi)
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        moved, sigma = abs(new - sigma), new
+        diff = price(sigma) - q.mid_price
+        if moved < 1e-12 and abs(diff) < 1e-10 * q.spot:
+            return sigma
+    raise AssertionError("reference solver did not converge")
+
+
 class TestImpliedVol:
     def test_simple_round_trip(self):
         price = bs_price(100.0, 105.0, 0.02, 0.0, 0.5, 0.2)
@@ -185,6 +242,17 @@ class TestImpliedVol:
         q = OptionQuote(100.0, 0.5, 101.0, True, 100.0, 0.0, 0.0)
         with pytest.raises(VolToolsError, match="upper bound"):
             implied_vol(q)
+
+    def test_bitwise_equal_to_scipy_solver(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            s = rng.uniform(1.0, 500.0)
+            k = s * np.exp(rng.normal(0.0, 0.2))
+            r, q, t = rng.uniform(-0.02, 0.1), rng.uniform(0.0, 0.05), rng.uniform(0.01, 3.0)
+            is_call = bool(rng.integers(2))
+            price = bs_price(s, k, r, q, t, rng.uniform(0.05, 2.0), is_call)
+            quote = OptionQuote(k, t, price, is_call, s, r, q)
+            assert implied_vol(quote) == scipy_implied_vol(quote)
 
 
 class TestDupire:
