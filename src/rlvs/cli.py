@@ -205,12 +205,12 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
         },
         "n_kept": len(kept),
         "active": post.active.tolist(),
-        "draws": [d[post.active].tolist() for d in kept],
+        "draws": kept.values.tolist(),
         "grid": gdata.to_dict(),
         "config": cfg,
     }
     with open(out_path, "w", newline="\n") as fh:
-        json.dump(checkpoint, fh)
+        fh.write(json.dumps(checkpoint))  # the C encoder; json.dump streams in Python
     print(f"wrote checkpoint ({len(kept)} retained draws) to {out_path}")
     return checkpoint
 

@@ -8,6 +8,7 @@ marks cells the price path visited.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -68,14 +69,14 @@ class GridData:
         i, j = self.spec.n_time, self.spec.n_price
         if self.mask.shape != (i, j):
             raise GridError("mask shape does not match spec")
-        for ii in range(i):
-            for jj in range(j):
-                cell = self.returns[ii][jj]
-                n = len(cell)
-                if bool(self.mask[ii, jj]) != (n > 0):
-                    raise GridError(f"mask/returns mismatch at cell ({ii}, {jj})")
-                if n and not np.isfinite(cell).all():
-                    raise GridError(f"non-finite return in cell ({ii}, {jj})")
+        values, counts = _flatten(_cells(self))
+        bad = (counts > 0) != self.mask.ravel()
+        bad[np.repeat(np.arange(i * j), counts)[~np.isfinite(values)]] = True
+        if bad.any():
+            ii, jj = divmod(int(np.argmax(bad)), j)
+            if bool(self.mask[ii, jj]) != (counts[ii * j + jj] > 0):
+                raise GridError(f"mask/returns mismatch at cell ({ii}, {jj})")
+            raise GridError(f"non-finite return in cell ({ii}, {jj})")
 
     def n_observations(self) -> int:
         return sum(len(c) for row in self.returns for c in row)
@@ -86,20 +87,11 @@ class GridData:
         The mask is the authoritative filter: cells with a False mask bit
         contribute nothing even if their lists hold data.
         """
-        xs, ci, cj = [], [], []
-        for i in range(self.spec.n_time):
-            for j in range(self.spec.n_price):
-                if not self.mask[i, j]:
-                    continue
-                cell = self.returns[i][j]
-                xs.extend(cell)
-                ci.extend([i] * len(cell))
-                cj.extend([j] * len(cell))
-        return (
-            np.asarray(xs, dtype=float),
-            np.asarray(ci, dtype=np.intp),
-            np.asarray(cj, dtype=np.intp),
-        )
+        j_n = self.spec.n_price
+        cells = np.flatnonzero(self.mask)
+        xs, counts = _flatten([self.returns[c // j_n][c % j_n] for c in cells])
+        ci, cj = np.divmod(np.repeat(cells, counts), j_n)
+        return xs, ci, cj
 
     def to_dict(self) -> dict:
         return {
@@ -130,6 +122,28 @@ def assign_cell(time_norm: float, price: float, spec: GridSpec) -> tuple[int, in
     return i, j
 
 
+def _cells(grid: GridData) -> list:
+    """Every cell's list of returns, in row-major (time, price) order."""
+    return [grid.returns[i][j] for i in range(grid.spec.n_time) for j in range(grid.spec.n_price)]
+
+
+def _flatten(cells: list):
+    """(values, counts): the cells' returns end to end, and how many each holds."""
+    counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    values = np.fromiter(itertools.chain.from_iterable(cells), dtype=float,
+                         count=int(counts.sum()))
+    return values, counts
+
+
+def _nest(values: np.ndarray, counts: np.ndarray, spec: GridSpec) -> list:
+    """Nested ``returns[i][j]`` lists from values laid out cell by cell in
+    row-major order, ``counts`` of them per cell."""
+    flat = values.tolist()
+    ends = np.cumsum(counts).tolist()
+    cells = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    return [cells[i * spec.n_price:(i + 1) * spec.n_price] for i in range(spec.n_time)]
+
+
 def build_grid(series: TickSeries, spec: GridSpec) -> GridData:
     """Collect consecutive-tick log returns into grid cells.
 
@@ -146,13 +160,11 @@ def build_grid(series: TickSeries, spec: GridSpec) -> GridData:
     j_all = np.clip(np.floor(frac * spec.n_price).astype(int), 0, spec.n_price - 1)
     log_ret = np.diff(np.log(series.prices))
 
-    returns = [[[] for _ in range(spec.n_price)] for _ in range(spec.n_time)]
-    for n in range(1, len(series)):
-        returns[i_all[n]][j_all[n]].append(float(log_ret[n - 1]))
-
-    mask = np.array(
-        [[len(returns[i][j]) > 0 for j in range(spec.n_price)] for i in range(spec.n_time)]
-    )
+    # A stable sort by cell keeps each cell's returns in tick order.
+    cell = i_all[1:] * spec.n_price + j_all[1:]
+    counts = np.bincount(cell, minlength=spec.n_time * spec.n_price)
+    returns = _nest(log_ret[np.argsort(cell, kind="stable")], counts, spec)
+    mask = counts.reshape(spec.n_time, spec.n_price) > 0
     cell_time = (np.arange(spec.n_time) + 0.5) / spec.n_time
     width = (spec.price_max - spec.price_min) / spec.n_price
     mid = spec.price_min + (np.arange(spec.n_price) + 0.5) * width
@@ -172,7 +184,8 @@ def standardize_returns(grid: GridData) -> tuple[GridData, float]:
     back to raw return units later. Constant-price sessions (zero pooled
     spread) are rejected: there is no volatility to model.
     """
-    xs, _, _ = grid.observations()
+    flat, counts = _flatten(_cells(grid))
+    xs = flat[np.repeat(grid.mask.ravel(), counts)]  # the observations
     if xs.size == 0:
         raise GridError("standardize_returns needs at least one stored return")
     scale = float(np.std(xs))
@@ -181,7 +194,7 @@ def standardize_returns(grid: GridData) -> tuple[GridData, float]:
             "pooled return standard deviation is zero (constant prices); "
             "volatility is degenerate and cannot be standardized"
         )
-    scaled = [[[r / scale for r in cell] for cell in row] for row in grid.returns]
+    scaled = _nest(flat / scale, counts, grid.spec)
     out = GridData(
         spec=grid.spec,
         mask=grid.mask.copy(),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,18 +58,43 @@ def load_ticks(path, session_length: float = SESSION_SECONDS) -> TickSeries:
 
     Rows are sorted ascending by time with a stable sort, so duplicate
     timestamps keep their file order. Errors name the offending file line.
+    The rows are parsed in one ``np.loadtxt`` call; a file it refuses, or
+    whose values do not all pass the checks, is read again row by row, which
+    accepts what ``float`` accepts and names the first bad line.
     """
+    table = None
+    with open(path, newline="") as fh:
+        header = fh.readline()
+        if header:
+            row = next(csv.reader([header]))
+            if [c.strip() for c in row[:2]] != ["time_s", "price"]:
+                raise TickDataError(
+                    f"{path}: line 1: expected header 'time_s,price', got {','.join(row)!r}"
+                )
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # no rows: handled below
+                    table = np.loadtxt(fh, delimiter=",", comments=None,
+                                       usecols=(0, 1), ndmin=2)
+            except ValueError:
+                pass
+    if (table is not None and table.size and np.isfinite(table).all()
+            and np.all(table[:, 1] > 0)):
+        times, prices = table[:, 0], table[:, 1]
+    else:
+        times, prices = _parse_rows(path)
+    order = np.argsort(times, kind="stable")
+    return TickSeries(times[order], prices[order], session_length=session_length)
+
+
+def _parse_rows(path):
+    """(times, prices) of a tick CSV whose header was checked, row by row:
+    blank rows are skipped and the first bad row raises an error naming its
+    file line."""
     times, prices = [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1:
-                if [c.strip() for c in row[:2]] != ["time_s", "price"]:
-                    raise TickDataError(
-                        f"{path}: line 1: expected header 'time_s,price', got {','.join(row)!r}"
-                    )
-                continue
-            if not row or all(not c.strip() for c in row):
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if lineno == 1 or not row or all(not c.strip() for c in row):
                 continue
             if len(row) < 2:
                 raise TickDataError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
@@ -87,10 +113,7 @@ def load_ticks(path, session_length: float = SESSION_SECONDS) -> TickSeries:
             prices.append(p)
     if not times:
         raise TickDataError(f"{path}: file contains no tick rows")
-    order = np.argsort(np.asarray(times), kind="stable")
-    return TickSeries(
-        np.asarray(times)[order], np.asarray(prices)[order], session_length=session_length
-    )
+    return np.asarray(times), np.asarray(prices)
 
 
 def save_ticks(series: TickSeries, path) -> None:

@@ -201,7 +201,7 @@ def _log_stick_break(log_g: np.ndarray, log_1mg: np.ndarray) -> np.ndarray:
     if k == 1:
         logw[..., 0] = 0.0
         return logw
-    prefix = np.cumsum(log_1mg, axis=-1)
+    prefix = log_1mg.cumsum(axis=-1)
     logw[..., 0] = log_g[..., 0]
     logw[..., 1:] = log_g[..., 1:] + prefix[..., :-1]
     logw[..., -1] = prefix[..., -2]
@@ -309,9 +309,10 @@ def log_prior(params: ModelParams) -> float:
     return _prior(params.to_vector(), dims.n_shared, dims.n_components)[0]
 
 
-def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
+def _log_sum_exp(terms: np.ndarray, work: np.ndarray) -> np.ndarray:
     """log(sum(exp(terms), axis=0)) for a (K, N) array, as
-    ``scipy.special.logsumexp`` 1.17 computes it (its tests compare the two).
+    ``scipy.special.logsumexp`` 1.17 computes it (its tests compare the two);
+    ``work`` is a (K, N) scratch array it overwrites.
 
     The max element(s) of each column are left out of the shifted sum, which
     is then ``log1p(sum / count) + log(count) + max``; columns where that is
@@ -319,7 +320,7 @@ def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
     """
     mx = terms.max(axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = terms - mx
+        e = np.subtract(terms, mx, out=work)
         is_max = e == 0.0
         np.exp(e, out=e)
         e -= is_max  # exp(0) == 1 exactly: this takes the max elements out
@@ -336,10 +337,13 @@ class _Observed(NamedTuple):
 
     ``coef[:, v]`` indexes, into the vector, the time, price and intercept
     coefficients of cell v's component means, and ``cov[:, v]`` holds the
-    covariates they multiply (``cell_time``, ``cell_logprice``, 1). Each
-    return in ``xs`` has the component-major index ``k * V + v`` in
-    ``index``; ``index2`` is ``index`` followed by ``index + K * V``, flat,
-    and ``index`` is a view of its first half.
+    covariates they multiply (``cell_time``, ``cell_logprice``, 1). ``xs``
+    holds the returns cell by cell, in ``GridData.observations()`` order, so
+    cell v's returns are the one run ``xs[starts[v]:starts[v] + counts[v]]``.
+    ``work`` is scratch that every pass overwrites. With it the (2, K, N)
+    array is a pass's only allocation of that size, so what a tick-level
+    pass frees stays below the size at which malloc returns freed heap
+    memory to the system, and the next pass does not fault it in again.
     """
 
     n_shared: int
@@ -348,8 +352,9 @@ class _Observed(NamedTuple):
     coef: np.ndarray    # (3, V, K) int
     cov: np.ndarray     # (3, V, 1)
     xs: np.ndarray      # (N,)
-    index: np.ndarray   # (K, N) int
-    index2: np.ndarray  # (2 K N,) int
+    counts: np.ndarray  # (V,) int, each >= 1
+    starts: np.ndarray  # (V,) int
+    work: np.ndarray    # (K, N)
 
 
 def _value_and_grad(vec: np.ndarray, obs: _Observed):
@@ -364,23 +369,25 @@ def _value_and_grad(vec: np.ndarray, obs: _Observed):
         v_n = obs.coef.shape[1]
         # (2, K, V): component means and log weights, component-major.
         table = np.empty((2, k_n, v_n))
-        table[0] = np.sum(vec[obs.coef] * obs.cov, axis=0).T
+        table[0] = (vec[obs.coef] * obs.cov).sum(axis=0).T
         table[1] = logw.T
-        both = np.take(table.reshape(2, -1), obs.index, axis=1)  # (2, K, N)
+        both = np.repeat(table, obs.counts, axis=2)  # (2, K, N)
 
         diff = np.subtract(obs.xs, both[0], out=both[0])
         terms = both[1]  # log w_k + log N(x; mu_k, s), built in place
-        terms -= (0.5 / (s * s)) * diff * diff
+        square = np.multiply(diff, 0.5 / (s * s), out=obs.work)
+        square *= diff
+        terms -= square
         terms -= math.log(s) + 0.5 * LOG_2PI
-        lse = _log_sum_exp(terms)
+        lse = _log_sum_exp(terms, obs.work)
         out += float(lse.sum())
         terms -= lse
         resp = np.exp(terms, out=terms)
         diff *= resp
 
-        # One bincount sums resp * (x - mu) and resp per component and cell.
-        sums = np.bincount(obs.index2, weights=both.ravel(), minlength=2 * k_n * v_n)
-        dmu_cell, resp_cell = sums.reshape(2, k_n, v_n).transpose(0, 2, 1)  # (V, K) each
+        # One reduceat sums resp * (x - mu) and resp over each cell's run.
+        sums = np.add.reduceat(both, obs.starts, axis=2)  # (2, K, V)
+        dmu_cell, resp_cell = sums.transpose(0, 2, 1)  # (V, K) each
         dmu_cell = dmu_cell / (s * s)
         grad[:n_shared] += np.bincount(obs.coef.ravel(), weights=(obs.cov * dmu_cell).ravel(),
                                        minlength=n_shared)
@@ -389,7 +396,7 @@ def _value_and_grad(vec: np.ndarray, obs: _Observed):
         # = R_l - (sum_{k >= l} R_k) gamma_l, and zero for the last index (the
         # remainder weight has no gamma of its own).
         if k_n > 1:
-            tail = np.cumsum(resp_cell[:, ::-1], axis=1)[:, ::-1]
+            tail = resp_cell[:, ::-1].cumsum(axis=1)[:, ::-1]
             g_stick = grad[n_shared:n_shared + v_n * k_n].reshape(v_n, k_n)
             g_stick[:, :-1] += (resp_cell - tail * gamma)[:, :-1]
     return out, grad
@@ -449,10 +456,10 @@ class Posterior:
         ci, cj = np.divmod(cells, j_n)
         rows = np.stack([ci, i_n + cj, np.full_like(ci, i_n + j_n)])
         xs, oi, oj = grid.observations()
-        rank = np.zeros(n_cells, dtype=np.intp)
-        rank[cells] = np.arange(cells.size)
-        index = np.arange(k_n)[:, None] * cells.size + rank[oi * j_n + oj]
-        index2 = np.concatenate([index, index + k_n * cells.size])
+        counts = np.bincount(oi * j_n + oj, minlength=n_cells)[cells]
+        if cells.size and counts.min() == 0:
+            v = int(np.argmin(counts))
+            raise ModelError(f"visited cell ({ci[v]}, {cj[v]}) holds no returns")
         self._obs = _Observed(
             n_shared=n_shared,
             n_components=k_n,
@@ -461,8 +468,9 @@ class Posterior:
             cov=np.stack([grid.cell_time[ci], grid.cell_logprice[cj],
                           np.ones(cells.size)])[..., None],
             xs=xs,
-            index=index2[:k_n],
-            index2=index2.ravel(),
+            counts=counts,
+            starts=np.cumsum(counts) - counts,
+            work=np.empty((k_n, xs.size)),
         )
         self._last = None  # (point, value, gradient) of the last pass
 
@@ -474,7 +482,7 @@ class Posterior:
         if vec.shape not in ((n_active,), (n_coords,)):
             raise ModelError(f"expected a vector of length {n_active} (the active "
                              f"coordinates) or {n_coords}, got shape {vec.shape}")
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise ModelError("parameters must be finite")
         if vec.size == n_active:
             return _value_and_grad(vec, self._obs)
@@ -490,7 +498,7 @@ class Posterior:
         last = self._last
         # Bitwise comparison: -0.0 and NaN coordinates must not alias.
         if (last is None or last[0].shape != vec.shape
-                or not np.array_equal(last[0].view(np.int64), vec.view(np.int64))):
+                or not (last[0].view(np.int64) == vec.view(np.int64)).all()):
             last = self._last = (vec.copy(), *self._evaluate(vec))
         return last
 

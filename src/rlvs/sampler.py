@@ -14,6 +14,7 @@ vectors of that length.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,34 @@ class HmcConfig:
             raise SamplerError("seed must be non-negative")
 
 
+class Draws(Sequence):
+    """Retained draws held as one (n_draws, n_active) array of the coordinates
+    that move; ``start`` supplies the others. A draw read by index or
+    iteration, or the whole set read by ``np.asarray``, is full length; a
+    slice is again a ``Draws``.
+    """
+
+    def __init__(self, start: np.ndarray, active: np.ndarray, values: np.ndarray):
+        self.start = start
+        self.active = active
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Draws(self.start, self.active, self.values[key])
+        draw = self.start.copy()
+        draw[self.active] = self.values[key]
+        return draw
+
+    def __array__(self, dtype=None, copy=None):
+        full = np.repeat(self.start[None, :], len(self), axis=0)
+        full[:, self.active] = self.values
+        return full if dtype is None else full.astype(dtype, copy=False)
+
+
 @dataclass
 class Chain:
     """Retained draws plus per-proposal bookkeeping (burn-in included).
@@ -57,7 +86,7 @@ class Chain:
     point's and those of trajectories stopped early by divergence included.
     """
 
-    draws: list = field(default_factory=list)
+    draws: Sequence = field(default_factory=list)
     accept_flags: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     delta_h: np.ndarray = field(default_factory=lambda: np.empty(0))
     divergent: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
@@ -108,11 +137,11 @@ def _integrate(q, p, grad_q, target, step_size: float, n_steps: int, inv_mass):
         p = p + 0.5 * step_size * g
         for step in range(n_steps):
             q = q + step_size * inv_mass * p
-            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+            if not (np.isfinite(q).all() and np.isfinite(p).all()):
                 return q, p, g, True
             g = target.grad(q)
             p = p + (step_size if step < n_steps - 1 else 0.5 * step_size) * g
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        if not (np.isfinite(q).all() and np.isfinite(p).all()):
             return q, p, g, True
     return q, p, g, False
 
@@ -208,8 +237,9 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
     acceptance bookkeeping. With ``adapt_step_size`` the step size is tuned
     during burn-in by dual averaging and then frozen. When ``target`` has
     ``active``, only ``init[active]`` moves (momenta are drawn for those
-    coordinates alone, and a vector ``mass_diag`` is sliced to them); each
-    draw is still full length, holding ``init`` everywhere else.
+    coordinates alone, and a vector ``mass_diag`` is sliced to them). The
+    draws keep only those coordinates; each reads back full length, holding
+    ``init`` everywhere else.
     """
     rng = np.random.default_rng(config.seed)
     start = np.array(init, dtype=float)
@@ -230,7 +260,7 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
     accept = np.zeros(total, dtype=bool)
     dh = np.zeros(total)
     divergent = np.zeros(total, dtype=bool)
-    draws: list[np.ndarray] = []
+    kept = np.empty((config.n_draws, q.size))
 
     eps = config.step_size
     adapter = None
@@ -250,12 +280,10 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
             if step == config.n_burn - 1:
                 eps = adapter.final()
         if step >= config.n_burn:
-            draw = start.copy()
-            draw[active] = q
-            draws.append(draw)
+            kept[step - config.n_burn] = q
 
     return Chain(
-        draws=draws,
+        draws=Draws(start, active, kept),
         accept_flags=accept,
         delta_h=dh,
         divergent=divergent,

@@ -98,24 +98,38 @@ class VolSurface:
         )
 
 
-def _sample_std(weights: np.ndarray, means: np.ndarray, scale: float, n: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Sample std of n returns drawn from each of C cell mixtures.
+class _Batch:
+    """Work arrays for sampling n returns from each of C cell mixtures,
+    allocated once and refilled for every draw, so a surface does not map
+    and fault in fresh (C, n) blocks per draw."""
 
-    ``weights`` and ``means`` are (C, K). Draws one (C, n) block of uniforms
-    to pick components, then one (C, n) block of standard normals.
-    """
-    c, k = weights.shape
-    u = rng.random((c, n))
-    cum = np.cumsum(weights, axis=1)
-    # Counting the cumulative weights below u, all but the last, equals
-    # searchsorted clipped to K - 1: a u above a rounded-down cum[:, -1]
-    # still picks the last component.
-    comp = np.zeros((c, n), dtype=np.intp)
-    for m in range(k - 1):
-        comp += u > cum[:, m:m + 1]
-    vals = np.take_along_axis(means, comp, axis=1) + scale * rng.standard_normal((c, n))
-    return np.std(vals, axis=1, ddof=1)
+    def __init__(self, c: int, n: int):
+        self.u = np.empty((c, n))
+        self.z = np.empty((c, n))
+        self.comp = np.empty((c, n), dtype=np.intp)
+        self.above = np.empty((c, n), dtype=bool)
+
+    def sample_std(self, weights: np.ndarray, means: np.ndarray, scale: float,
+                   rng: np.random.Generator) -> np.ndarray:
+        """Sample std of the n returns drawn from each cell's mixture.
+
+        ``weights`` and ``means`` are (C, K). Draws one (C, n) block of
+        uniforms to pick components, then one (C, n) block of standard normals.
+        """
+        c, k = weights.shape
+        u, z, comp, above = self.u, self.z, self.comp, self.above
+        rng.random(out=u)
+        cum = np.cumsum(weights, axis=1)
+        # Counting the cumulative weights below u, all but the last, equals
+        # searchsorted clipped to K - 1: a u above a rounded-down cum[:, -1]
+        # still picks the last component. comp indexes the flat means.
+        comp[...] = np.arange(0, c * k, k)[:, None]
+        for m in range(k - 1):
+            comp += np.greater(u, cum[:, m:m + 1], out=above)
+        vals = np.take(means.ravel(), comp, out=u)
+        rng.standard_normal(out=z)
+        vals += np.multiply(z, scale, out=z)
+        return np.std(vals, axis=1, ddof=1)
 
 
 def annualize(std_per_bin, bins_per_day: int, trading_days: int):
@@ -165,12 +179,13 @@ def build_surface(draws, grid: GridData, config: SurfaceConfig,
     w_cf = stick_break(np.full(k, COUNTERFACTUAL_STICK))
 
     stds = np.empty((len(use), i_n * j_n))
+    batch = _Batch(i_n * j_n, config.n_returns_per_draw)
     for d, params in enumerate(use):
         weights = np.where(visited, stick_weights_from_raw(params.stick_raw), w_cf)
         means = component_means(params, grid)
         rng = np.random.default_rng([config.seed, d])
-        stds[d] = _sample_std(weights.reshape(-1, k), means.reshape(-1, k),
-                              params.component_scale, config.n_returns_per_draw, rng)
+        stds[d] = batch.sample_std(weights.reshape(-1, k), means.reshape(-1, k),
+                                   params.component_scale, rng)
     vols = annualize(stds * destandardize_scale, config.bins_per_day,
                      config.trading_days).reshape(len(use), i_n, j_n)
     vol_lo, vol_hi = credible_interval(vols, config.ci_level)

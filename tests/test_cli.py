@@ -111,6 +111,13 @@ class TestFit:
         assert len(loaded["draws"]) == 20
         assert loaded["dims"] == {"n_time": 3, "n_price": 3, "n_components": 2}
 
+    def test_checkpoint_file_is_json_dumps_of_the_returned_dict(self, tmp_path, toy_cfg):
+        cfg = load_config(toy_cfg)
+        ticks, ckpt = tmp_path / "ticks.csv", tmp_path / "ckpt.json"
+        cli.run_synth(cfg, ticks)
+        returned = cli.run_fit(cfg, ticks, ckpt)
+        assert ckpt.read_text() == json.dumps(returned)
+
     @pytest.mark.parametrize("keep", [0, -5])
     def test_keep_last_below_one_refused_before_fitting(self, tmp_path, capsys, keep):
         # draws[-0:] would write every draw, and draws[5:] drop the first five.

@@ -135,6 +135,45 @@ class TestAggregateReturn:
         assert total == pytest.approx(np.log(prices[-1] / prices[0]), abs=1e-12)
 
 
+def _loop_grid(series, spec):
+    """build_grid's returns and mask, one tick at a time."""
+    returns = [[[] for _ in range(spec.n_price)] for _ in range(spec.n_time)]
+    log_ret = np.diff(np.log(series.prices))
+    for n in range(1, len(series)):
+        i, j = assign_cell(series.times[n], series.prices[n], spec)
+        returns[i][j].append(float(log_ret[n - 1]))
+    mask = np.array([[len(c) > 0 for c in row] for row in returns])
+    return returns, mask
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.lists(st.floats(-0.05, 0.05), min_size=1, max_size=80),
+    gaps=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=80),
+    n_time=st.integers(1, 6),
+    n_price=st.integers(1, 6),
+    band=st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)),
+)
+def test_build_grid_and_standardize_match_the_loop(steps, gaps, n_time, n_price, band):
+    # Any path, with repeated times and prices outside the band: the lists
+    # equal those of a tick-by-tick loop bit for bit, and so do the
+    # standardized ones, each return divided by the pooled std.
+    prices = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
+    times = np.cumsum(np.resize(gaps, prices.size))
+    times = times / max(times[-1], 1.0)
+    lo, hi = 100.0 * min(band), 100.0 * max(band) + 1.0
+    series, spec = TickSeries(times, prices, session_length=1.0), GridSpec(n_time, n_price, lo, hi)
+    g = build_grid(series, spec)
+    returns, mask = _loop_grid(series, spec)
+    assert g.returns == returns
+    np.testing.assert_array_equal(g.mask, mask)
+    xs = [r for row in returns for c in row for r in c]
+    if np.std(xs) > 0:
+        out, scale = standardize_returns(g)
+        assert scale == float(np.std(xs))
+        assert out.returns == [[[r / scale for r in c] for c in row] for row in returns]
+
+
 class TestStandardize:
     def test_output_pooled_std_is_one(self):
         g, _ = gbm_grid(seed=23)

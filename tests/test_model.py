@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -463,6 +464,47 @@ GRIDS = {
 }
 
 
+def _take_bincount_pass(post, vec):
+    """The kernel pass on an active-length vector, with each return's
+    (component, cell) entry gathered by ``np.take`` and the per-cell sums
+    taken by one ``np.bincount``: indices built from the grid's observations,
+    in place of the kernel's contiguous runs."""
+    grid, dims = post.grid, post.dims
+    n_shared, k_n, s = dims.n_shared, dims.n_components, post.component_scale
+    out, grad, logw, gamma = model._prior(vec, n_shared, k_n)
+    xs, oi, oj = grid.observations()
+    if xs.size == 0:
+        return out, grad
+    cells = np.flatnonzero(grid.mask)
+    v_n = cells.size
+    rank = np.zeros(grid.mask.size, dtype=np.intp)
+    rank[cells] = np.arange(v_n)
+    index = np.arange(k_n)[:, None] * v_n + rank[oi * grid.spec.n_price + oj]
+    obs = post._obs
+    table = np.stack([np.sum(vec[obs.coef] * obs.cov, axis=0).T, logw.T])  # (2, K, V)
+    both = np.take(table.reshape(2, -1), index, axis=1)
+    diff = np.subtract(xs, both[0], out=both[0])
+    terms = both[1]
+    terms -= (0.5 / (s * s)) * diff * diff
+    terms -= math.log(s) + 0.5 * LOG_2PI
+    lse = model._log_sum_exp(terms, np.empty_like(terms))
+    out += float(lse.sum())
+    terms -= lse
+    resp = np.exp(terms, out=terms)
+    diff *= resp
+    index2 = np.concatenate([index, index + k_n * v_n]).ravel()
+    sums = np.bincount(index2, weights=both.ravel(), minlength=2 * k_n * v_n)
+    dmu_cell, resp_cell = sums.reshape(2, k_n, v_n).transpose(0, 2, 1)
+    dmu_cell = dmu_cell / (s * s)
+    grad[:n_shared] += np.bincount(obs.coef.ravel(), weights=(obs.cov * dmu_cell).ravel(),
+                                   minlength=n_shared)
+    if k_n > 1:
+        tail = np.cumsum(resp_cell[:, ::-1], axis=1)[:, ::-1]
+        g_stick = grad[n_shared:n_shared + v_n * k_n].reshape(v_n, k_n)
+        g_stick[:, :-1] += (resp_cell - tail * gamma)[:, :-1]
+    return out, grad
+
+
 class TestKernel:
     @settings(max_examples=40, deadline=None)
     @given(k=st.sampled_from([1, 2, 3, 8]), grid=st.sampled_from(sorted(GRIDS)),
@@ -479,6 +521,60 @@ class TestKernel:
         gf = fd_grad(post.logp, v)
         err = np.abs(ga - gf) / np.maximum(1.0, np.abs(gf))
         assert err.max() < 1e-5
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 4), n_time=st.integers(1, 4), n_price=st.integers(1, 4),
+           counts=st.one_of(st.lists(st.integers(0, 2), min_size=16, max_size=16),
+                            st.lists(st.integers(0, 12), min_size=16, max_size=16)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_runs_match_take_and_bincount(self, k, n_time, n_price, counts, seed):
+        # Each cell's returns are one run. np.add.reduceat adds to a run's
+        # first return the sum of the rest, a + (b + c); bincount adds in
+        # order, (a + b) + c. They agree bit for bit on runs of at most two
+        # returns and to rounding on longer ones.
+        rng = np.random.default_rng(seed)
+        g = empty_grid(n_time, n_price)
+        for c, n in zip(range(n_time * n_price), counts):
+            g.mask.flat[c] = n > 0
+            g.returns[c // n_price][c % n_price].extend(rng.normal(size=n).tolist())
+        self._check_against_take_and_bincount(g, k, rng)
+
+    @pytest.mark.parametrize("layout", ["every return in one cell", "one return per cell",
+                                        "empty grid"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_runs_match_take_and_bincount_at_the_edges(self, layout, k):
+        rng = np.random.default_rng(41)
+        g = empty_grid(3, 3)
+        if layout == "every return in one cell":
+            g.mask[1, 2] = True
+            g.returns[1][2].extend(rng.normal(size=40).tolist())
+        elif layout == "one return per cell":
+            g.mask[:] = True
+            for row in g.returns:
+                for cell in row:
+                    cell.append(float(rng.normal()))
+        self._check_against_take_and_bincount(g, k, rng)
+
+    @staticmethod
+    def _check_against_take_and_bincount(g, k, rng):
+        post = Posterior(g, ModelDims(g.spec.n_time, g.spec.n_price, k), component_scale=0.7)
+        short = max((len(c) for row in g.returns for c in row), default=0) <= 2
+        for scale in (0.3, 1.0, 3.0):
+            vec = rng.normal(scale=scale, size=post.active.size)
+            value, grad = model._value_and_grad(vec, post._obs)
+            ref_value, ref_grad = _take_bincount_pass(post, vec)
+            if short:
+                assert value == ref_value
+                np.testing.assert_array_equal(grad, ref_grad)
+            else:
+                assert value == pytest.approx(ref_value, rel=1e-12)
+                np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+
+    def test_visited_cell_emptied_after_construction_named(self):
+        g = one_cell_grid()
+        g.returns[0][1].clear()
+        with pytest.raises(ModelError, match=r"visited cell \(0, 1\) holds no returns"):
+            Posterior(g, ModelDims(2, 2, 2))
 
     @pytest.mark.parametrize("k", [2, 3, 8])
     def test_vanishing_weight_matches_reference(self, k):
@@ -532,7 +628,7 @@ class TestKernel:
         terms[70, 0] = np.inf
         terms[71, 0] = np.nan
         with np.errstate(invalid="ignore"):
-            ours = model._log_sum_exp(np.ascontiguousarray(terms.T))
+            ours = model._log_sum_exp(np.ascontiguousarray(terms.T), np.empty((k, 500)))
             ref = logsumexp(terms, axis=1)
         if k < 8:
             np.testing.assert_array_equal(ours, ref)

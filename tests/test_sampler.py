@@ -221,7 +221,7 @@ class TestRunChain:
         t = Gaussian(1)
         cfg = HmcConfig(step_size=0.2, n_leapfrog=5, n_burn=30, n_draws=0, seed=8)
         ch = run_chain(np.zeros(1), cfg, t)
-        assert ch.draws == []
+        assert len(ch.draws) == 0
         rep = diagnostics(ch)
         assert 0.0 <= rep.acceptance_rate <= 1.0
 
@@ -294,6 +294,23 @@ class TestActiveTarget:
         assert np.all(draws[:, [1, 3]] == init[[1, 3]])
         np.testing.assert_array_equal(ch.accept_flags, ref.accept_flags)
         assert ch.n_grad == ref.n_grad == 1 + 6 * 70
+
+    def test_draws_hold_only_active_coordinates(self):
+        # One (n_draws, n_active) array; a draw, a slice and the whole set
+        # read back full length, with the start point's inactive values.
+        init = np.array([0.3, 7.0, -0.2, 9.0, 0.1])
+        active = [0, 2, 4]
+        cfg = HmcConfig(step_size=0.4, n_leapfrog=6, n_burn=5, n_draws=12, seed=18)
+        ch = run_chain(init, cfg, ActiveGaussian(active))
+        assert ch.draws.values.shape == (12, 3)
+        full = np.array(ch.draws)
+        np.testing.assert_array_equal(full[:, active], ch.draws.values)
+        np.testing.assert_array_equal(np.asarray(ch.draws[-4:]), full[-4:])
+        np.testing.assert_array_equal(ch.draws[-1], full[-1])
+        assert [d.tolist() for d in ch.draws] == full.tolist()
+        assert len(ch.draws[-4:]) == 4 and len(ch.draws[:0]) == 0
+        ch.draws[0][1] = -1.0  # a read draw is a copy
+        assert ch.draws[0][1] == 7.0
 
     def test_gradient_count_includes_divergent_early_stops(self):
         class CountingCliff(CountingGaussian):

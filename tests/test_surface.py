@@ -25,7 +25,7 @@ from rlvs.surface import (
     load_surface,
     render_svg,
 )
-from rlvs.surface import VolSurface, _sample_std
+from rlvs.surface import VolSurface, _Batch
 
 
 def small_grid(seed=3, n_time=3, n_price=2):
@@ -38,7 +38,7 @@ def small_grid(seed=3, n_time=3, n_price=2):
 class TestPredictiveStd:
     def test_collapsed_mixture_gives_zero(self):
         rng = np.random.default_rng(0)
-        s = _sample_std(np.array([[0.5, 0.5]]), np.array([[0.2, 0.2]]), 1e-12, 1000, rng)
+        s = _Batch(1, 1000).sample_std(np.array([[0.5, 0.5]]), np.array([[0.2, 0.2]]), 1e-12, rng)
         assert s.shape == (1,)
         assert s[0] < 1e-9
 
@@ -46,12 +46,13 @@ class TestPredictiveStd:
         # Weights summing below 1, as rounding can leave them: a uniform
         # above the total must still pick the last component, not index K.
         rng = np.random.default_rng(5)
-        s = _sample_std(np.array([[0.25, 0.25]]), np.array([[0.0, 3.0]]), 1e-12, 1000, rng)
+        s = _Batch(1, 1000).sample_std(np.array([[0.25, 0.25]]), np.array([[0.0, 3.0]]), 1e-12,
+                                     rng)
         assert s[0] == pytest.approx(np.sqrt(0.75 * 0.25) * 3.0, rel=0.1)
 
     def test_single_component_recovers_scale(self):
         rng = np.random.default_rng(1)
-        s = _sample_std(np.ones((1, 1)), np.zeros((1, 1)), 0.37, 10 ** 6, rng)
+        s = _Batch(1, 10 ** 6).sample_std(np.ones((1, 1)), np.zeros((1, 1)), 0.37, rng)
         assert abs(s[0] - 0.37) / 0.37 < 0.01
 
     def test_matches_analytic_moments(self):
@@ -59,9 +60,9 @@ class TestPredictiveStd:
         mixes = [MixtureSpec([0.3, 0.5, 0.2], [-1.0, 0.2, 2.0], 0.8),
                  MixtureSpec([0.1, 0.1, 0.8], [1.5, -0.5, 0.0], 0.8)]
         n = 200_000
-        s = _sample_std(np.array([m.weights for m in mixes]),
-                        np.array([m.means for m in mixes]), 0.8, n,
-                        np.random.default_rng(2))
+        s = _Batch(2, n).sample_std(np.array([m.weights for m in mixes]),
+                                    np.array([m.means for m in mixes]), 0.8,
+                                    np.random.default_rng(2))
         r2 = np.random.default_rng(3)
         for mix, got in zip(mixes, s):
             _, var = mixture_moments(mix)
