@@ -28,12 +28,8 @@ from .model import (
     ModelDims,
     ModelParams,
     Posterior,
-    cell_mixture,
     component_means,
-    grad_log_posterior,
     log_posterior,
-    log_prior,
-    mixture_logpdf,
     mixture_moments,
     stick_break,
 )

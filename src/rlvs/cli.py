@@ -130,14 +130,9 @@ def echo_config(cfg: dict, out=None) -> None:
 # ---------------------------------------------------------------------------
 
 def run_synth(cfg: dict, out_path) -> ingest.TickSeries:
-    s = cfg["synth"]
-    series = ingest.synth_gbm_ticks(
-        s0=s["s0"], mu=s["mu"], sigma=s["sigma"], n_ticks=s["n_ticks"],
-        session_length=s["session_length"], trading_days=s["trading_days"],
-        seed=s["seed"],
-    )
+    series = ingest.synth_gbm_ticks(**cfg["synth"])
     ingest.save_ticks(series, out_path)
-    print(f"wrote {len(series)} ticks to {out_path} (seed {s['seed']})")
+    print(f"wrote {len(series)} ticks to {out_path} (seed {cfg['synth']['seed']})")
     return series
 
 
@@ -148,13 +143,24 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
         raise ValueError(f"[hmc] keep_last must be >= 1, got {h['keep_last']}")
     session_length = cfg["synth"]["session_length"]
     series = ingest.load_ticks(ticks_path, session_length=session_length)
+    late = series.times > session_length
+    if late.any():
+        raise ingest.TickDataError(
+            f"{ticks_path}: a tick at time_s {series.times[late.argmax()]} falls after "
+            f"the session's end, [synth] session_length = {session_length}")
 
     interval = g["resample_interval"]
     if interval and interval > 0:
+        first, last = series.times[0], series.times[-1]
         series = ingest.resample(series, interval)
+        if len(series) < 2:
+            raise ingest.TickDataError(
+                f"{ticks_path}: resampling at [grid] resample_interval = {interval} s "
+                f"leaves {len(series)} price(s) of ticks from time_s {first} to {last}; "
+                "the fit needs at least 2")
         bins_per_day = int(round(session_length / interval))
     else:
-        bins_per_day = max(len(series) - 1, 1)
+        bins_per_day = len(series) - 1  # build_grid refuses fewer than 2 ticks
 
     pmin = g["price_min"] if g["price_min"] is not None else float(series.prices.min())
     pmax = g["price_max"] if g["price_max"] is not None else float(series.prices.max())
@@ -175,11 +181,7 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     init_rng = np.random.default_rng([h["seed"], 1])  # init stream, distinct from chain
     init = model.ModelParams.random_init(dims, init_rng, m["component_scale"])
 
-    hmc_cfg = sampler.HmcConfig(
-        step_size=h["step_size"], n_leapfrog=h["n_leapfrog"],
-        n_burn=h["n_burn"], n_draws=h["n_draws"], seed=h["seed"],
-        adapt_step_size=h["adapt_step_size"], target_accept=h["target_accept"],
-    )
+    hmc_cfg = sampler.HmcConfig(**{k: v for k, v in h.items() if k != "keep_last"})
     chain = sampler.run_chain(init.to_vector(), hmc_cfg, post)
     report = sampler.diagnostics(chain)
     print(f"acceptance rate: {report.acceptance_rate:.4f}")
@@ -244,18 +246,10 @@ def checkpoint_draws(ckpt: dict) -> list:
 
 
 def run_surface(cfg: dict, ckpt_path, out_path, fmt: str) -> surface_mod.VolSurface:
-    s = cfg["surface"]
     ckpt = load_checkpoint(ckpt_path)
     gdata = grid_mod.GridData.from_dict(ckpt["grid"])
     draws = checkpoint_draws(ckpt)
-    surf_cfg = surface_mod.SurfaceConfig(
-        n_param_draws=s["n_param_draws"],
-        n_returns_per_draw=s["n_returns_per_draw"],
-        ci_level=s["ci_level"],
-        bins_per_day=ckpt["bins_per_day"],
-        trading_days=s["trading_days"],
-        seed=s["seed"],
-    )
+    surf_cfg = surface_mod.SurfaceConfig(**cfg["surface"], bins_per_day=ckpt["bins_per_day"])
     surf = surface_mod.build_surface(
         draws, gdata, surf_cfg, destandardize_scale=ckpt["standardize_scale"]
     )
@@ -296,12 +290,13 @@ def run_compare(surface_path, quotes_path, spot, rate, yield_rate,
             solved.append((q.strike, voltools.implied_vol(q)))
         except voltools.VolToolsError as exc:
             print(f"skipped strike {q.strike}: {exc}", file=sys.stderr)
+    strikes = np.array([strike for strike, _ in solved])
     n_rows = 0
     with open(out_path, "w", newline="\n") as fh:
         fh.write("snapshot,strike,implied_vol,realized_vol,difference,masked\n")
         for t in snapshots:
-            for strike, iv in solved:
-                i, j = grid_mod.assign_cell(t, strike, spec)
+            i, cols = grid_mod.assign_cell(t, strikes, spec)
+            for (strike, iv), j in zip(solved, cols):
                 rv = float(surf.vol_mean[i, j])
                 fh.write(
                     f"{t!r},{strike!r},{iv!r},{rv!r},{rv - iv!r},"

@@ -113,13 +113,13 @@ class GridData:
         )
 
 
-def assign_cell(time_norm: float, price: float, spec: GridSpec) -> tuple[int, int]:
-    """0-based (time, price) cell indices; boundary and out-of-range values clamp."""
-    i = int(np.floor(time_norm * spec.n_time))
-    j = int(np.floor(normalize_price(price, spec.price_min, spec.price_max) * spec.n_price))
-    i = min(max(i, 0), spec.n_time - 1)
-    j = min(max(j, 0), spec.n_price - 1)
-    return i, j
+def assign_cell(time_norm, price, spec: GridSpec):
+    """0-based (time, price) cell indices of a point, or of arrays of points;
+    boundary and out-of-range values clamp."""
+    frac = normalize_price(price, spec.price_min, spec.price_max)
+    i = np.clip(np.floor(np.multiply(time_norm, spec.n_time)), 0, spec.n_time - 1)
+    j = np.clip(np.floor(np.multiply(frac, spec.n_price)), 0, spec.n_price - 1)
+    return i.astype(int), j.astype(int)
 
 
 def _cells(grid: GridData) -> list:
@@ -153,11 +153,7 @@ def build_grid(series: TickSeries, spec: GridSpec) -> GridData:
     """
     if len(series) < 2:
         raise GridError("build_grid needs at least 2 ticks")
-    i_all = np.clip(
-        np.floor(series.times * spec.n_time).astype(int), 0, spec.n_time - 1
-    )
-    frac = normalize_price(series.prices, spec.price_min, spec.price_max)
-    j_all = np.clip(np.floor(frac * spec.n_price).astype(int), 0, spec.n_price - 1)
+    i_all, j_all = assign_cell(series.times, series.prices, spec)
     log_ret = np.diff(np.log(series.prices))
 
     # A stable sort by cell keeps each cell's returns in tick order.

@@ -233,36 +233,11 @@ def component_means(params: ModelParams, grid: GridData) -> np.ndarray:
     )
 
 
-def mixture_logpdf(x, mix: MixtureSpec):
-    """Log density of the mixture at x (scalar or array), via log-sum-exp.
-
-    The reference the kernel's tests compare against, so it sums with
-    ``np.logaddexp`` rather than the kernel's own ``_log_sum_exp``.
-    """
-    x = np.asarray(x, dtype=float)
-    d = (x[..., None] - mix.means) / mix.scale
-    with np.errstate(divide="ignore"):
-        log_terms = np.log(mix.weights) - 0.5 * d * d - np.log(mix.scale) - 0.5 * LOG_2PI
-    out = np.logaddexp.reduce(log_terms, axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
 def mixture_moments(mix: MixtureSpec) -> tuple[float, float]:
     """(mean, variance) by the law of total variance."""
     mean = float(np.dot(mix.weights, mix.means))
     second = float(np.dot(mix.weights, mix.scale ** 2 + mix.means ** 2))
     return mean, second - mean * mean
-
-
-def cell_mixture(params: ModelParams, grid: GridData, i: int, j: int) -> MixtureSpec:
-    """The mixture realized in cell (i, j) under the given parameters."""
-    mu = (
-        params.time_effect[i] * grid.cell_time[i]
-        + params.price_effect[j] * grid.cell_logprice[j]
-        + params.alpha
-    )
-    return MixtureSpec(stick_weights_from_raw(params.stick_raw[i, j]),
-                       mu, params.component_scale)
 
 
 def _prior(vec: np.ndarray, n_shared: int, k_n: int):
@@ -301,12 +276,6 @@ def _prior(vec: np.ndarray, n_shared: int, k_n: int):
     # d/d conc of [Jacobian + K log a + (a - 1) sum log(1 - gamma)]
     grad[n_shared + n_sticks:] = (1.0 - 2.0 * a) + k_n * (1.0 - a) + a * (1.0 - a) * sum_log_1mg
     return value, grad, _log_stick_break(log_x[:n_sticks].reshape(-1, k_n), log_1mg), gamma
-
-
-def log_prior(params: ModelParams) -> float:
-    """Log prior density in unconstrained coordinates (Jacobians included)."""
-    dims = params.dims
-    return _prior(params.to_vector(), dims.n_shared, dims.n_components)[0]
 
 
 def _log_sum_exp(terms: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -410,11 +379,6 @@ def log_posterior(params: ModelParams, grid: GridData) -> float:
     return Posterior(grid, params.dims, params.component_scale).logp(params.to_vector())
 
 
-def grad_log_posterior(params: ModelParams, grid: GridData) -> np.ndarray:
-    """Analytic gradient of log_posterior, flat in to_vector() order."""
-    return Posterior(grid, params.dims, params.component_scale).grad(params.to_vector())
-
-
 class Posterior:
     """Flat-vector view of the posterior for the HMC engine.
 
@@ -473,9 +437,6 @@ class Posterior:
             work=np.empty((k_n, xs.size)),
         )
         self._last = None  # (point, value, gradient) of the last pass
-
-    def params(self, vec: np.ndarray) -> ModelParams:
-        return ModelParams.from_vector(self.dims, vec, self.component_scale)
 
     def _evaluate(self, vec):
         n_active, n_coords = self.active.size, self.dims.n_coords

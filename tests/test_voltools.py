@@ -7,9 +7,10 @@ from rlvs.voltools import (
     CallGrid,
     OptionQuote,
     VolToolsError,
-    _d1_d2,
+    _d1,
     _ndtr,
-    _vega,
+    _price_vega,
+    _terms,
     bs_price,
     dupire_local_vol,
     implied_curve,
@@ -89,7 +90,8 @@ class TestBsPrice:
             s, k = rng.uniform(1, 500, 2)
             r, q = rng.uniform(-0.02, 0.1), rng.uniform(0.0, 0.05)
             t, v = rng.uniform(0.002, 5.0), rng.uniform(0.01, 5.0)
-            d1, d2 = _d1_d2(s, k, r, q, t, v)
+            d1, srt = _d1(_terms(s, k, r, q, t), v)
+            d2 = d1 - srt
             df_s, df_k = s * np.exp(-q * t), k * np.exp(-r * t)
             call = float(df_s * norm.cdf(d1) - df_k * norm.cdf(d2))
             put = float(df_k * norm.cdf(-d2) - df_s * norm.cdf(-d1))
@@ -150,7 +152,8 @@ class TestVega:
             h = v * 1e-5
             v_fd = (bs_price(s, k, r, q, t, v + h, is_call)
                     - bs_price(s, k, r, q, t, v - h, is_call)) / (2.0 * h)
-            assert _vega(s, k, r, q, t, v) == pytest.approx(v_fd, rel=1e-6, abs=1e-8)
+            assert _price_vega(_terms(s, k, r, q, t), v, True)[1] == pytest.approx(
+                v_fd, rel=1e-6, abs=1e-8)
 
     def test_call_put_vega_equal(self):
         # Put-call parity makes the call and put prices differ by a term free
@@ -161,18 +164,20 @@ class TestVega:
         p_fd = (bs_price(100.0, 90.0, 0.03, 0.01, 0.6, 0.4 + h, False)
                 - bs_price(100.0, 90.0, 0.03, 0.01, 0.6, 0.4 - h, False)) / (2.0 * h)
         assert c_fd == pytest.approx(p_fd, rel=1e-8)
-        assert _vega(100.0, 90.0, 0.03, 0.01, 0.6, 0.4) == pytest.approx(c_fd, rel=1e-8)
+        assert _price_vega(_terms(100.0, 90.0, 0.03, 0.01, 0.6), 0.4, True)[1] == pytest.approx(
+            c_fd, rel=1e-8)
 
     def test_bitwise_equal_to_scipy_norm_pdf(self):
         # norm.pdf on an array is scipy's own formula; the solver's results
-        # stay bit-identical only while _vega rounds the same way.
+        # stay bit-identical only while _price_vega rounds the same way.
         rng = np.random.default_rng(5)
         args = [(rng.uniform(1, 500), rng.uniform(1, 500), rng.uniform(-0.02, 0.1),
                  rng.uniform(0.0, 0.05), rng.uniform(0.002, 5.0), rng.uniform(0.01, 5.0))
                 for _ in range(20_000)]
-        pdf = norm.pdf(np.array([_d1_d2(*a)[0] for a in args]))
+        pdf = norm.pdf(np.array([_d1(_terms(*a[:5]), a[5])[0] for a in args]))
         for (s, k, r, q, t, v), pdf1 in zip(args, pdf):
-            assert _vega(s, k, r, q, t, v) == float(s * np.exp(-q * t) * pdf1 * np.sqrt(t))
+            assert (_price_vega(_terms(s, k, r, q, t), v, True)[1]
+                    == float(s * np.exp(-q * t) * pdf1 * np.sqrt(t)))
 
 
 def scipy_implied_vol(q):
@@ -180,7 +185,8 @@ def scipy_implied_vol(q):
     scipy, each from the quote's raw fields, as the solver did while the
     package imported scipy."""
     def price(v):
-        d1, d2 = _d1_d2(q.spot, q.strike, q.rate, q.yield_rate, q.expiry, v)
+        d1, srt = _d1(_terms(q.spot, q.strike, q.rate, q.yield_rate, q.expiry), v)
+        d2 = d1 - srt
         df_s = q.spot * np.exp(-q.yield_rate * q.expiry)
         df_k = q.strike * np.exp(-q.rate * q.expiry)
         if q.is_call:
@@ -188,7 +194,7 @@ def scipy_implied_vol(q):
         return float(df_k * ndtr(-d2) - df_s * ndtr(-d1))
 
     def vega(v):
-        d1 = _d1_d2(q.spot, q.strike, q.rate, q.yield_rate, q.expiry, v)[0]
+        d1 = _d1(_terms(q.spot, q.strike, q.rate, q.yield_rate, q.expiry), v)[0]
         pdf1 = norm.pdf(np.array([d1]))[0]
         return float(q.spot * np.exp(-q.yield_rate * q.expiry) * pdf1 * np.sqrt(q.expiry))
 
