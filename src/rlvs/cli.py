@@ -141,6 +141,10 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     if h["keep_last"] < 1:
         # draws[-0:] would keep every draw, and a negative count drop the first ones.
         raise ValueError(f"[hmc] keep_last must be >= 1, got {h['keep_last']}")
+    interval = g["resample_interval"]
+    if not interval >= 0:
+        raise ValueError(f"[grid] resample_interval must be >= 0 (0 fits at tick level), "
+                         f"got {interval}")
     session_length = cfg["synth"]["session_length"]
     series = ingest.load_ticks(ticks_path, session_length=session_length)
     late = series.times > session_length
@@ -149,8 +153,7 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
             f"{ticks_path}: a tick at time_s {series.times[late.argmax()]} falls after "
             f"the session's end, [synth] session_length = {session_length}")
 
-    interval = g["resample_interval"]
-    if interval and interval > 0:
+    if interval > 0:
         first, last = series.times[0], series.times[-1]
         series = ingest.resample(series, interval)
         if len(series) < 2:

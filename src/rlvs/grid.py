@@ -35,6 +35,12 @@ class GridSpec:
         if self.price_min < 0:
             raise GridError("price_min must be non-negative")
 
+    @property
+    def price_mid(self) -> np.ndarray:
+        """The midpoint of each price bin."""
+        width = (self.price_max - self.price_min) / self.n_price
+        return self.price_min + (np.arange(self.n_price) + 0.5) * width
+
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
         """The inverse of ``asdict``; a field it does not know is refused by name."""
@@ -162,14 +168,12 @@ def build_grid(series: TickSeries, spec: GridSpec) -> GridData:
     returns = _nest(log_ret[np.argsort(cell, kind="stable")], counts, spec)
     mask = counts.reshape(spec.n_time, spec.n_price) > 0
     cell_time = (np.arange(spec.n_time) + 0.5) / spec.n_time
-    width = (spec.price_max - spec.price_min) / spec.n_price
-    mid = spec.price_min + (np.arange(spec.n_price) + 0.5) * width
     return GridData(
         spec=spec,
         mask=mask,
         returns=returns,
         cell_time=cell_time,
-        cell_logprice=np.log(mid / series.prices[0]),
+        cell_logprice=np.log(spec.price_mid / series.prices[0]),
     )
 
 

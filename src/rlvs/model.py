@@ -176,22 +176,14 @@ def stick_break(gamma) -> np.ndarray:
     """Weights from stick fractions; the last weight absorbs the remainder.
 
     w_k = gamma_k * prod_{l<k}(1 - gamma_l) for k < K and
-    w_K = prod_{l<K}(1 - gamma_l), so the weights sum to one exactly and the
-    result is a genuine probability vector. Works on any (..., K) array.
+    w_K = prod_{l<K}(1 - gamma_l), so the weights sum to one up to rounding
+    and the result is a genuine probability vector. Works on any (..., K)
+    array, through the same log-space weights the likelihood uses.
     """
     g = np.asarray(gamma, dtype=float)
     if np.any((g <= 0.0) | (g >= 1.0)):
         raise ModelError("stick fractions must lie strictly inside (0, 1)")
-    k = g.shape[-1]
-    w = np.empty_like(g)
-    if k == 1:
-        w[..., 0] = 1.0
-        return w
-    prefix = np.cumprod(1.0 - g, axis=-1)
-    w[..., 0] = g[..., 0]
-    w[..., 1:] = g[..., 1:] * prefix[..., :-1]
-    w[..., -1] = prefix[..., -2]
-    return w
+    return np.exp(_log_stick_break(np.log(g), np.log1p(-g)))
 
 
 def _log_stick_break(log_g: np.ndarray, log_1mg: np.ndarray) -> np.ndarray:
@@ -279,26 +271,20 @@ def _prior(vec: np.ndarray, n_shared: int, k_n: int):
 
 
 def _log_sum_exp(terms: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """log(sum(exp(terms), axis=0)) for a (K, N) array, as
-    ``scipy.special.logsumexp`` 1.17 computes it (its tests compare the two);
+    """log(sum(exp(terms), axis=0)) for a (K, N) array, shifted by each
+    column's max so that no exp overflows and the largest term is exp(0);
     ``work`` is a (K, N) scratch array it overwrites.
 
-    The max element(s) of each column are left out of the shifted sum, which
-    is then ``log1p(sum / count) + log(count) + max``; columns where that is
-    not finite (every term -inf, say) fall back to the direct formula.
+    A column whose max is not finite is not shifted, so every term -inf
+    gives -inf, a +inf term +inf and a NaN NaN, as ``scipy.special.logsumexp``
+    does. Blanchard, Higham & Higham (2021), "Accurately computing the
+    log-sum-exp and softmax functions", bound this formula's error.
     """
     mx = terms.max(axis=0)
+    mx[~np.isfinite(mx)] = 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.subtract(terms, mx, out=work)
-        is_max = e == 0.0
-        np.exp(e, out=e)
-        e -= is_max  # exp(0) == 1 exactly: this takes the max elements out
-        count = is_max.sum(axis=0, dtype=float)
-        out = np.log1p(e.sum(axis=0) / count) + np.log(count) + mx
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.sum(np.exp(terms[:, bad]), axis=0))
-    return out
+        e = np.exp(np.subtract(terms, mx, out=work), out=work)
+        return np.log(e.sum(axis=0)) + mx
 
 
 class _Observed(NamedTuple):

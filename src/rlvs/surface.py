@@ -190,8 +190,6 @@ def build_surface(draws, grid: GridData, config: SurfaceConfig,
                      config.trading_days).reshape(len(use), i_n, j_n)
     vol_lo, vol_hi = credible_interval(vols, config.ci_level)
 
-    width = (spec.price_max - spec.price_min) / j_n
-    price_mid = spec.price_min + (np.arange(j_n) + 0.5) * width
     return VolSurface(
         spec=spec,
         vol_mean=vols.mean(axis=0),
@@ -199,7 +197,7 @@ def build_surface(draws, grid: GridData, config: SurfaceConfig,
         vol_hi=vol_hi,
         masked=~grid.mask,
         cell_time=grid.cell_time.copy(),
-        price_mid=price_mid,
+        price_mid=spec.price_mid,
     )
 
 

@@ -245,6 +245,19 @@ class TestFit:
             "price(s) of ticks from time_s 5.0 to 6.0; the fit needs at least 2\n")
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("interval", ["-300", "nan"])
+    def test_negative_resample_interval_refused_by_name(self, tmp_path, capsys, interval):
+        # A silent tick-level fit would pass the degenerate-file property below.
+        cfg, ticks, ckpt = tmp_path / "neg.ini", tmp_path / "t.csv", tmp_path / "ckpt.json"
+        cfg.write_text(f"[grid]\nresample_interval = {interval}\n")
+        ticks.write_text("time_s,price\n0,100\n300,101\n600,100.5\n900,101\n")
+        assert run(["fit", "--config", str(cfg), "--ticks", str(ticks), "--burn", "1",
+                    "--draws", "2", "--out", str(ckpt)]) == 1
+        assert capsys.readouterr().err == (
+            "error: [grid] resample_interval must be >= 0 (0 fits at tick level), "
+            f"got {float(interval)}\n")
+        assert not ckpt.exists()
+
 
 SHORT_SESSION = 600.0
 RLVS_DIR = Path(rlvs.__file__).resolve().parent

@@ -19,6 +19,8 @@ from rlvs.voltools import (
     save_implied_curve,
 )
 
+EPS = np.finfo(float).eps
+
 
 def flat_call_grid(sigma=0.25, spot=100.0, strikes=None, expiries=None,
                    rate=0.0, yield_rate=0.0):
@@ -84,7 +86,21 @@ class TestBsPrice:
         with pytest.raises(VolToolsError, match=f"{field} must be finite, got {bad!r}"):
             bs_price(**args)
 
-    def test_bitwise_equal_to_scipy_norm_cdf(self):
+    @pytest.mark.parametrize("spot,strike,rate,yield_rate", [
+        (100.0, 100.0, -1000.0, 0.0), (100.0, 100.0, 0.0, -1000.0), (1e-300, 1e300, 0.0, 0.0)])
+    def test_terms_past_float_range_named(self, spot, strike, rate, yield_rate):
+        # A discount factor of exp(1000), or a log-moneyness of log(0).
+        with pytest.raises(VolToolsError, match=f"rate {rate}, .* leave the float range"):
+            bs_price(spot, strike, rate, yield_rate, 1.0, 0.2)
+        quote = OptionQuote(strike, 1.0, 1.0, True, spot, rate, yield_rate)
+        with pytest.raises(VolToolsError, match="no valid quotes: .* leave the float range"):
+            implied_curve([quote, quote])
+
+    def test_within_ndtr_bound_of_scipy_norm_cdf(self):
+        # Each price carries _ndtr's bound, 4 eps (1 + d^2) relative, on the
+        # larger of its two discounted terms; measured worst 1.44 of it. Deep
+        # out of the money the two terms cancel, so relative to the price
+        # itself the worst is 9.1e-12 (a price of 1.3e-64).
         rng = np.random.default_rng(6)
         for _ in range(1000):
             s, k = rng.uniform(1, 500, 2)
@@ -93,26 +109,33 @@ class TestBsPrice:
             d1, srt = _d1(_terms(s, k, r, q, t), v)
             d2 = d1 - srt
             df_s, df_k = s * np.exp(-q * t), k * np.exp(-r * t)
-            call = float(df_s * norm.cdf(d1) - df_k * norm.cdf(d2))
-            put = float(df_k * norm.cdf(-d2) - df_s * norm.cdf(-d1))
-            assert bs_price(s, k, r, q, t, v, True) == call
-            assert bs_price(s, k, r, q, t, v, False) == put
+            bound = 4.0 * EPS * (1.0 + max(d1 * d1, d2 * d2))
+            call = (df_s * norm.cdf(d1), df_k * norm.cdf(d2))
+            put = (df_k * norm.cdf(-d2), df_s * norm.cdf(-d1))
+            for is_call, (a, b) in ((True, call), (False, put)):
+                assert abs(bs_price(s, k, r, q, t, v, is_call) - float(a - b)) <= bound * max(a, b)
 
 
 class TestNdtr:
-    def test_bitwise_equal_to_scipy_ndtr(self):
-        # The port's branch edges: |a| = 1 (erf against erfc), sqrt(2) (erfc's
-        # own erf branch), 8 sqrt(2) (erfc's two rational fits) and about
-        # 37.68, where exp(-a * a / 2) underflows.
+    def test_within_relative_bound_of_scipy_ndtr(self):
+        # Relative error within 4 eps (1 + a^2): rounding a / sqrt(2) costs
+        # about eps a^2 in the lower tail. Measured worst 2.57 (2.14 on the
+        # linspace). Results below the smallest normal double (a < -37.5)
+        # have no relative accuracy; their absolute error is within 0.3 % of
+        # it. The edges are those of scipy's cephes branches: |a| = 1,
+        # sqrt(2), 8 sqrt(2) and about 37.68, where exp(-a * a / 2) underflows.
         rng = np.random.default_rng(8)
         edges = [1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * 709.782712893384)]
         near = [sign * e + k * np.spacing(e) for e in edges for sign in (1.0, -1.0)
                 for k in range(-300, 301)]
         xs = np.concatenate([rng.normal(0.0, 3.0, 100_000), rng.uniform(-40.0, 40.0, 50_000),
-                             near, [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
-                                    np.inf, -np.inf]])
+                             near, np.linspace(-38.0, 9.0, 200_001)])
         ours = np.array([_ndtr(x) for x in xs.tolist()])
-        np.testing.assert_array_equal(ours.view(np.int64), ndtr(xs).view(np.int64))
+        ref = ndtr(xs)
+        bound = 4.0 * EPS * (1.0 + xs * xs) * ref + np.finfo(float).tiny
+        assert np.all(np.abs(ours - ref) <= bound)
+        exact = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf]
+        assert [_ndtr(x) for x in exact] == ndtr(exact).tolist()
         assert np.isnan(_ndtr(np.nan))
 
 
@@ -167,17 +190,17 @@ class TestVega:
         assert _price_vega(_terms(100.0, 90.0, 0.03, 0.01, 0.6), 0.4, True)[1] == pytest.approx(
             c_fd, rel=1e-8)
 
-    def test_bitwise_equal_to_scipy_norm_pdf(self):
-        # norm.pdf on an array is scipy's own formula; the solver's results
-        # stay bit-identical only while _price_vega rounds the same way.
+    def test_within_four_eps_of_scipy_norm_pdf(self):
+        # Measured worst relative error 5.6e-16 (2.5 eps).
         rng = np.random.default_rng(5)
         args = [(rng.uniform(1, 500), rng.uniform(1, 500), rng.uniform(-0.02, 0.1),
                  rng.uniform(0.0, 0.05), rng.uniform(0.002, 5.0), rng.uniform(0.01, 5.0))
                 for _ in range(20_000)]
         pdf = norm.pdf(np.array([_d1(_terms(*a[:5]), a[5])[0] for a in args]))
-        for (s, k, r, q, t, v), pdf1 in zip(args, pdf):
-            assert (_price_vega(_terms(s, k, r, q, t), v, True)[1]
-                    == float(s * np.exp(-q * t) * pdf1 * np.sqrt(t)))
+        ours = [_price_vega(_terms(*a[:5]), a[5], True)[1] for a in args]
+        s, _, _, q, t, _ = np.array(args).T
+        np.testing.assert_allclose(ours, s * np.exp(-q * t) * pdf * np.sqrt(t),
+                                   rtol=4.0 * EPS, atol=0.0)
 
 
 def scipy_implied_vol(q):
@@ -249,7 +272,9 @@ class TestImpliedVol:
         with pytest.raises(VolToolsError, match="upper bound"):
             implied_vol(q)
 
-    def test_bitwise_equal_to_scipy_solver(self):
+    def test_within_1e_10_of_scipy_solver(self):
+        # Measured worst 3.8e-11 in vol: inside the 1e-10 * spot price
+        # tolerance both solvers stop at.
         rng = np.random.default_rng(12)
         for _ in range(300):
             s = rng.uniform(1.0, 500.0)
@@ -258,7 +283,8 @@ class TestImpliedVol:
             is_call = bool(rng.integers(2))
             price = bs_price(s, k, r, q, t, rng.uniform(0.05, 2.0), is_call)
             quote = OptionQuote(k, t, price, is_call, s, r, q)
-            assert implied_vol(quote) == scipy_implied_vol(quote)
+            assert implied_vol(quote) == pytest.approx(scipy_implied_vol(quote), rel=0.0,
+                                                       abs=1e-10)
 
 
 class TestDupire:
