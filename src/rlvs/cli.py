@@ -39,10 +39,7 @@ DEFAULTS = {
         "resample_interval": 300.0,
         "standardize": True,
     },
-    "model": {
-        "n_components": 5,
-        "component_scale": 1.0,
-    },
+    "model": {"n_components": 5},
     "hmc": {
         "step_size": 0.01,
         "n_leapfrog": 20,
@@ -57,7 +54,6 @@ DEFAULTS = {
         "n_param_draws": 100,
         "n_returns_per_draw": 100,
         "ci_level": 0.95,
-        "trading_days": 252,
         "seed": 3,
     },
 }
@@ -85,10 +81,13 @@ def _convert(section: str, key: str, raw: str):
         raise ValueError(f"[{section}] {key}: expected a boolean, got {raw!r}")
     kind = int if isinstance(ref, int) else float  # None marks an optional float
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         expected = "an integer" if kind is int else "a number"
         raise ValueError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"[{section}] {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def load_config(path=None) -> dict:
@@ -138,6 +137,8 @@ def run_synth(cfg: dict, out_path) -> ingest.TickSeries:
 
 def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     g, m, h = cfg["grid"], cfg["model"], cfg["hmc"]
+    if not g["standardize"]:
+        raise ValueError("[grid] standardize must be true: the fit reads standardized returns")
     if h["keep_last"] < 1:
         # draws[-0:] would keep every draw, and a negative count drop the first ones.
         raise ValueError(f"[hmc] keep_last must be >= 1, got {h['keep_last']}")
@@ -174,15 +175,12 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
 
     norm = ingest.normalize_time(series)
     spec = grid_mod.GridSpec(g["n_time"], g["n_price"], pmin, pmax)
-    gdata = grid_mod.build_grid(norm, spec)
-    scale = 1.0
-    if g["standardize"]:
-        gdata, scale = grid_mod.standardize_returns(gdata)
+    gdata, scale = grid_mod.standardize_returns(grid_mod.build_grid(norm, spec))
 
     dims = model.ModelDims(g["n_time"], g["n_price"], m["n_components"])
-    post = model.Posterior(gdata, dims, m["component_scale"])
+    post = model.Posterior(gdata, dims)
     init_rng = np.random.default_rng([h["seed"], 1])  # init stream, distinct from chain
-    init = model.ModelParams.random_init(dims, init_rng, m["component_scale"])
+    init = model.ModelParams.random_init(dims, init_rng)
 
     hmc_cfg = sampler.HmcConfig(**{k: v for k, v in h.items() if k != "keep_last"})
     chain = sampler.run_chain(init.to_vector(), hmc_cfg, post)
@@ -197,9 +195,7 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
         "kind": "rlvs-checkpoint",
         "dims": {"n_time": dims.n_time, "n_price": dims.n_price,
                  "n_components": dims.n_components},
-        "component_scale": m["component_scale"],
         "standardize_scale": scale,
-        "seed": h["seed"],
         "bins_per_day": bins_per_day,
         "step_size_used": chain.step_size_used,
         "acceptance": {
@@ -208,7 +204,6 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
             "mean_abs_delta_h": report.mean_abs_delta_h,
             "n_divergent": report.n_divergent,
         },
-        "n_kept": len(kept),
         "active": post.active.tolist(),
         "draws": kept.values.tolist(),
         "grid": gdata.to_dict(),
@@ -227,6 +222,9 @@ def load_checkpoint(path) -> dict:
         raise ValueError(f"{path}: not a fit checkpoint")
     if "active" not in ckpt:
         raise ValueError(f"{path}: an older rlvs checkpoint: re-run rlvs fit")
+    if ckpt.get("component_scale", model.COMPONENT_SCALE) != model.COMPONENT_SCALE:
+        raise ValueError(f"{path}: an older rlvs checkpoint fitted at component_scale "
+                         f"{ckpt['component_scale']}: re-run rlvs fit")
     n_coords = model.ModelDims(**ckpt["dims"]).n_coords
     active = np.asarray(ckpt["active"])
     if (active.ndim != 1 or active.size == 0 or active.dtype.kind != "i"
@@ -243,16 +241,17 @@ def checkpoint_draws(ckpt: dict) -> list:
     ``active``, which ``build_surface`` never reads, are zero."""
     dims = model.ModelDims(**ckpt["dims"])
     active = np.asarray(ckpt["active"], dtype=np.intp)
-    full = np.zeros((len(ckpt["draws"]), dims.n_coords))
-    full[:, active] = np.asarray(ckpt["draws"], dtype=float).reshape(len(full), active.size)
-    return [model.ModelParams.from_vector(dims, v, ckpt["component_scale"]) for v in full]
+    values = np.asarray(ckpt["draws"], dtype=float).reshape(len(ckpt["draws"]), active.size)
+    draws = sampler.Draws(np.zeros(dims.n_coords), active, values)
+    return [model.ModelParams.from_vector(dims, v) for v in draws]
 
 
 def run_surface(cfg: dict, ckpt_path, out_path, fmt: str) -> surface_mod.VolSurface:
     ckpt = load_checkpoint(ckpt_path)
     gdata = grid_mod.GridData.from_dict(ckpt["grid"])
     draws = checkpoint_draws(ckpt)
-    surf_cfg = surface_mod.SurfaceConfig(**cfg["surface"], bins_per_day=ckpt["bins_per_day"])
+    surf_cfg = surface_mod.SurfaceConfig(**cfg["surface"], bins_per_day=ckpt["bins_per_day"],
+                                         trading_days=cfg["synth"]["trading_days"])
     surf = surface_mod.build_surface(
         draws, gdata, surf_cfg, destandardize_scale=ckpt["standardize_scale"]
     )
@@ -316,9 +315,24 @@ def run_compare(surface_path, quotes_path, spot, rate, yield_rate,
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_config(p):
+# The config flags of each staged command and the key each one sets.
+_FLAGS = {
+    "synth": {"--s0": ("synth", "s0"), "--mu": ("synth", "mu"),
+              "--sigma": ("synth", "sigma"), "--n-ticks": ("synth", "n_ticks")},
+    "fit": {"--burn": ("hmc", "n_burn"), "--draws": ("hmc", "n_draws"),
+            "--step-size": ("hmc", "step_size"), "--components": ("model", "n_components")},
+    "surface": {"--param-draws": ("surface", "n_param_draws")},
+}
+
+
+def _add_staged(sub, command, help_text):
+    """A command that resolves a config: --config, --seed and its key flags."""
+    p = sub.add_parser(command, help=help_text)
     p.add_argument("--config", help="INI config file")
     p.add_argument("--seed", type=int, help="master seed (stage seeds derive from it)")
+    for flag, (section, key) in _FLAGS[command].items():
+        p.add_argument(flag, dest=key, help=f"sets [{section}] {key}")
+    return p
 
 
 def _build_parser():
@@ -328,26 +342,14 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic tick CSV")
-    _add_config(p)
-    p.add_argument("--s0", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--n-ticks", type=int)
+    _add_staged(sub, "synth", "generate a synthetic tick CSV")
 
-    p = sub.add_parser("fit", help="fit the mixture model to a tick CSV")
-    _add_config(p)
+    p = _add_staged(sub, "fit", "fit the mixture model to a tick CSV")
     p.add_argument("--ticks", required=True, help="input tick CSV")
-    p.add_argument("--burn", type=int)
-    p.add_argument("--draws", type=int)
-    p.add_argument("--step-size", type=float)
-    p.add_argument("--components", type=int)
 
-    p = sub.add_parser("surface", help="build the volatility surface from a checkpoint")
-    _add_config(p)
+    p = _add_staged(sub, "surface", "build the volatility surface from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    p.add_argument("--param-draws", type=int)
 
     p = sub.add_parser("implied", help="implied-volatility curve from a quote CSV")
     p.add_argument("--quotes", required=True)
@@ -372,18 +374,10 @@ def _resolve(args) -> dict:
     cfg = load_config(args.config)
     if args.seed is not None:
         apply_master_seed(cfg, args.seed)
-    overrides = {
-        "s0": ("synth", "s0"), "mu": ("synth", "mu"), "sigma": ("synth", "sigma"),
-        "n_ticks": ("synth", "n_ticks"),
-        "burn": ("hmc", "n_burn"), "draws": ("hmc", "n_draws"),
-        "step_size": ("hmc", "step_size"),
-        "components": ("model", "n_components"),
-        "param_draws": ("surface", "n_param_draws"),
-    }
-    for attr, (section, key) in overrides.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg[section][key] = val
+    for section, key in _FLAGS[args.command].values():
+        raw = getattr(args, key)
+        if raw is not None:
+            cfg[section][key] = _convert(section, key, raw)
     echo_config(cfg)
     return cfg
 

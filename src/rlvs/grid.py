@@ -30,6 +30,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n_time < 1 or self.n_price < 1:
             raise GridError("grid needs at least one bin per axis")
+        for name in ("price_min", "price_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise GridError(f"{name} must be finite, got {getattr(self, name)}")
         if self.price_max <= self.price_min:
             raise GridError("price_max must exceed price_min")
         if self.price_min < 0:

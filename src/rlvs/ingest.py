@@ -34,13 +34,14 @@ class TickSeries:
         self.prices = np.asarray(self.prices, dtype=float)
         if self.times.ndim != 1 or self.times.shape != self.prices.shape:
             raise TickDataError("times and prices must be 1-d arrays of equal length")
+        if not 0 < self.session_length < np.inf:
+            raise TickDataError(
+                f"session_length must be positive and finite, got {self.session_length}")
         for name, values in (("times", self.times), ("prices", self.prices)):
             bad = ~np.isfinite(values)
             if bad.any():
                 n = int(np.argmax(bad))
                 raise TickDataError(f"tick {name} must be finite, got {values[n]} at index {n}")
-        if self.session_length <= 0:
-            raise TickDataError("session_length must be positive")
         if self.times.size:
             if np.any(np.diff(self.times) < 0):
                 raise TickDataError("tick times must be non-decreasing")
@@ -145,6 +146,8 @@ def synth_gbm_ticks(
         raise TickDataError("s0 must be positive")
     if sigma < 0:
         raise TickDataError("sigma must be non-negative")
+    if trading_days < 1:
+        raise TickDataError(f"trading_days must be >= 1, got {trading_days}")
     dt_years = 1.0 / ((n_ticks - 1) * trading_days)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n_ticks - 1)

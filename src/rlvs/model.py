@@ -32,6 +32,9 @@ from .grid import GridData
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+# The component standard deviation: 1 in the standardized returns the fit reads.
+COMPONENT_SCALE = 1.0
+
 
 def _log_expit(x):
     """log(1 / (1 + exp(-x))) without overflow.
@@ -83,9 +86,7 @@ class ModelParams:
     """Full parameter set in unconstrained coordinates.
 
     ``stick_raw`` and ``conc`` live on the real line; the constrained stick
-    fractions and concentrations are their logistic images. ``component_scale``
-    is a fixed hyperparameter (the common component standard deviation), not
-    a sampled coordinate.
+    fractions and concentrations are their logistic images.
     """
 
     time_effect: np.ndarray   # (I, K)
@@ -93,7 +94,6 @@ class ModelParams:
     alpha: np.ndarray         # (K,)
     stick_raw: np.ndarray     # (I, J, K)
     conc: np.ndarray          # (I, J)
-    component_scale: float = 1.0
 
     def __post_init__(self):
         self.time_effect = np.asarray(self.time_effect, dtype=float)
@@ -107,8 +107,6 @@ class ModelParams:
             raise ModelError("inconsistent coefficient shapes")
         if self.stick_raw.shape != (i, j, k) or self.conc.shape != (i, j):
             raise ModelError("inconsistent stick/concentration shapes")
-        if self.component_scale <= 0:
-            raise ModelError("component_scale must be positive")
         for a in (self.time_effect, self.price_effect, self.alpha, self.stick_raw, self.conc):
             if not np.all(np.isfinite(a)):
                 raise ModelError("parameters must be finite")
@@ -128,8 +126,7 @@ class ModelParams:
         ])
 
     @classmethod
-    def from_vector(cls, dims: ModelDims, vec: np.ndarray,
-                    component_scale: float = 1.0) -> "ModelParams":
+    def from_vector(cls, dims: ModelDims, vec: np.ndarray) -> "ModelParams":
         i, j, k = dims.n_time, dims.n_price, dims.n_components
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (dims.n_coords,):
@@ -141,14 +138,12 @@ class ModelParams:
             alpha=parts[2],
             stick_raw=parts[3].reshape(i, j, k),
             conc=parts[4].reshape(i, j),
-            component_scale=component_scale,
         )
 
     @classmethod
-    def random_init(cls, dims: ModelDims, rng: np.random.Generator,
-                    component_scale: float = 1.0) -> "ModelParams":
+    def random_init(cls, dims: ModelDims, rng: np.random.Generator) -> "ModelParams":
         """Independent standard-normal draws for every unconstrained coordinate."""
-        return cls.from_vector(dims, rng.standard_normal(dims.n_coords), component_scale)
+        return cls.from_vector(dims, rng.standard_normal(dims.n_coords))
 
 
 @dataclass
@@ -362,7 +357,7 @@ def log_posterior(params: ModelParams, grid: GridData) -> float:
 
     Only cells whose mask bit is set contribute likelihood.
     """
-    return Posterior(grid, params.dims, params.component_scale).logp(params.to_vector())
+    return Posterior(grid, params.dims).logp(params.to_vector())
 
 
 class Posterior:
@@ -385,7 +380,7 @@ class Posterior:
     the gradient, costs no second pass.
     """
 
-    def __init__(self, grid: GridData, dims: ModelDims, component_scale: float = 1.0):
+    def __init__(self, grid: GridData, dims: ModelDims, component_scale: float = COMPONENT_SCALE):
         if dims.n_time != grid.spec.n_time or dims.n_price != grid.spec.n_price:
             raise ModelError("model dims do not match grid spec")
         self.grid = grid

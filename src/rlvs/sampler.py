@@ -36,8 +36,8 @@ class HmcConfig:
     target_accept: float = 0.75
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise SamplerError("step_size must be positive")
+        if not 0 < self.step_size < np.inf:
+            raise SamplerError(f"step_size must be positive and finite, got {self.step_size}")
         if self.n_leapfrog < 1:
             raise SamplerError("n_leapfrog must be >= 1")
         if np.any(np.asarray(self.mass_diag) <= 0):

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .grid import GridData, GridSpec
-from .model import component_means, stick_break, stick_weights_from_raw
+from .model import COMPONENT_SCALE, component_means, stick_break, stick_weights_from_raw
 
 # Concentration pinned at its flat-prior median, stick fractions at the
 # Beta(1, concentration) median for that value: 1 - 0.5**(1/0.5) = 0.75.
@@ -185,7 +185,7 @@ def build_surface(draws, grid: GridData, config: SurfaceConfig,
         means = component_means(params, grid)
         rng = np.random.default_rng([config.seed, d])
         stds[d] = batch.sample_std(weights.reshape(-1, k), means.reshape(-1, k),
-                                   params.component_scale, rng)
+                                   COMPONENT_SCALE, rng)
     vols = annualize(stds * destandardize_scale, config.bins_per_day,
                      config.trading_days).reshape(len(use), i_n, j_n)
     vol_lo, vol_hi = credible_interval(vols, config.ci_level)

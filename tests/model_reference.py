@@ -9,7 +9,8 @@ can compare the two.
 import numpy as np
 
 from rlvs.grid import GridData
-from rlvs.model import LOG_2PI, MixtureSpec, ModelParams, stick_weights_from_raw
+from rlvs.model import (COMPONENT_SCALE, LOG_2PI, MixtureSpec, ModelParams,
+                        stick_weights_from_raw)
 
 
 def mixture_logpdf(x, mix: MixtureSpec):
@@ -22,12 +23,13 @@ def mixture_logpdf(x, mix: MixtureSpec):
     return float(out) if out.ndim == 0 else out
 
 
-def cell_mixture(params: ModelParams, grid: GridData, i: int, j: int) -> MixtureSpec:
-    """The mixture realized in cell (i, j) under the given parameters."""
+def cell_mixture(params: ModelParams, grid: GridData, i: int, j: int,
+                 scale: float = COMPONENT_SCALE) -> MixtureSpec:
+    """The mixture realized in cell (i, j) under the given parameters, with
+    component standard deviation ``scale``."""
     mu = (
         params.time_effect[i] * grid.cell_time[i]
         + params.price_effect[j] * grid.cell_logprice[j]
         + params.alpha
     )
-    return MixtureSpec(stick_weights_from_raw(params.stick_raw[i, j]),
-                       mu, params.component_scale)
+    return MixtureSpec(stick_weights_from_raw(params.stick_raw[i, j]), mu, scale)

@@ -110,9 +110,10 @@ class TestFit:
         out = capsys.readouterr().out
         assert "acceptance rate:" in out
         loaded = load_checkpoint(ckpt)
-        assert loaded["n_kept"] == 20
         assert len(loaded["draws"]) == 20
         assert loaded["dims"] == {"n_time": 3, "n_price": 3, "n_components": 2}
+        # The config block and the draws hold these; the checkpoint holds each value once.
+        assert not {"component_scale", "seed", "n_kept"} & set(loaded)
 
     def test_checkpoint_file_is_json_dumps_of_the_returned_dict(self, tmp_path, toy_cfg):
         cfg = load_config(toy_cfg)
@@ -253,9 +254,22 @@ class TestFit:
         ticks.write_text("time_s,price\n0,100\n300,101\n600,100.5\n900,101\n")
         assert run(["fit", "--config", str(cfg), "--ticks", str(ticks), "--burn", "1",
                     "--draws", "2", "--out", str(ckpt)]) == 1
+        # The config reader refuses nan before the fit's own check sees it.
         assert capsys.readouterr().err == (
+            "error: [grid] resample_interval: expected a finite number, got 'nan'\n"
+            if interval == "nan" else
             "error: [grid] resample_interval must be >= 0 (0 fits at tick level), "
             f"got {float(interval)}\n")
+        assert not ckpt.exists()
+
+    def test_unstandardized_fit_refused_before_reading_ticks(self, tmp_path, capsys):
+        # The unit component scale holds only in standardized returns.
+        cfg, ckpt = tmp_path / "raw.ini", tmp_path / "ckpt.json"
+        cfg.write_text("[grid]\nstandardize = false\n")
+        assert run(["fit", "--config", str(cfg), "--ticks", str(tmp_path / "nope.csv"),
+                    "--out", str(ckpt)]) == 1
+        assert capsys.readouterr().err == (
+            "error: [grid] standardize must be true: the fit reads standardized returns\n")
         assert not ckpt.exists()
 
 
@@ -296,7 +310,7 @@ def test_degenerate_tick_files_fit_or_are_refused_by_rlvs(ticks, k, n_time, n_pr
             assert Path(last.filename).resolve().parent == RLVS_DIR, (last, exc)
             assert last.line.startswith("raise"), (last, exc)
         else:
-            assert load_checkpoint(ckpt)["n_kept"] == 2
+            assert len(load_checkpoint(ckpt)["draws"]) == 2
 
 
 class TestSurface:
@@ -364,6 +378,46 @@ class TestSurface:
         assert capsys.readouterr().err == (
             f"error: {old}: an older rlvs checkpoint: re-run rlvs fit\n")
         assert not (tmp_path / "s.csv").exists()
+
+    def test_checkpoint_at_other_component_scale_refused_by_name(self, tmp_path, toy_cfg,
+                                                                 fitted, capsys):
+        ckpt = json.loads(fitted.read_text())
+        ckpt["component_scale"] = 0.5
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(ckpt))
+        rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(old),
+                  "--out", str(tmp_path / "s.csv")])
+        assert rc != 0
+        assert capsys.readouterr().err == (
+            f"error: {old}: an older rlvs checkpoint fitted at component_scale 0.5: "
+            "re-run rlvs fit\n")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_checkpoint_with_repeated_fields_gives_the_same_surface(self, tmp_path, toy_cfg,
+                                                                    fitted):
+        # The fields an older fit also wrote, each a copy of a value held elsewhere.
+        ckpt = json.loads(fitted.read_text())
+        ckpt.update(component_scale=1.0, seed=ckpt["config"]["hmc"]["seed"],
+                    n_kept=len(ckpt["draws"]))
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(ckpt))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path, out in ((fitted, a), (old, b)):
+            assert run(["surface", "--config", str(toy_cfg), "--checkpoint", str(path),
+                        "--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_annualizes_at_synth_trading_days(self, tmp_path, toy_cfg, fitted):
+        quartered = tmp_path / "quartered.ini"
+        quartered.write_text(
+            toy_cfg.read_text().replace("[synth]\n", "[synth]\ntrading_days = 63\n"))
+        vols = []
+        for cfg in (toy_cfg, quartered):
+            out = tmp_path / f"{cfg.stem}.json"
+            assert run(["surface", "--config", str(cfg), "--checkpoint", str(fitted),
+                        "--format", "json", "--out", str(out)]) == 0
+            vols.append(load_surface(out).vol_mean)
+        np.testing.assert_allclose(vols[1], 0.5 * vols[0], rtol=1e-12)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda c: c["active"].reverse(), "'active' is not a sorted index into 41 coordinates"),
@@ -552,11 +606,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(p)
 
-    def test_bins_per_day_key_rejected(self, tmp_path):
-        # The surface annualizes at the bins per day the fit worked out.
+    @pytest.mark.parametrize("section, key", [
+        # The surface annualizes at the bins per day the fit worked out,
+        ("surface", "bins_per_day"),
+        # with the component scale fixed at 1 in standardized returns,
+        ("model", "component_scale"),
+        # and at [synth] trading_days.
+        ("surface", "trading_days"),
+    ])
+    def test_bins_per_day_key_rejected(self, tmp_path, section, key):
         p = tmp_path / "c.ini"
-        p.write_text("[surface]\nbins_per_day = 78\n")
-        with pytest.raises(ValueError, match=r"unknown config key \[surface\] bins_per_day"):
+        p.write_text(f"[{section}]\n{key} = 78\n")
+        with pytest.raises(ValueError, match=rf"unknown config key \[{section}\] {key}"):
             load_config(p)
 
     @pytest.mark.parametrize("argv", [
@@ -585,6 +646,13 @@ class TestConfig:
     @pytest.mark.parametrize("section, key, raw, expected", [
         ("grid", "n_time", "1.5", "an integer"),
         ("hmc", "step_size", "fast", "a number"),
+        ("grid", "price_min", "nan", "a finite number"),
+        ("grid", "price_max", "inf", "a finite number"),
+        ("hmc", "step_size", "nan", "a finite number"),
+        ("hmc", "step_size", "inf", "a finite number"),
+        ("synth", "session_length", "nan", "a finite number"),
+        ("synth", "session_length", "inf", "a finite number"),
+        ("grid", "resample_interval", "inf", "a finite number"),
     ])
     def test_malformed_number_names_key(self, tmp_path, capsys, section, key, raw, expected):
         p = tmp_path / "c.ini"
@@ -592,6 +660,15 @@ class TestConfig:
         rc = main(["synth", "--config", str(p), "--out", str(tmp_path / "t.csv")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: [{section}] {key}: expected {expected}, got {raw!r}\n"
+
+    def test_non_finite_flag_names_key(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        rc = main(["fit", "--ticks", str(tmp_path / "nope.csv"), "--step-size", "nan",
+                   "--out", str(ckpt)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: [hmc] step_size: expected a finite number, got 'nan'\n")
+        assert not ckpt.exists()
 
     def test_master_seed_derivation(self):
         cfg = load_config()

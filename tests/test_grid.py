@@ -252,3 +252,13 @@ def test_spec_validation():
         GridSpec(0, 1, 0.0, 1.0)
     with pytest.raises(GridError):
         GridSpec(1, 1, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("band, message", [
+    ((np.nan, 1.0), "price_min must be finite, got nan"),
+    ((0.5, np.nan), "price_max must be finite, got nan"),
+    ((0.5, np.inf), "price_max must be finite, got inf"),
+])
+def test_spec_rejects_non_finite_band_naming_field(band, message):
+    with pytest.raises(GridError, match=f"^{message}$"):
+        GridSpec(2, 2, *band)

@@ -105,6 +105,12 @@ class TestSynthGbm:
         with pytest.raises(TickDataError):
             synth_gbm_ticks(100.0, 0.0, 0.5, 1, seed=0)
 
+    @pytest.mark.parametrize("days", [0, -5])
+    def test_trading_days_below_one_named(self, days):
+        # 0 divided by zero, and -5 took the square root of a negative step.
+        with pytest.raises(TickDataError, match=f"^trading_days must be >= 1, got {days}$"):
+            synth_gbm_ticks(100.0, 0.0, 0.5, 11, trading_days=days, seed=0)
+
 
 class TestNormalizeTime:
     def test_midpoint(self):
@@ -245,6 +251,13 @@ def test_series_rejects_unsorted_and_nonpositive():
         TickSeries(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
     with pytest.raises(TickDataError):
         TickSeries(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_series_rejects_bad_session_length_by_name(bad):
+    with pytest.raises(TickDataError,
+                       match=f"^session_length must be positive and finite, got {bad}$"):
+        TickSeries(np.array([0.0, 1.0]), np.array([1.0, 1.1]), session_length=bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -11,6 +11,7 @@ from rlvs.grid import GridData, GridSpec, build_grid, standardize_returns
 from rlvs.ingest import normalize_time, synth_gbm_ticks
 from rlvs.sampler import HmcConfig, effective_sample_size, run_chain
 from rlvs.model import (
+    COMPONENT_SCALE,
     LOG_2PI,
     MixtureSpec,
     ModelDims,
@@ -393,8 +394,10 @@ class TestPosterior:
         rng = np.random.default_rng(23)
         for scale in (0.5, 1.0, 5.0):
             v = rng.normal(scale=scale, size=dims.n_coords)
-            p = ModelParams.from_vector(dims, v, component_scale=0.8)
-            assert post.logp(v) == log_posterior(p, g)
+            p = ModelParams.from_vector(dims, v)
+            assert post.logp(v) == Posterior(g, dims, 0.8).logp(p.to_vector())
+            assert post.logp(v) == pytest.approx(_reference_log_posterior(p, g, 0.8),
+                                                 rel=1e-12)
             np.testing.assert_array_equal(post.grad(v),
                                           Posterior(g, dims, 0.8).grad(p.to_vector()))
 
@@ -443,14 +446,15 @@ class TestPosterior:
         assert len(passes) == 1 + cfg.n_leapfrog * (cfg.n_burn + cfg.n_draws)
 
 
-def _reference_log_posterior(params, grid):
-    """log_prior plus each visited cell's mixture density, cell by cell."""
+def _reference_log_posterior(params, grid, scale=COMPONENT_SCALE):
+    """log_prior plus each visited cell's mixture density, cell by cell, at
+    component standard deviation ``scale``."""
     out = log_prior(params)
     for i in range(grid.spec.n_time):
         for j in range(grid.spec.n_price):
             if grid.mask[i, j]:
                 out += float(np.sum(mixture_logpdf(np.asarray(grid.returns[i][j]),
-                                                   cell_mixture(params, grid, i, j))))
+                                                   cell_mixture(params, grid, i, j, scale))))
     return out
 
 
@@ -646,8 +650,8 @@ class TestKernel:
 class TestParamsSerialization:
     def test_vector_round_trip(self):
         dims = ModelDims(3, 4, 2)
-        p = ModelParams.random_init(dims, np.random.default_rng(20), component_scale=0.8)
-        q = ModelParams.from_vector(dims, p.to_vector(), component_scale=0.8)
+        p = ModelParams.random_init(dims, np.random.default_rng(20))
+        q = ModelParams.from_vector(dims, p.to_vector())
         np.testing.assert_array_equal(q.stick_raw, p.stick_raw)
         np.testing.assert_array_equal(q.conc, p.conc)
 

@@ -1,10 +1,13 @@
 """Every name the package exports is used by the pipeline, the benchmark or
-the acceptance criteria; a name only other tests use belongs in the tests."""
+the acceptance criteria; a name only other tests use belongs in the tests.
+Every config key is read by the pipeline."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import rlvs
+from rlvs import cli, ingest, sampler, surface
 
 SRC = Path(rlvs.__file__).resolve().parent
 ROOT = SRC.parents[1]
@@ -39,3 +42,28 @@ def test_every_export_has_a_caller_outside_the_tests():
     exports = _exports()
     assert exports
     assert [name for name in exports if name not in used] == []
+
+
+# The callees that receive a whole config section as keyword arguments.
+SECTION_CALLEES = {"synth": ingest.synth_gbm_ticks, "hmc": sampler.HmcConfig,
+                   "surface": surface.SurfaceConfig}
+
+
+def _unread_keys(defaults):
+    """The (section, key) pairs of ``defaults`` that cli.py never subscripts
+    by name, outside ``DEFAULTS``, and that the section's callee does not take."""
+    subscripted = set()
+    for node in ast.parse((SRC / "cli.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["DEFAULTS"]:
+            continue
+        subscripted |= {sub.slice.value for sub in ast.walk(node)
+                        if isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Constant)}
+    return [(section, key) for section, keys in defaults.items() for key in keys
+            if key not in subscripted and not (
+                section in SECTION_CALLEES
+                and key in inspect.signature(SECTION_CALLEES[section]).parameters)]
+
+
+def test_every_config_key_has_a_reader():
+    assert _unread_keys({"model": {"unread": 1.0}}) == [("model", "unread")]
+    assert _unread_keys(cli.DEFAULTS) == []

@@ -354,6 +354,13 @@ class TestDiagnostics:
         with pytest.raises(SamplerError):
             HmcConfig(mass_diag=-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_step_size_named(self, bad):
+        # A nan step diverges on every proposal and leaves the chain at its start.
+        with pytest.raises(SamplerError,
+                           match=f"^step_size must be positive and finite, got {bad}$"):
+            HmcConfig(step_size=bad)
+
 
 def test_effective_sample_size_iid_close_to_n():
     rng = np.random.default_rng(13)
