@@ -198,10 +198,11 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
         "standardize_scale": scale,
         "bins_per_day": bins_per_day,
         "step_size_used": chain.step_size_used,
+        # null where a statistic is not finite (no draws, every draw divergent).
         "acceptance": {
-            "rate": report.acceptance_rate,
-            "post_burn_rate": report.post_burn_rate,
-            "mean_abs_delta_h": report.mean_abs_delta_h,
+            "rate": _json_number(report.acceptance_rate),
+            "post_burn_rate": _json_number(report.post_burn_rate),
+            "mean_abs_delta_h": _json_number(report.mean_abs_delta_h),
             "n_divergent": report.n_divergent,
         },
         "active": post.active.tolist(),
@@ -210,9 +211,15 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
         "config": cfg,
     }
     with open(out_path, "w", newline="\n") as fh:
-        fh.write(json.dumps(checkpoint))  # the C encoder; json.dump streams in Python
+        # The C encoder (json.dump streams in Python); strict JSON, no NaN or Infinity.
+        fh.write(json.dumps(checkpoint, allow_nan=False))
     print(f"wrote checkpoint ({len(kept)} retained draws) to {out_path}")
     return checkpoint
+
+
+def _json_number(x: float) -> float | None:
+    """x, or None where JSON has no number for it (inf, nan)."""
+    return x if np.isfinite(x) else None
 
 
 def load_checkpoint(path) -> dict:
@@ -242,8 +249,8 @@ def checkpoint_draws(ckpt: dict) -> list:
     dims = model.ModelDims(**ckpt["dims"])
     active = np.asarray(ckpt["active"], dtype=np.intp)
     values = np.asarray(ckpt["draws"], dtype=float).reshape(len(ckpt["draws"]), active.size)
-    draws = sampler.Draws(np.zeros(dims.n_coords), active, values)
-    return [model.ModelParams.from_vector(dims, v) for v in draws]
+    full = np.asarray(sampler.Draws(np.zeros(dims.n_coords), active, values))
+    return [model.ModelParams.from_vector(dims, v) for v in full]
 
 
 def run_surface(cfg: dict, ckpt_path, out_path, fmt: str) -> surface_mod.VolSurface:

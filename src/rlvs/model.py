@@ -373,11 +373,11 @@ class Posterior:
     prior terms through the same prior function. When every cell is visited
     the two lengths are equal.
 
-    ``logp`` and ``grad`` share one kernel pass that yields both the value
-    and the gradient. The observations are cached, laid out for that kernel,
-    and the last pass is memoized on a copy of its point, so the ``logp``
-    the sampler asks for at the end of a trajectory, where it has just taken
-    the gradient, costs no second pass.
+    ``logp`` and ``grad`` each make one kernel pass, which yields both the
+    value and the gradient; the observations are cached, laid out for that
+    kernel. ``last_logp`` gives the value of the pass the last ``grad`` call
+    made, which the sampler's energy-error check reads after every leapfrog
+    step without a second pass.
     """
 
     def __init__(self, grid: GridData, dims: ModelDims, component_scale: float = COMPONENT_SCALE):
@@ -417,9 +417,10 @@ class Posterior:
             starts=np.cumsum(counts) - counts,
             work=np.empty((k_n, xs.size)),
         )
-        self._last = None  # (point, value, gradient) of the last pass
+        self._last_logp = None  # the value of the last grad call's pass
 
     def _evaluate(self, vec):
+        vec = np.asarray(vec, dtype=float)
         n_active, n_coords = self.active.size, self.dims.n_coords
         if vec.shape not in ((n_active,), (n_coords,)):
             raise ModelError(f"expected a vector of length {n_active} (the active "
@@ -435,17 +436,16 @@ class Posterior:
         grad[self._prior_only] = g_rest
         return value + v_rest, grad
 
-    def _pass(self, vec):
-        vec = np.asarray(vec, dtype=float)
-        last = self._last
-        # Bitwise comparison: -0.0 and NaN coordinates must not alias.
-        if (last is None or last[0].shape != vec.shape
-                or not (last[0].view(np.int64) == vec.view(np.int64)).all()):
-            last = self._last = (vec.copy(), *self._evaluate(vec))
-        return last
-
     def logp(self, vec: np.ndarray) -> float:
-        return self._pass(vec)[1]
+        return self._evaluate(vec)[0]
 
     def grad(self, vec: np.ndarray) -> np.ndarray:
-        return self._pass(vec)[2].copy()
+        self._last_logp, grad = self._evaluate(vec)
+        return grad
+
+    def last_logp(self) -> float:
+        """The log density at the point of the last ``grad`` call, from the
+        pass that call made."""
+        if self._last_logp is None:
+            raise ModelError("last_logp needs a grad call first")
+        return self._last_logp

@@ -6,10 +6,16 @@ The engine is target-agnostic: anything exposing ``logp(q) -> float`` and
 ``model.Posterior``, plain Gaussians in tests). Potential energy is
 U(q) = -logp(q); momenta are drawn from N(0, M) with diagonal mass M.
 The gradient at the current point is carried from one iteration to the
-next, so an iteration of n leapfrog steps evaluates ``grad`` n times. A
-target that also exposes ``active``, an index into the position vector, is
-integrated on those coordinates alone; ``logp`` and ``grad`` then see
-vectors of that length.
+next, so an iteration of n leapfrog steps evaluates ``grad`` at most n
+times. After each step the energy error H - H0 is taken at the full-step
+momentum; once it is not at most ``MAX_DELTA_H`` the trajectory stops there
+and is rejected as divergent, as Stan does. That check reads the log
+density at every step: a target that also exposes ``last_logp()``, the log
+density at the point of its last ``grad`` call (``model.Posterior``), gives
+it from the same evaluation; any other is asked for ``logp(q)`` after each
+``grad(q)``. A target that also exposes ``active``, an index into the
+position vector, is integrated on those coordinates alone; ``logp`` and
+``grad`` then see vectors of that length.
 """
 
 from __future__ import annotations
@@ -18,6 +24,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Stan's threshold on the energy error H - H0 of a trajectory (Stan Reference
+# Manual, "Divergent transitions"). exp(-1000) is 0 in floating point, so a
+# trajectory past it could only end in a rejection.
+MAX_DELTA_H = 1000.0
 
 
 class SamplerError(ValueError):
@@ -82,8 +93,11 @@ class Draws(Sequence):
 class Chain:
     """Retained draws plus per-proposal bookkeeping (burn-in included).
 
-    ``n_grad`` counts the gradient evaluations of the whole run, the start
-    point's and those of trajectories stopped early by divergence included.
+    A divergent proposal, one stopped at an energy error above
+    ``MAX_DELTA_H`` or at a non-finite state, records ``delta_h`` inf.
+    ``n_grad`` counts the gradient evaluations of the whole run: the start
+    point's, then one per leapfrog step taken, so a stopped trajectory counts
+    its steps up to the stop.
     """
 
     draws: Sequence = field(default_factory=list)
@@ -120,43 +134,63 @@ def kinetic(p: np.ndarray, mass_diag) -> float:
     return 0.5 * float(np.sum(p * p / np.asarray(mass_diag, dtype=float)))
 
 
-def _integrate(q, p, grad_q, target, step_size: float, n_steps: int, inv_mass):
-    """Leapfrog from (q, p) given the gradient at q; returns
-    (q, p, gradient at the returned q, diverged).
+def _logp_reader(target):
+    """The function of q that gives logp(q) right after ``target.grad(q)``."""
+    last_logp = getattr(target, "last_logp", None)
+    return target.logp if last_logp is None else lambda q: last_logp()
 
-    Each step evaluates the gradient once. A non-finite state anywhere along
-    the trajectory flags divergence and stops integration early; the
-    gradient returned then is of no use.
+
+def _integrate(q, p, grad_q, target, step_size: float, n_steps: int, mass, h0: float,
+               max_delta_h: float):
+    """Leapfrog from (q, p), given the gradient at q and the Hamiltonian h0
+    there; returns (q, p, logp, gradient, delta_h) at the end.
+
+    Each step evaluates the gradient once. After it, the energy error
+    delta_h = K(p) - logp(q) - h0 is taken at the full-step momentum, with
+    logp from the same evaluation. Once it is not in (-inf, max_delta_h] (a
+    non-finite momentum or log density included), or a position is not
+    finite, integration stops and delta_h is returned as inf: the trajectory
+    is divergent, and the other values returned are of no use.
     """
     if n_steps < 1:
         raise SamplerError("leapfrog needs n_steps >= 1")
     if step_size < 0:
         raise SamplerError("step_size must be non-negative")
+    logp_at = _logp_reader(target)
+    half = 0.5 * step_size
+    drift = step_size * (1.0 / mass)
     g = grad_q
     with np.errstate(over="ignore", invalid="ignore"):
-        p = p + 0.5 * step_size * g
-        for step in range(n_steps):
-            q = q + step_size * inv_mass * p
-            if not (np.isfinite(q).all() and np.isfinite(p).all()):
-                return q, p, g, True
+        p = p + half * g
+        for _ in range(n_steps):
+            q = q + drift * p
+            if not np.isfinite(q).all():
+                return q, p, None, g, np.inf
             g = target.grad(q)
-            p = p + (step_size if step < n_steps - 1 else 0.5 * step_size) * g
-        if not (np.isfinite(q).all() and np.isfinite(p).all()):
-            return q, p, g, True
-    return q, p, g, False
+            logp = logp_at(q)
+            p_end = p + half * g
+            delta_h = kinetic(p_end, mass) - logp - h0
+            if not -np.inf < delta_h <= max_delta_h:
+                return q, p_end, logp, g, np.inf
+            p = p + step_size * g
+    return q, p_end, logp, g, delta_h
 
 
 def leapfrog(q, p, target, step_size: float, n_steps: int, mass_diag):
     """Half/full/half leapfrog; returns (q, p, diverged).
 
-    A non-finite state anywhere along the trajectory flags divergence and
-    stops integration early (the proposal is then rejected upstream).
+    A non-finite state or energy anywhere along the trajectory flags
+    divergence and stops integration early (the proposal is then rejected
+    upstream). No finite energy error stops it: ``MAX_DELTA_H`` is
+    ``hmc_step``'s.
     """
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
-    inv_mass = 1.0 / np.asarray(mass_diag, dtype=float)
-    q, p, _, diverged = _integrate(q, p, target.grad(q), target, step_size, n_steps, inv_mass)
-    return q, p, diverged
+    mass = np.asarray(mass_diag, dtype=float)
+    g = target.grad(q)
+    h0 = kinetic(p, mass) - _logp_reader(target)(q)
+    q, p, _, _, delta_h = _integrate(q, p, g, target, step_size, n_steps, mass, h0, np.inf)
+    return q, p, delta_h == np.inf
 
 
 def hmc_step(q, logp_q: float, grad_q, target, rng: np.random.Generator,
@@ -164,26 +198,23 @@ def hmc_step(q, logp_q: float, grad_q, target, rng: np.random.Generator,
     """One momentum-refresh / leapfrog / Metropolis cycle from q, whose log
     density and gradient the caller already has.
 
-    Returns (q, logp_q, grad_q, accepted, delta_h, diverged). On rejection
-    the position and gradient objects are returned untouched. The only
-    ``logp`` call is at the end of the trajectory, where ``grad`` was just
-    evaluated.
+    Returns (q, logp_q, grad_q, accepted, delta_h, diverged). A trajectory
+    whose energy error leaves (-inf, MAX_DELTA_H] after some step, or whose
+    position stops being finite, is stopped there and is divergent: it is
+    rejected with delta_h = inf. On rejection the position and gradient
+    objects are returned untouched. The uniform of the Metropolis test is
+    drawn after integration whether or not the trajectory was stopped.
     """
     mass = np.asarray(mass_diag, dtype=float)
     p0 = rng.standard_normal(np.shape(q)) * np.sqrt(mass)
     h0 = kinetic(p0, mass) - logp_q
 
-    q_new, p_new, g_new, diverged = _integrate(
-        np.asarray(q, dtype=float), p0, grad_q, target, step_size, n_leapfrog, 1.0 / mass)
+    q_new, _, logp_new, g_new, delta_h = _integrate(
+        np.asarray(q, dtype=float), p0, grad_q, target, step_size, n_leapfrog, mass, h0,
+        MAX_DELTA_H)
     u = rng.random()
-    if diverged:
-        return q, logp_q, grad_q, False, float("inf"), True
-
-    logp_new = target.logp(q_new)
-    h1 = kinetic(p_new, mass) - logp_new
-    delta_h = h1 - h0
-    if not np.isfinite(delta_h):
-        return q, logp_q, grad_q, False, float("inf"), True
+    if delta_h == np.inf:
+        return q, logp_q, grad_q, False, delta_h, True
     if u < np.exp(min(0.0, -delta_h)):
         return q_new, logp_new, g_new, True, delta_h, False
     return q, logp_q, grad_q, False, delta_h, False
@@ -221,6 +252,8 @@ class _Counted:
     def __init__(self, target):
         self.target = target
         self.n_grad = 0
+        if hasattr(target, "last_logp"):
+            self.last_logp = target.last_logp
 
     def logp(self, q):
         return self.target.logp(q)
@@ -251,10 +284,10 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
     if mass.ndim:
         mass = mass[active]
     target = _Counted(target)
-    logp_q = target.logp(q)
+    grad_q = target.grad(q)
+    logp_q = _logp_reader(target)(q)
     if not np.isfinite(logp_q):
         raise SamplerError("initial point has non-finite log density")
-    grad_q = target.grad(q)
 
     total = config.n_burn + config.n_draws
     accept = np.zeros(total, dtype=bool)
@@ -296,10 +329,12 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
 def diagnostics(chain: Chain) -> DiagnosticsReport:
     """Acceptance rate over the full run, mean |dH|, divergence count.
 
-    mean |dH| is taken over the post-burn steps (burn-in steps from a cold
-    start can carry astronomically large but finite energy errors that would
-    swamp the average); it falls back to the full run when nothing was
-    retained.
+    mean |dH| is taken over the post-burn iterations that did not diverge
+    (burn-in from a cold start would swamp the average); it falls back to
+    the full run when nothing was retained, and is inf when every iteration
+    it covers diverged. The divergence count covers the whole run: the
+    trajectories stopped at an energy error above ``MAX_DELTA_H`` or at a
+    non-finite state.
     """
     total = chain.accept_flags.size
     if total == 0:

@@ -122,6 +122,25 @@ class TestFit:
         returned = cli.run_fit(cfg, ticks, ckpt)
         assert ckpt.read_text() == json.dumps(returned)
 
+    @pytest.mark.parametrize("n_draws", [0, 20])
+    def test_fully_divergent_checkpoint_is_strict_json(self, tmp_path, toy_cfg, n_draws):
+        # At step 50 every trajectory passes the energy-error threshold, so
+        # mean |dH| has no finite term; with no draws the post-burn rate is
+        # undefined too. Both are written as null, not as NaN or Infinity.
+        cfg = load_config(toy_cfg)
+        cfg["hmc"].update(step_size=50.0, adapt_step_size=False, n_burn=5, n_draws=n_draws)
+        ticks, ckpt = tmp_path / "ticks.csv", tmp_path / "ckpt.json"
+        cli.run_synth(cfg, ticks)
+        cli.run_fit(cfg, ticks, ckpt)
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        acc = json.loads(ckpt.read_text(), parse_constant=refuse)["acceptance"]
+        assert acc["n_divergent"] == 5 + n_draws
+        assert acc["rate"] == 0.0 and acc["mean_abs_delta_h"] is None
+        assert acc["post_burn_rate"] == (None if n_draws == 0 else 0.0)
+
     @pytest.mark.parametrize("keep", [0, -5])
     def test_keep_last_below_one_refused_before_fitting(self, tmp_path, capsys, keep):
         # draws[-0:] would write every draw, and draws[5:] drop the first five.

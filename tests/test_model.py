@@ -415,6 +415,7 @@ class TestPosterior:
         v1, v2 = rng.normal(size=(2, dims.n_coords))
         post.grad(v1)
         assert post.logp(v2) == fresh(v2)[0]
+        assert post.last_logp() == fresh(v1)[0]  # the last grad call's, not logp's
         np.testing.assert_array_equal(post.grad(v1), fresh(v1)[1])
 
         # The caller mutates its vector in place between calls.
@@ -424,10 +425,15 @@ class TestPosterior:
         assert post.logp(v) == fresh(v)[0]
         np.testing.assert_array_equal(post.grad(v), fresh(v)[1])
 
-        # Mutating a returned gradient does not reach the memo.
+        # Mutating a returned gradient does not reach the next call's.
         grad = post.grad(v)
         grad[:] = 0.0
         np.testing.assert_array_equal(post.grad(v), fresh(v)[1])
+
+    def test_last_logp_needs_a_grad_call(self):
+        post = Posterior(toy_grid(seed=24), ModelDims(3, 3, 3))
+        with pytest.raises(ModelError, match="last_logp needs a grad call first"):
+            post.last_logp()
 
     @pytest.mark.parametrize("step_size, accept_rate", [(0.005, 1.0), (0.6, 0.0)])
     def test_one_kernel_pass_per_leapfrog_step(self, monkeypatch, step_size, accept_rate):
@@ -441,9 +447,42 @@ class TestPosterior:
         cfg = HmcConfig(step_size=step_size, n_leapfrog=6, n_burn=4, n_draws=5, seed=27)
         init = np.random.default_rng(28).normal(scale=0.1, size=dims.n_coords)
         chain = run_chain(init, cfg, post)
-        assert not chain.divergent.any()
         assert chain.accept_flags.mean() == accept_rate
-        assert len(passes) == 1 + cfg.n_leapfrog * (cfg.n_burn + cfg.n_draws)
+        # One pass per leapfrog step taken. At 0.6 every trajectory passes
+        # the energy-error threshold and stops early.
+        assert len(passes) == chain.n_grad
+        full = 1 + cfg.n_leapfrog * (cfg.n_burn + cfg.n_draws)
+        if accept_rate:
+            assert not chain.divergent.any() and chain.n_grad == full
+        else:
+            assert chain.divergent.all() and chain.n_grad < full
+
+    @pytest.mark.parametrize("step_size", [0.005, 0.6])
+    def test_every_sampler_pass_goes_through_grad(self, monkeypatch, step_size):
+        # A profiler that counts the model's work by the calls to
+        # Posterior.grad, as perfbench's tracer does, sees every kernel pass
+        # run_chain makes, one per leapfrog step taken: no pass is made only
+        # for the value the energy check reads.
+        g = toy_grid(seed=26)
+        dims = ModelDims(3, 3, 2)
+        post = Posterior(g, dims)
+        events = []
+        kernel = model._value_and_grad
+        monkeypatch.setattr(model, "_value_and_grad",
+                            lambda *a: events.append("pass") or kernel(*a))
+        grad = Posterior.grad
+
+        def traced(self, vec):
+            events.append("grad")
+            out = grad(self, vec)
+            events.append("end")
+            return out
+
+        monkeypatch.setattr(Posterior, "grad", traced)
+        cfg = HmcConfig(step_size=step_size, n_leapfrog=6, n_burn=4, n_draws=5, seed=27)
+        init = np.random.default_rng(28).normal(scale=0.1, size=dims.n_coords)
+        chain = run_chain(init, cfg, post)
+        assert events == ["grad", "pass", "end"] * chain.n_grad
 
 
 def _reference_log_posterior(params, grid, scale=COMPONENT_SCALE):
@@ -678,6 +717,7 @@ class FullLength:
     def __init__(self, post):
         self.logp = post.logp
         self.grad = post.grad
+        self.last_logp = post.last_logp
 
 
 def predictive_vols(draws, grid, dims):

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import kstest
 
 from rlvs.sampler import (
+    MAX_DELTA_H,
     Chain,
     HmcConfig,
     SamplerError,
@@ -42,6 +43,55 @@ class CountingGaussian(Gaussian):
     def grad(self, q):
         self.n_grad += 1
         return super().grad(q)
+
+
+class StiffGaussian(Gaussian):
+    """A Gaussian in 3 dimensions whose last coordinate has standard
+    deviation 0.1: leapfrog is stable on it only for steps below 0.2."""
+
+    prec = np.array([1.0, 1.0, 100.0])
+
+    def __init__(self):
+        super().__init__(3)
+
+    def logp(self, q):
+        return -0.5 * float(q @ (self.prec * q))
+
+    def grad(self, q):
+        return -self.prec * np.asarray(q, dtype=float)
+
+
+def reference_chain(t, cfg, init):
+    """The chain ``run_chain`` must give on ``t`` (no ``active``, unit mass,
+    no adaptation), built from the public leapfrog and manual acceptance.
+
+    The state after k steps of a trajectory, at its full-step momentum, is
+    the end of a k-step leapfrog from the trajectory's start; a trajectory
+    stops at the first k whose energy error passes MAX_DELTA_H. Returns the
+    draws, accept flags, divergent flags and gradient evaluations: the start
+    point's, then one per step taken.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    q = np.array(init, dtype=float)
+    draws, accepted, divergent, n_grad = [], [], [], 1
+    for it in range(cfg.n_burn + cfg.n_draws):
+        p0 = rng.standard_normal(q.size)
+        h0 = kinetic(p0, 1.0) - t.logp(q)
+        for k in range(1, cfg.n_leapfrog + 1):
+            q_new, p_new, _ = leapfrog(q, p0, t, cfg.step_size, k, 1.0)
+            dh = kinetic(p_new, 1.0) - t.logp(q_new) - h0
+            if not dh <= MAX_DELTA_H:
+                break
+        n_grad += k
+        div = not dh <= MAX_DELTA_H
+        acc = rng.random() < np.exp(min(0.0, -dh)) and not div
+        if acc:
+            q = q_new
+        accepted.append(acc)
+        divergent.append(div)
+        if it >= cfg.n_burn:
+            draws.append(q)
+    return np.array(draws), np.array(accepted), np.array(divergent), n_grad
 
 
 class Quadratic1D:
@@ -164,6 +214,30 @@ class TestHmcStep:
             acc += a
         assert 0.8 <= acc / 2000 <= 1.0
 
+    def test_stopped_trajectory_rejected_with_callers_objects(self):
+        # Past the stability limit of 2 the energy error grows about 16-fold
+        # a step: the trajectory stops once it passes MAX_DELTA_H, after the
+        # steps a step-by-step replay needs to get there, not all 40.
+        t = CountingGaussian(2)
+        q = np.array([0.1, 0.2])
+        logp, grad = t.logp(q), t.grad(q)
+        t.n_grad = t.n_logp = 0
+        p0 = np.random.default_rng(5).standard_normal(2)
+        h0 = kinetic(p0, 1.0) - logp
+        errors = [kinetic(p, 1.0) - Gaussian(2).logp(qk) - h0
+                  for qk, p, _ in (leapfrog(q, p0, Gaussian(2), 2.5, k, 1.0)
+                                   for k in range(1, 41))]
+        steps = 1 + int(np.argmax(np.array(errors) > MAX_DELTA_H))
+        assert 1 < steps < 40 and errors[steps - 2] <= MAX_DELTA_H
+
+        q2, logp2, grad2, acc, dh, div = hmc_step(
+            q, logp, grad, t, np.random.default_rng(5), 2.5, 40, 1.0)
+        assert div and not acc and dh == np.inf
+        assert q2 is q and grad2 is grad and logp2 == logp
+        np.testing.assert_array_equal(q, [0.1, 0.2])
+        np.testing.assert_array_equal(grad, [-0.1, -0.2])
+        assert t.n_grad == t.n_logp == steps
+
     def test_rejected_step_keeps_q_bit_identical(self):
         t = Gaussian(2)
         rng = np.random.default_rng(4)
@@ -192,12 +266,20 @@ class TestRunChain:
 
     @pytest.mark.parametrize("step_size", [0.2, 2.5])
     def test_one_gradient_per_leapfrog_step(self, step_size):
+        # One grad per leapfrog step taken, and one logp after each grad for
+        # the energy check. Past the stability limit of 2 every trajectory
+        # stops early at the check.
         t = CountingGaussian(3)
         cfg = HmcConfig(step_size=step_size, n_leapfrog=7, n_burn=6, n_draws=9, seed=15)
         ch = run_chain(np.zeros(3), cfg, t)
-        assert not ch.divergent.any()
-        assert t.n_grad == ch.n_grad == 1 + cfg.n_leapfrog * (cfg.n_burn + cfg.n_draws)
-        assert t.n_logp == 1 + cfg.n_burn + cfg.n_draws
+        _, _, divergent, n_grad = reference_chain(Gaussian(3), cfg, np.zeros(3))
+        np.testing.assert_array_equal(ch.divergent, divergent)
+        assert t.n_grad == t.n_logp == ch.n_grad == n_grad
+        full = 1 + cfg.n_leapfrog * (cfg.n_burn + cfg.n_draws)
+        if step_size < 2.0:
+            assert not ch.divergent.any() and n_grad == full
+        else:
+            assert ch.divergent.all() and n_grad < full
 
     def test_carried_gradient_leaves_chain_unchanged(self):
         # The same chain with the gradient at the start point evaluated
@@ -216,6 +298,20 @@ class TestRunChain:
             draws.append(q)
         np.testing.assert_array_equal(np.array(ch.draws), np.array(draws))
         assert 0.0 < ch.accept_flags.mean() < 1.0
+
+    def test_stopped_trajectories_leave_chain_as_reference(self):
+        # A step at the stiff coordinate's stability limit: some
+        # trajectories stop at the energy check, some are accepted.
+        t = StiffGaussian()
+        cfg = HmcConfig(step_size=0.2, n_leapfrog=20, n_burn=0, n_draws=60, seed=16)
+        ch = run_chain(np.full(3, 0.5), cfg, t)
+        draws, accepted, divergent, n_grad = reference_chain(t, cfg, np.full(3, 0.5))
+        np.testing.assert_array_equal(np.array(ch.draws), draws)
+        np.testing.assert_array_equal(ch.accept_flags, accepted)
+        np.testing.assert_array_equal(ch.divergent, divergent)
+        assert ch.n_grad == n_grad
+        assert np.all(ch.delta_h[divergent] == np.inf) and np.isfinite(ch.delta_h[~divergent]).all()
+        assert 0 < divergent.sum() < divergent.size and accepted.any()
 
     def test_zero_draws(self):
         t = Gaussian(1)
@@ -293,7 +389,8 @@ class TestActiveTarget:
         np.testing.assert_array_equal(draws[:, active], np.array(ref.draws))
         assert np.all(draws[:, [1, 3]] == init[[1, 3]])
         np.testing.assert_array_equal(ch.accept_flags, ref.accept_flags)
-        assert ch.n_grad == ref.n_grad == 1 + 6 * 70
+        np.testing.assert_array_equal(ch.divergent, ref.divergent)
+        assert ch.n_grad == ref.n_grad
 
     def test_draws_hold_only_active_coordinates(self):
         # One (n_draws, n_active) array; a draw, a slice and the whole set
