@@ -166,12 +166,14 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     else:
         bins_per_day = len(series) - 1  # build_grid refuses fewer than 2 ticks
 
-    pmin = g["price_min"] if g["price_min"] is not None else float(series.prices.min())
-    pmax = g["price_max"] if g["price_max"] is not None else float(series.prices.max())
+    lo, hi = float(series.prices.min()), float(series.prices.max())
+    pmin = lo if g["price_min"] is None else g["price_min"]
+    pmax = hi if g["price_max"] is None else g["price_max"]
     if pmax <= pmin:
-        # Constant-price sessions: widen the band so the pipeline reaches the
-        # standardization stage, which reports the degenerate-volatility error.
-        pmax = pmin + max(abs(pmin) * 1e-9, 1e-9)
+        prices = (f"are all {lo}: volatility is degenerate" if lo == hi
+                  else f"span [{lo}, {hi}]")
+        raise ValueError(f"{ticks_path}: the price band [{pmin}, {pmax}] of [grid] price_min "
+                         f"and price_max is empty; the session's prices {prices}")
 
     norm = ingest.normalize_time(series)
     spec = grid_mod.GridSpec(g["n_time"], g["n_price"], pmin, pmax)
@@ -205,7 +207,6 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
             "mean_abs_delta_h": _json_number(report.mean_abs_delta_h),
             "n_divergent": report.n_divergent,
         },
-        "active": post.active.tolist(),
         "draws": kept.values.tolist(),
         "grid": gdata.to_dict(),
         "config": cfg,
@@ -223,40 +224,54 @@ def _json_number(x: float) -> float | None:
 
 
 def load_checkpoint(path) -> dict:
+    """The fit checkpoint at ``path``, refused with its path and the field at
+    fault where a value ``run_surface`` reads is missing or out of range;
+    ``run_surface`` checks the grid and the draws as it parses them."""
     with open(path) as fh:
-        ckpt = json.load(fh)
-    if ckpt.get("kind") != "rlvs-checkpoint":
+        try:
+            ckpt = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(ckpt, dict) or ckpt.get("kind") != "rlvs-checkpoint":
         raise ValueError(f"{path}: not a fit checkpoint")
-    if "active" not in ckpt:
-        raise ValueError(f"{path}: an older rlvs checkpoint: re-run rlvs fit")
     if ckpt.get("component_scale", model.COMPONENT_SCALE) != model.COMPONENT_SCALE:
         raise ValueError(f"{path}: an older rlvs checkpoint fitted at component_scale "
                          f"{ckpt['component_scale']}: re-run rlvs fit")
-    n_coords = model.ModelDims(**ckpt["dims"]).n_coords
-    active = np.asarray(ckpt["active"])
-    if (active.ndim != 1 or active.size == 0 or active.dtype.kind != "i"
-            or active[0] < 0 or active[-1] >= n_coords or np.any(np.diff(active) <= 0)):
-        raise ValueError(
-            f"{path}: 'active' is not a sorted index into {n_coords} coordinates")
-    if any(len(d) != active.size for d in ckpt["draws"]):
-        raise ValueError(f"{path}: a draw is not of length {active.size}, the size of 'active'")
+    missing = [k for k in ("dims", "standardize_scale", "bins_per_day", "draws", "grid")
+               if k not in ckpt]
+    if missing:
+        raise ValueError(f"{path}: missing field {', '.join(map(repr, missing))}")
+    scale, bins = ckpt["standardize_scale"], ckpt["bins_per_day"]
+    if not isinstance(scale, (int, float)) or not 0 < scale < np.inf:
+        raise ValueError(f"{path}: standardize_scale must be positive and finite, got {scale}")
+    if not isinstance(bins, int) or bins < 1:
+        raise ValueError(f"{path}: bins_per_day must be an integer >= 1, got {bins}")
     return ckpt
 
 
 def checkpoint_draws(ckpt: dict) -> list:
-    """The checkpoint's draws as full ``ModelParams``; the coordinates outside
-    ``active``, which ``build_surface`` never reads, are zero."""
+    """The checkpoint's draws as full ``ModelParams``. A draw holds the
+    coordinates ``ModelDims.active`` derives from the dims and the grid's
+    mask; the others, which ``build_surface`` never reads, are zero."""
     dims = model.ModelDims(**ckpt["dims"])
-    active = np.asarray(ckpt["active"], dtype=np.intp)
-    values = np.asarray(ckpt["draws"], dtype=float).reshape(len(ckpt["draws"]), active.size)
+    active = dims.active(ckpt["grid"]["mask"])
+    if any(len(d) != active.size for d in ckpt["draws"]):
+        raise ValueError(f"a draw is not of length {active.size}, the number of coordinates "
+                         "the dims and the grid's mask leave the sampler")
+    values = np.asarray(ckpt["draws"], dtype=float).reshape(-1, active.size)
+    if not np.isfinite(values).all():
+        raise ValueError("a draw holds a value that is not finite")
     full = np.asarray(sampler.Draws(np.zeros(dims.n_coords), active, values))
     return [model.ModelParams.from_vector(dims, v) for v in full]
 
 
 def run_surface(cfg: dict, ckpt_path, out_path, fmt: str) -> surface_mod.VolSurface:
     ckpt = load_checkpoint(ckpt_path)
-    gdata = grid_mod.GridData.from_dict(ckpt["grid"])
-    draws = checkpoint_draws(ckpt)
+    try:
+        gdata = grid_mod.GridData.from_dict(ckpt["grid"])
+        draws = checkpoint_draws(ckpt)
+    except ValueError as exc:
+        raise ValueError(f"{ckpt_path}: {exc}") from None
     surf_cfg = surface_mod.SurfaceConfig(**cfg["surface"], bins_per_day=ckpt["bins_per_day"],
                                          trading_days=cfg["synth"]["trading_days"])
     surf = surface_mod.build_surface(

@@ -91,7 +91,8 @@ class GridData:
         return sum(len(c) for row in self.returns for c in row)
 
     def observations(self):
-        """Flatten stored returns to (values, i_index, j_index) in cell order.
+        """The visited cells' returns end to end, their row-major flat indices,
+        and how many returns each holds: (xs, cells, counts).
 
         The mask is the authoritative filter: cells with a False mask bit
         contribute nothing even if their lists hold data.
@@ -99,8 +100,7 @@ class GridData:
         j_n = self.spec.n_price
         cells = np.flatnonzero(self.mask)
         xs, counts = _flatten([self.returns[c // j_n][c % j_n] for c in cells])
-        ci, cj = np.divmod(np.repeat(cells, counts), j_n)
-        return xs, ci, cj
+        return xs, cells, counts
 
     def to_dict(self) -> dict:
         return {

@@ -80,6 +80,18 @@ class ModelDims:
     def n_coords(self) -> int:
         return self.n_shared + self.n_time * self.n_price * (self.n_components + 1)
 
+    def active(self, mask) -> np.ndarray:
+        """The sorted ``to_vector()`` indices of the coordinates the data reach
+        on a grid with visited-cell ``mask``: the mean coefficients, then each
+        visited cell's K stick coordinates, then their concentrations."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (self.n_time, self.n_price):
+            raise ModelError(f"dims n_time = {self.n_time}, n_price = {self.n_price} do not "
+                             f"match the grid's {' x '.join(map(str, mask.shape))} cells")
+        visited = mask.ravel()
+        return np.flatnonzero(np.concatenate([np.ones(self.n_shared, dtype=bool),
+                                              np.repeat(visited, self.n_components), visited]))
+
 
 @dataclass
 class ModelParams:
@@ -364,49 +376,38 @@ class Posterior:
     """Flat-vector view of the posterior for the HMC engine.
 
     The coordinates of a cell the path never visited appear only in that
-    cell's own prior terms, so the posterior factorizes: ``active`` holds the
-    sorted indices, into ``ModelParams.to_vector()`` order, of the rest (the
-    (I + J + 1) K mean coefficients, then the K stick coordinates and the
-    concentration of each visited cell), and the sampler integrates only
+    cell's own prior terms, so the posterior factorizes: ``active``, from
+    ``ModelDims.active``, indexes the rest, and the sampler integrates only
     those. ``logp`` and ``grad`` take a vector of ``active`` length, or of
     length ``dims.n_coords``, whose prior-only coordinates then add their
     prior terms through the same prior function. When every cell is visited
     the two lengths are equal.
 
-    ``logp`` and ``grad`` each make one kernel pass, which yields both the
-    value and the gradient; the observations are cached, laid out for that
-    kernel. ``last_logp`` gives the value of the pass the last ``grad`` call
-    made, which the sampler's energy-error check reads after every leapfrog
-    step without a second pass.
+    ``logp`` and ``grad`` each make one kernel pass over the grid's
+    ``observations()``, which yields both the value and the gradient.
+    ``last_logp`` gives the value of the pass the last ``grad`` call made,
+    which the sampler's energy-error check reads after every leapfrog step
+    without a second pass.
     """
 
     def __init__(self, grid: GridData, dims: ModelDims, component_scale: float = COMPONENT_SCALE):
-        if dims.n_time != grid.spec.n_time or dims.n_price != grid.spec.n_price:
-            raise ModelError("model dims do not match grid spec")
+        self.active = dims.active(grid.mask)
+        self.active.flags.writeable = False
         self.grid = grid
         self.dims = dims
         self.component_scale = float(component_scale)
-        i_n, j_n, k_n = dims.n_time, dims.n_price, dims.n_components
-        n_shared, n_cells = dims.n_shared, i_n * j_n
-        cells = np.flatnonzero(grid.mask)  # visited, row-major
-        self.active = np.concatenate([
-            np.arange(n_shared),
-            (n_shared + cells[:, None] * k_n + np.arange(k_n)).ravel(),
-            n_shared + n_cells * k_n + cells,
-        ])
-        self.active.flags.writeable = False
         self._prior_only = np.setdiff1d(np.arange(dims.n_coords), self.active,
                                         assume_unique=True)
 
+        i_n, j_n, k_n = dims.n_time, dims.n_price, dims.n_components
+        xs, cells, counts = grid.observations()
         ci, cj = np.divmod(cells, j_n)
         rows = np.stack([ci, i_n + cj, np.full_like(ci, i_n + j_n)])
-        xs, oi, oj = grid.observations()
-        counts = np.bincount(oi * j_n + oj, minlength=n_cells)[cells]
         if cells.size and counts.min() == 0:
             v = int(np.argmin(counts))
             raise ModelError(f"visited cell ({ci[v]}, {cj[v]}) holds no returns")
         self._obs = _Observed(
-            n_shared=n_shared,
+            n_shared=dims.n_shared,
             n_components=k_n,
             scale=self.component_scale,
             coef=rows[..., None] * k_n + np.arange(k_n),

@@ -220,14 +220,18 @@ def hmc_step(q, logp_q: float, grad_q, target, rng: np.random.Generator,
     return q, logp_q, grad_q, False, delta_h, False
 
 
+# Dual averaging's gamma, t0 and kappa: Stan's defaults (Hoffman & Gelman 2014, sec. 3.2).
+_DA_GAMMA = 0.05
+_DA_T0 = 10.0
+_DA_KAPPA = 0.75
+
+
 class _DualAveraging:
     """Step-size adaptation toward a target acceptance rate (burn-in only)."""
 
-    def __init__(self, eps0: float, target: float,
-                 gamma: float = 0.05, t0: float = 10.0, kappa: float = 0.75):
+    def __init__(self, eps0: float, target: float):
         self.mu = np.log(10.0 * eps0)
         self.target = target
-        self.gamma, self.t0, self.kappa = gamma, t0, kappa
         self.h_bar = 0.0
         self.log_eps = np.log(eps0)
         self.log_eps_bar = 0.0
@@ -235,10 +239,10 @@ class _DualAveraging:
 
     def update(self, accept_prob: float) -> float:
         self.m += 1
-        frac = 1.0 / (self.m + self.t0)
+        frac = 1.0 / (self.m + _DA_T0)
         self.h_bar = (1.0 - frac) * self.h_bar + frac * (self.target - accept_prob)
-        self.log_eps = self.mu - np.sqrt(self.m) / self.gamma * self.h_bar
-        eta = self.m ** (-self.kappa)
+        self.log_eps = self.mu - np.sqrt(self.m) / _DA_GAMMA * self.h_bar
+        eta = self.m ** (-_DA_KAPPA)
         self.log_eps_bar = eta * self.log_eps + (1.0 - eta) * self.log_eps_bar
         return float(np.exp(self.log_eps))
 

@@ -50,6 +50,10 @@ seed = 7
 """
 
 
+DRAW_LENGTH = ("a draw is not of length {n}, the number of coordinates the dims and the "
+               "grid's mask leave the sampler")
+
+
 @pytest.fixture
 def toy_cfg(tmp_path):
     p = tmp_path / "toy.ini"
@@ -61,10 +65,10 @@ def run(argv):
     return main(argv)
 
 
-def toy_checkpoint(d):
+def toy_checkpoint(d, config=TOY_CONFIG):
     """Synth and fit the toy config in directory d; returns the checkpoint path."""
     cfg = d / "toy.ini"
-    cfg.write_text(TOY_CONFIG)
+    cfg.write_text(config)
     ticks = d / "ticks.csv"
     ckpt = d / "ckpt.json"
     run(["synth", "--config", str(cfg), "--out", str(ticks)])
@@ -169,6 +173,23 @@ class TestFit:
         assert rc != 0
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, band", [
+        ("price_min", 200.0, "[200.0, 101.0]"),
+        ("price_max", 50.0, "[99.0, 50.0]"),
+    ])
+    def test_half_set_price_band_outside_the_prices_refused_by_name(self, tmp_path, capsys,
+                                                                    key, value, band):
+        # The other end is the session's price range's.
+        cfg, ticks, ckpt = tmp_path / "band.ini", tmp_path / "t.csv", tmp_path / "ckpt.json"
+        cfg.write_text(f"[grid]\nresample_interval = 0\n{key} = {value}\n")
+        ticks.write_text("time_s,price\n0,100\n300,101\n600,99\n900,100.5\n")
+        assert run(["fit", "--config", str(cfg), "--ticks", str(ticks), "--burn", "1",
+                    "--draws", "2", "--out", str(ckpt)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ticks}: the price band {band} of [grid] price_min and price_max is "
+            "empty; the session's prices span [99.0, 101.0]\n")
+        assert not ckpt.exists()
+
     def test_summary_reports_coordinates_and_gradient_evaluations(self, tmp_path, capsys):
         ckpt_path = toy_checkpoint(tmp_path)
         out = capsys.readouterr().out
@@ -180,17 +201,30 @@ class TestFit:
         full = 1 + 20 * (50 + 60)  # the start point, then n_leapfrog per iteration
         assert n_grad == full if ckpt["acceptance"]["n_divergent"] == 0 else n_grad < full
 
+    @pytest.mark.parametrize("edit", [
+        {},
+        {"n_components = 2": "n_components = 1"},
+        {"n_price = 3": "n_price = 1"},
+        # One time bin, and every price (near s0 = 1) clamped into the lowest price bin.
+        {"n_time = 3": "n_time = 1\nprice_min = 1000\nprice_max = 2000"},
+    ], ids=["toy", "one_component", "one_price_bin", "one_visited_cell"])
     def test_checkpoint_draws_are_the_chain_on_its_active_coordinates(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, edit):
         chains = []
         run_chain = cli.sampler.run_chain
         monkeypatch.setattr(cli.sampler, "run_chain",
                             lambda *a: chains.append(run_chain(*a)) or chains[-1])
-        ckpt = load_checkpoint(toy_checkpoint(tmp_path))
+        config = TOY_CONFIG
+        for old, new in edit.items():
+            config = config.replace(old, new)
+        ckpt = load_checkpoint(toy_checkpoint(tmp_path, config))
         grid = GridData.from_dict(ckpt["grid"])
         dims = ModelDims(**ckpt["dims"])
-        active = Posterior(grid, dims).active
-        assert ckpt["active"] == active.tolist()
+        assert "active" not in ckpt
+        active = dims.active(ckpt["grid"]["mask"])
+        np.testing.assert_array_equal(active, Posterior(grid, dims).active)
+        if "n_time = 1" in config:
+            assert grid.mask.sum() == 1 and grid.mask.size == 3
         kept = chains[0].draws[-20:]
         expanded = cli.checkpoint_draws(ckpt)
         assert len(expanded) == len(kept) == 20
@@ -385,17 +419,17 @@ class TestSurface:
         np.testing.assert_allclose(vols[1], 2.0 * vols[0], rtol=1e-12)
 
     def test_older_checkpoint_refused_by_name(self, tmp_path, toy_cfg, fitted, capsys):
-        # The layout before the active index: full-length draws, no "active".
+        # The layout before the sampler left unvisited cells out: full-length draws.
         ckpt = json.loads(fitted.read_text())
         ckpt["draws"] = [p.to_vector().tolist() for p in cli.checkpoint_draws(ckpt)]
-        del ckpt["active"]
+        n = ModelDims(**ckpt["dims"]).active(ckpt["grid"]["mask"]).size
+        assert n < 41
         old = tmp_path / "old.json"
         old.write_text(json.dumps(ckpt))
         rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(old),
                   "--out", str(tmp_path / "s.csv")])
         assert rc != 0
-        assert capsys.readouterr().err == (
-            f"error: {old}: an older rlvs checkpoint: re-run rlvs fit\n")
+        assert capsys.readouterr().err == f"error: {old}: {DRAW_LENGTH.format(n=n)}\n"
         assert not (tmp_path / "s.csv").exists()
 
     def test_checkpoint_at_other_component_scale_refused_by_name(self, tmp_path, toy_cfg,
@@ -416,8 +450,9 @@ class TestSurface:
                                                                     fitted):
         # The fields an older fit also wrote, each a copy of a value held elsewhere.
         ckpt = json.loads(fitted.read_text())
+        active = Posterior(GridData.from_dict(ckpt["grid"]), ModelDims(**ckpt["dims"])).active
         ckpt.update(component_scale=1.0, seed=ckpt["config"]["hmc"]["seed"],
-                    n_kept=len(ckpt["draws"]))
+                    n_kept=len(ckpt["draws"]), active=active.tolist())
         old = tmp_path / "old.json"
         old.write_text(json.dumps(ckpt))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -439,22 +474,30 @@ class TestSurface:
         np.testing.assert_allclose(vols[1], 0.5 * vols[0], rtol=1e-12)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda c: c["active"].reverse(), "'active' is not a sorted index into 41 coordinates"),
-        (lambda c: c["active"].__setitem__(-1, 41), "'active' is not a sorted index into 41 coordinates"),
-        (lambda c: c["active"].__setitem__(0, -1), "'active' is not a sorted index into 41 coordinates"),
-        (lambda c: c["active"].insert(0, c["active"][0]), "'active' is not a sorted index into 41 coordinates"),
-        (lambda c: c["draws"][3].pop(), "a draw is not of length {n}, the size of 'active'"),
-        # Full-length draws whose total size a regrouping could hide.
-        (lambda c: c.update(active=c["active"][:1], draws=[d[:1] * 2 for d in c["draws"]]),
-         "a draw is not of length 1, the size of 'active'"),
+        (lambda c: c["draws"][3].pop(), DRAW_LENGTH),
+        # Draws whose total size a regrouping could hide.
+        (lambda c: c["draws"][0].append(c["draws"][1].pop()), DRAW_LENGTH),
+        (lambda c: c["draws"][2].__setitem__(0, float("nan")),
+         "a draw holds a value that is not finite"),
+        (lambda c: c["dims"].update(n_time=4),
+         "dims n_time = 4, n_price = 3 do not match the grid's 3 x 3 cells"),
+        (lambda c: c.pop("dims"), "missing field 'dims'"),
+        (lambda c: c.pop("bins_per_day"), "missing field 'bins_per_day'"),
+        (lambda c: c.update(bins_per_day=0), "bins_per_day must be an integer >= 1, got 0"),
+        (lambda c: c.update(standardize_scale=-1),
+         "standardize_scale must be positive and finite, got -1"),
+        (lambda c: json.dumps([c]), "not a fit checkpoint"),
+        (lambda c: json.dumps(c)[:27],
+         "not valid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 28 (char 27)"),
     ])
     def test_corrupted_checkpoint_refused_by_name(self, tmp_path, toy_cfg, fitted, capsys,
                                                   edit, message):
         ckpt = json.loads(fitted.read_text())
-        n = len(ckpt["active"])
-        edit(ckpt)
+        n = ModelDims(**ckpt["dims"]).active(ckpt["grid"]["mask"]).size
+        text = edit(ckpt)  # a string is the file's new text
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(ckpt))
+        bad.write_text(text if isinstance(text, str) else json.dumps(ckpt))
         rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(bad),
                   "--out", str(tmp_path / "s.csv")])
         assert rc != 0

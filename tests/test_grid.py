@@ -78,6 +78,14 @@ class TestBuildGrid:
             for j in range(g.spec.n_price):
                 assert bool(g.mask[i, j]) == (len(g.returns[i][j]) > 0)
 
+    def test_observations_are_the_visited_cells_runs(self):
+        g, _ = gbm_grid(seed=13)
+        xs, cells, counts = g.observations()
+        np.testing.assert_array_equal(cells, np.flatnonzero(g.mask))
+        runs = [g.returns[c // g.spec.n_price][c % g.spec.n_price] for c in cells]
+        np.testing.assert_array_equal(counts, [len(r) for r in runs])
+        np.testing.assert_array_equal(xs, np.concatenate(runs))
+
     def test_duplicate_tick_adds_zero_return_no_new_mask(self):
         times = np.array([0.0, 0.2, 0.4])
         prices = np.array([100.0, 101.0, 102.0])

@@ -519,14 +519,11 @@ def _take_bincount_pass(post, vec):
     grid, dims = post.grid, post.dims
     n_shared, k_n, s = dims.n_shared, dims.n_components, post.component_scale
     out, grad, logw, gamma = model._prior(vec, n_shared, k_n)
-    xs, oi, oj = grid.observations()
+    xs, cells, counts = grid.observations()
     if xs.size == 0:
         return out, grad
-    cells = np.flatnonzero(grid.mask)
     v_n = cells.size
-    rank = np.zeros(grid.mask.size, dtype=np.intp)
-    rank[cells] = np.arange(v_n)
-    index = np.arange(k_n)[:, None] * v_n + rank[oi * grid.spec.n_price + oj]
+    index = np.arange(k_n)[:, None] * v_n + np.repeat(np.arange(v_n), counts)
     obs = post._obs
     table = np.stack([np.sum(vec[obs.coef] * obs.cov, axis=0).T, logw.T])  # (2, K, V)
     both = np.take(table.reshape(2, -1), index, axis=1)
@@ -743,6 +740,12 @@ class TestActiveCoordinates:
         want = np.concatenate([np.arange(dims.n_shared), p.stick_raw[g.mask].ravel(),
                                p.conc[g.mask]]).astype(int)
         np.testing.assert_array_equal(post.active, want)
+
+    def test_dims_that_disagree_with_the_grid_named(self):
+        g = few_cells_grid()
+        with pytest.raises(ModelError, match="dims n_time = 3, n_price = 4 do not match "
+                                             "the grid's 3 x 3 cells"):
+            Posterior(g, ModelDims(3, 4, 2))
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_full_length_is_active_plus_prior_only_block(self, k):
