@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 
@@ -20,7 +21,7 @@ from . import ingest, model, sampler, surface as surface_mod, voltools
 
 # The defaults are the paper's protocol: 5-minute bins over a 23,400 s
 # session, a 78 x 10 grid, 5 components, 1000 burn-in and 5000 retained HMC
-# updates, and the last 100 draws x 100 returns per cell for the surface.
+# updates, and the last 100 draws for the surface.
 DEFAULTS = {
     "synth": {
         "s0": 100.0,
@@ -241,6 +242,13 @@ def load_checkpoint(path) -> dict:
                if k not in ckpt]
     if missing:
         raise ValueError(f"{path}: missing field {', '.join(map(repr, missing))}")
+    dims, keys = ckpt["dims"], [f.name for f in dataclasses.fields(model.ModelDims)]
+    if not isinstance(dims, dict) or set(dims) != set(keys):
+        raise ValueError(f"{path}: dims must hold exactly the fields {', '.join(keys)}, "
+                         f"got {json.dumps(dims)}")
+    for key in keys:
+        if type(dims[key]) is not int or dims[key] < 1:  # a JSON integer, not a bool
+            raise ValueError(f"{path}: dims {key} must be an integer >= 1, got {dims[key]!r}")
     scale, bins = ckpt["standardize_scale"], ckpt["bins_per_day"]
     if not isinstance(scale, (int, float)) or not 0 < scale < np.inf:
         raise ValueError(f"{path}: standardize_scale must be positive and finite, got {scale}")
@@ -255,10 +263,12 @@ def checkpoint_draws(ckpt: dict) -> list:
     mask; the others, which ``build_surface`` never reads, are zero."""
     dims = model.ModelDims(**ckpt["dims"])
     active = dims.active(ckpt["grid"]["mask"])
-    if any(len(d) != active.size for d in ckpt["draws"]):
+    draws = ckpt["draws"]
+    if not isinstance(draws, list) or any(
+            not isinstance(d, list) or len(d) != active.size for d in draws):
         raise ValueError(f"a draw is not of length {active.size}, the number of coordinates "
                          "the dims and the grid's mask leave the sampler")
-    values = np.asarray(ckpt["draws"], dtype=float).reshape(-1, active.size)
+    values = np.asarray(draws, dtype=float).reshape(-1, active.size)
     if not np.isfinite(values).all():
         raise ValueError("a draw holds a value that is not finite")
     full = np.asarray(sampler.Draws(np.zeros(dims.n_coords), active, values))

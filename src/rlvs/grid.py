@@ -46,7 +46,8 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        """The inverse of ``asdict``; a field it does not know is refused by name."""
+        """The inverse of ``asdict``; a field missing, unknown or mistyped is refused by name."""
+        _require_fields("grid spec", d, cls)
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise GridError(f"unknown grid spec field {', '.join(unknown)} "
@@ -72,13 +73,23 @@ class GridData:
     cell_logprice: np.ndarray
 
     def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=bool)
-        self.cell_time = np.asarray(self.cell_time, dtype=float)
-        self.cell_logprice = np.asarray(self.cell_logprice, dtype=float)
+        for name, dtype in (("mask", bool), ("cell_time", float), ("cell_logprice", float)):
+            try:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            except (TypeError, ValueError) as exc:
+                raise GridError(f"grid {name} is malformed: {exc}") from None
         i, j = self.spec.n_time, self.spec.n_price
         if self.mask.shape != (i, j):
             raise GridError("mask shape does not match spec")
-        values, counts = _flatten(_cells(self))
+        coords = (self.cell_time, (i,)), (self.cell_logprice, (j,))
+        if any(c.shape != n or not np.isfinite(c).all() for c, n in coords):
+            raise GridError("cell_time and cell_logprice must hold one finite value per bin")
+        try:
+            if len(self.returns) != i or any(len(row) != j for row in self.returns):
+                raise TypeError(f"expected {i} lists of {j} lists of returns")
+            values, counts = _flatten(_cells(self))
+        except (TypeError, ValueError) as exc:
+            raise GridError(f"grid returns is malformed: {exc}") from None
         bad = (counts > 0) != self.mask.ravel()
         bad[np.repeat(np.arange(i * j), counts)[~np.isfinite(values)]] = True
         if bad.any():
@@ -113,13 +124,23 @@ class GridData:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridData":
-        return cls(
-            spec=GridSpec.from_dict(d["spec"]),
-            mask=np.asarray(d["mask"], dtype=bool),
-            returns=[[list(map(float, c)) for c in row] for row in d["returns"]],
-            cell_time=np.asarray(d["cell_time"], dtype=float),
-            cell_logprice=np.asarray(d["cell_logprice"], dtype=float),
-        )
+        """The inverse of ``to_dict``; a field missing or unreadable is refused by name."""
+        _require_fields("grid", d, cls)
+        return cls(GridSpec.from_dict(d["spec"]), d["mask"], d["returns"], d["cell_time"],
+                   d["cell_logprice"])
+
+
+def _require_fields(what: str, d, cls) -> None:
+    """Refuse ``d`` by name unless it is an object holding every field of
+    ``cls``, each ``int`` or ``float`` field a JSON number of that type."""
+    if not isinstance(d, dict):
+        raise GridError(f"{what} must be an object, got {type(d).__name__}")
+    for f in fields(cls):
+        if f.name not in d:
+            raise GridError(f"{what} has no field {f.name}")
+        kinds = {"int": int, "float": (int, float)}.get(f.type)
+        if kinds and (isinstance(d[f.name], bool) or not isinstance(d[f.name], kinds)):
+            raise GridError(f"{what} {f.name} must be of type {f.type}, got {d[f.name]!r}")
 
 
 def assign_cell(time_norm, price, spec: GridSpec):

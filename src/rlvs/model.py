@@ -232,11 +232,19 @@ def component_means(params: ModelParams, grid: GridData) -> np.ndarray:
     )
 
 
-def mixture_moments(mix: MixtureSpec) -> tuple[float, float]:
-    """(mean, variance) by the law of total variance."""
-    mean = float(np.dot(mix.weights, mix.means))
-    second = float(np.dot(mix.weights, mix.scale ** 2 + mix.means ** 2))
+def mixture_mean_var(weights, means, scale):
+    """(mean, variance) of the Gaussian mixtures with (..., K) ``weights`` and
+    ``means`` by the law of total variance; the component standard deviation
+    ``scale`` broadcasts against them (a scalar, or one per component)."""
+    mean = np.sum(weights * means, axis=-1)
+    second = np.sum(weights * (np.square(scale) + np.square(means)), axis=-1)
     return mean, second - mean * mean
+
+
+def mixture_moments(mix: MixtureSpec) -> tuple[float, float]:
+    """(mean, variance) of one cell's mixture."""
+    mean, var = mixture_mean_var(mix.weights, mix.means, mix.scale)
+    return float(mean), float(var)
 
 
 def _prior(vec: np.ndarray, n_shared: int, k_n: int):

@@ -3,11 +3,9 @@
 Every grid cell gets a value, including cells the price path never visited:
 those counterfactual cells inherit the shared coefficient draws, with their
 (data-free) stick fractions pinned at deterministic prior summaries instead
-of prior noise. Each retained draw samples all cells at once from its own
-stream, keyed by (seed, draw index): one (cells, returns) block of uniforms
-picks the components, then one block of standard normals adds the noise,
-with cells in row-major (time, price) order. Results are reproducible, and
-independent across draws.
+of prior noise. Each retained draw gives every cell the exact standard
+deviation of its predictive mixture, so the surface is a deterministic
+function of the draws and its interval shows only their spread.
 """
 
 from __future__ import annotations
@@ -19,7 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .grid import GridData, GridSpec
-from .model import COMPONENT_SCALE, component_means, stick_break, stick_weights_from_raw
+from .model import (COMPONENT_SCALE, component_means, mixture_mean_var, stick_break,
+                    stick_weights_from_raw)
 
 # Concentration pinned at its flat-prior median, stick fractions at the
 # Beta(1, concentration) median for that value: 1 - 0.5**(1/0.5) = 0.75.
@@ -37,6 +36,9 @@ class SurfaceError(ValueError):
 
 @dataclass
 class SurfaceConfig:
+    """``n_returns_per_draw`` and ``seed`` have no reader, since the surface
+    draws no random numbers; they stay so that configs setting them load."""
+
     n_param_draws: int = 100
     n_returns_per_draw: int = 100
     ci_level: float = 0.95
@@ -45,11 +47,9 @@ class SurfaceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # A sample std needs two returns, a credible interval two draws.
-        for key in ("n_param_draws", "n_returns_per_draw"):
-            value = getattr(self, key)
-            if value < 2:
-                raise SurfaceError(f"surface.{key} must be >= 2, got {value}")
+        # A credible interval needs two draws.
+        if self.n_param_draws < 2:
+            raise SurfaceError(f"surface.n_param_draws must be >= 2, got {self.n_param_draws}")
         if not 0.0 < self.ci_level < 1.0:
             raise SurfaceError("ci_level must lie in (0, 1)")
         if self.bins_per_day < 1 or self.trading_days < 1:
@@ -98,40 +98,6 @@ class VolSurface:
         )
 
 
-class _Batch:
-    """Work arrays for sampling n returns from each of C cell mixtures,
-    allocated once and refilled for every draw, so a surface does not map
-    and fault in fresh (C, n) blocks per draw."""
-
-    def __init__(self, c: int, n: int):
-        self.u = np.empty((c, n))
-        self.z = np.empty((c, n))
-        self.comp = np.empty((c, n), dtype=np.intp)
-        self.above = np.empty((c, n), dtype=bool)
-
-    def sample_std(self, weights: np.ndarray, means: np.ndarray, scale: float,
-                   rng: np.random.Generator) -> np.ndarray:
-        """Sample std of the n returns drawn from each cell's mixture.
-
-        ``weights`` and ``means`` are (C, K). Draws one (C, n) block of
-        uniforms to pick components, then one (C, n) block of standard normals.
-        """
-        c, k = weights.shape
-        u, z, comp, above = self.u, self.z, self.comp, self.above
-        rng.random(out=u)
-        cum = np.cumsum(weights, axis=1)
-        # Counting the cumulative weights below u, all but the last, equals
-        # searchsorted clipped to K - 1: a u above a rounded-down cum[:, -1]
-        # still picks the last component. comp indexes the flat means.
-        comp[...] = np.arange(0, c * k, k)[:, None]
-        for m in range(k - 1):
-            comp += np.greater(u, cum[:, m:m + 1], out=above)
-        vals = np.take(means.ravel(), comp, out=u)
-        rng.standard_normal(out=z)
-        vals += np.multiply(z, scale, out=z)
-        return np.std(vals, axis=1, ddof=1)
-
-
 def annualize(std_per_bin, bins_per_day: int, trading_days: int):
     """Scale per-bin standard deviations (scalar or array) by sqrt(bins per year)."""
     if bins_per_day < 1 or trading_days < 1:
@@ -161,9 +127,9 @@ def build_surface(draws, grid: GridData, config: SurfaceConfig,
                   destandardize_scale: float = 1.0) -> VolSurface:
     """Posterior-predictive volatility surface from retained parameter draws.
 
-    Uses the last ``n_param_draws`` draws. For each draw and every cell,
-    ``n_returns_per_draw`` returns are sampled from the cell's mixture and
-    their sample std is annualized; the cell's value is the arithmetic mean
+    Uses the last ``n_param_draws`` draws. For each draw, every cell's
+    per-bin std is the exact std of the cell's mixture under that draw,
+    destandardized and annualized; the cell's value is the arithmetic mean
     of those per-draw stds and its interval their empirical quantiles.
     """
     draws = list(draws)
@@ -173,21 +139,15 @@ def build_surface(draws, grid: GridData, config: SurfaceConfig,
         )
     use = draws[-config.n_param_draws:]
     spec = grid.spec
-    i_n, j_n = spec.n_time, spec.n_price
-    k = use[0].dims.n_components
-    visited = grid.mask[..., None]
-    w_cf = stick_break(np.full(k, COUNTERFACTUAL_STICK))
+    w_cf = stick_break(np.full(use[0].dims.n_components, COUNTERFACTUAL_STICK))
 
-    stds = np.empty((len(use), i_n * j_n))
-    batch = _Batch(i_n * j_n, config.n_returns_per_draw)
+    # One draw at a time keeps the working set at (cells, K).
+    stds = np.empty((len(use), spec.n_time, spec.n_price))
     for d, params in enumerate(use):
-        weights = np.where(visited, stick_weights_from_raw(params.stick_raw), w_cf)
-        means = component_means(params, grid)
-        rng = np.random.default_rng([config.seed, d])
-        stds[d] = batch.sample_std(weights.reshape(-1, k), means.reshape(-1, k),
-                                   COMPONENT_SCALE, rng)
-    vols = annualize(stds * destandardize_scale, config.bins_per_day,
-                     config.trading_days).reshape(len(use), i_n, j_n)
+        weights = np.where(grid.mask[..., None], stick_weights_from_raw(params.stick_raw), w_cf)
+        _, var = mixture_mean_var(weights, component_means(params, grid), COMPONENT_SCALE)
+        np.sqrt(var, out=stds[d])
+    vols = annualize(stds * destandardize_scale, config.bins_per_day, config.trading_days)
     vol_lo, vol_hi = credible_interval(vols, config.ci_level)
 
     return VolSurface(

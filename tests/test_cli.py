@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import rlvs
 from rlvs import cli, model
@@ -45,7 +47,6 @@ seed = 6
 
 [surface]
 n_param_draws = 10
-n_returns_per_draw = 40
 seed = 7
 """
 
@@ -366,6 +367,16 @@ def test_degenerate_tick_files_fit_or_are_refused_by_rlvs(ticks, k, n_time, n_pr
             assert len(load_checkpoint(ckpt)["draws"]) == 2
 
 
+DELETE = object()
+# Every field of a checkpoint's dims and grid, and the two objects themselves.
+CHECKPOINT_FIELDS = [("dims",), ("grid",),
+                     *[("dims", key) for key in ("n_time", "n_price", "n_components")],
+                     *[("grid", key) for key in ("spec", "mask", "returns", "cell_time",
+                                                 "cell_logprice")],
+                     *[("grid", "spec", key) for key in ("n_time", "n_price", "price_min",
+                                                         "price_max")]]
+
+
 class TestSurface:
     @pytest.fixture(scope="class")
     def fitted(self, tmp_path_factory):
@@ -479,6 +490,10 @@ class TestSurface:
         (lambda c: c["draws"][0].append(c["draws"][1].pop()), DRAW_LENGTH),
         (lambda c: c["draws"][2].__setitem__(0, float("nan")),
          "a draw holds a value that is not finite"),
+        (lambda c: c.update(draws=5), DRAW_LENGTH),
+        # A JSON null reads as NaN.
+        (lambda c: c["grid"]["cell_time"].__setitem__(0, None),
+         "cell_time and cell_logprice must hold one finite value per bin"),
         (lambda c: c["dims"].update(n_time=4),
          "dims n_time = 4, n_price = 3 do not match the grid's 3 x 3 cells"),
         (lambda c: c.pop("dims"), "missing field 'dims'"),
@@ -513,6 +528,41 @@ class TestSurface:
                   "--out", str(tmp_path / "s.csv")])
         assert rc != 0
         assert "unknown grid spec field session_length" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(path=st.sampled_from(CHECKPOINT_FIELDS),
+           replacement=st.sampled_from([DELETE, "6", None, True, 7, 1.5, [], {}]))
+    @example(path=("dims", "n_price"), replacement=DELETE)
+    @example(path=("dims", "n_time"), replacement="6")
+    @example(path=("grid", "mask"), replacement=DELETE)
+    @example(path=("grid", "returns"), replacement=DELETE)
+    def test_malformed_dims_or_grid_refused_by_name(self, fitted, path, replacement):
+        ckpt = json.loads(fitted.read_text())
+        *parents, name = path
+        holder = ckpt
+        for key in parents:
+            holder = holder[key]
+        original = holder[name]
+        if replacement is DELETE:
+            del holder[name]
+        else:
+            # A retyping gives a value of another JSON type; an integer is a
+            # valid float.
+            assume(type(replacement) is not type(original)
+                   and not (type(original) is float and type(replacement) is int))
+            holder[name] = replacement
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as d:
+            bad, out = Path(d) / "bad.json", Path(d) / "s.csv"
+            bad.write_text(json.dumps(ckpt))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = run(["surface", "--checkpoint", str(bad), "--param-draws", "10",
+                          "--out", str(out)])
+            assert not out.exists()
+        assert rc != 0
+        message = err.getvalue()
+        assert message.startswith(f"error: {bad}: ") and message.count("\n") == 1, message
+        assert name in message, message
 
 
 class TestImplied:

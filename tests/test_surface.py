@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rlvs.model import (
     MixtureSpec,
     ModelDims,
     ModelParams,
+    mixture_mean_var,
     mixture_moments,
     stick_break,
 )
@@ -24,7 +26,7 @@ from rlvs.surface import (
     load_surface,
     render_svg,
 )
-from rlvs.surface import VolSurface, _Batch
+from rlvs.surface import VolSurface
 from model_reference import cell_mixture
 
 
@@ -37,81 +39,67 @@ def small_grid(seed=3, n_time=3, n_price=2):
 
 class TestPredictiveStd:
     def test_collapsed_mixture_gives_zero(self):
-        rng = np.random.default_rng(0)
-        s = _Batch(1, 1000).sample_std(np.array([[0.5, 0.5]]), np.array([[0.2, 0.2]]), 1e-12, rng)
-        assert s.shape == (1,)
-        assert s[0] < 1e-9
-
-    def test_rounded_down_cumulative_weight_picks_last_component(self):
-        # Weights summing below 1, as rounding can leave them: a uniform
-        # above the total must still pick the last component, not index K.
-        rng = np.random.default_rng(5)
-        s = _Batch(1, 1000).sample_std(np.array([[0.25, 0.25]]), np.array([[0.0, 3.0]]), 1e-12,
-                                     rng)
-        assert s[0] == pytest.approx(np.sqrt(0.75 * 0.25) * 3.0, rel=0.1)
+        _, var = mixture_mean_var(np.array([[0.5, 0.5]]), np.array([[0.2, 0.2]]), 1e-12)
+        assert var.shape == (1,)
+        assert abs(var[0]) < 1e-18
 
     def test_single_component_recovers_scale(self):
-        rng = np.random.default_rng(1)
-        s = _Batch(1, 10 ** 6).sample_std(np.ones((1, 1)), np.zeros((1, 1)), 0.37, rng)
-        assert abs(s[0] - 0.37) / 0.37 < 0.01
+        mean, var = mixture_mean_var(np.ones((1, 1)), np.zeros((1, 1)), 0.37)
+        assert mean[0] == 0.0
+        assert np.sqrt(var[0]) == pytest.approx(0.37, rel=1e-15)
 
     def test_matches_analytic_moments(self):
-        # Two cells in one batch, each checked against its own moments.
-        mixes = [MixtureSpec([0.3, 0.5, 0.2], [-1.0, 0.2, 2.0], 0.8),
-                 MixtureSpec([0.1, 0.1, 0.8], [1.5, -0.5, 0.0], 0.8)]
-        n = 200_000
-        s = _Batch(2, n).sample_std(np.array([m.weights for m in mixes]),
-                                    np.array([m.means for m in mixes]), 0.8,
-                                    np.random.default_rng(2))
-        r2 = np.random.default_rng(3)
-        for mix, got in zip(mixes, s):
-            _, var = mixture_moments(mix)
-            # SE of the sample std for a mixture, from the MC draws themselves.
-            comp = r2.choice(3, size=n, p=mix.weights)
-            draws = mix.means[comp] + mix.scale * r2.standard_normal(n)
-            m4 = np.mean((draws - draws.mean()) ** 4)
-            se_var = np.sqrt((m4 - draws.var() ** 2) / n)
-            se_std = se_var / (2 * np.sqrt(var))
-            assert abs(got - np.sqrt(var)) < 3 * se_std
+        # A (2, 2, K) batch, with one scale per component, against the law
+        # of total variance written out cell by cell.
+        rng = np.random.default_rng(2)
+        weights = stick_break(rng.uniform(0.1, 0.9, size=(2, 2, 3)))
+        means = rng.normal(size=(2, 2, 3))
+        scale = np.array([0.8, 1.3, 0.5])
+        mean, var = mixture_mean_var(weights, means, scale)
+        assert mean.shape == var.shape == (2, 2)
+        for i in range(2):
+            for j in range(2):
+                w, mu = weights[i, j], means[i, j]
+                m = sum(w[k] * mu[k] for k in range(3))
+                v = sum(w[k] * (scale[k] ** 2 + (mu[k] - m) ** 2) for k in range(3))
+                assert mean[i, j] == pytest.approx(m, rel=1e-12)
+                assert var[i, j] == pytest.approx(v, rel=1e-12)
 
     def test_destandardize_scales_linearly(self):
         g = small_grid()
         dims = ModelDims(3, 2, 2)
         draws = [ModelParams.random_init(dims, np.random.default_rng(4)) for _ in range(3)]
-        cfg = SurfaceConfig(n_param_draws=3, n_returns_per_draw=500, seed=4)
+        cfg = SurfaceConfig(n_param_draws=3)
         a = build_surface(draws, g, cfg, destandardize_scale=1.0)
         b = build_surface(draws, g, cfg, destandardize_scale=0.002)
         for name in ("vol_mean", "vol_lo", "vol_hi"):
             np.testing.assert_allclose(getattr(b, name), 0.002 * getattr(a, name),
                                        rtol=1e-12)
 
-    def test_stream_layout_matches_per_cell_reference(self):
-        # Per draw d: one stream default_rng([seed, d]) yields a (cells, n)
-        # block of uniforms, then a (cells, n) block of normals; row c is
-        # cell (c // n_price, c % n_price). Reference: one cell at a time.
+    def test_per_draw_std_is_exact_cell_mixture_std(self):
+        # Each draw gives each cell the exact std of its mixture: visited
+        # cells through their own sticks, masked cells through the
+        # counterfactual weights. Reference: one cell at a time.
         g = small_grid(n_time=4, n_price=3)
-        assert not g.mask.all()
+        assert g.mask.any() and not g.mask.all()
         dims = ModelDims(4, 3, 3)
         rng = np.random.default_rng(15)
         draws = [ModelParams.random_init(dims, rng) for _ in range(5)]
-        cfg = SurfaceConfig(n_param_draws=4, n_returns_per_draw=30, seed=16,
-                            bins_per_day=78, trading_days=252)
+        cfg = SurfaceConfig(n_param_draws=4, bins_per_day=78, trading_days=252)
         scale = 0.003
-        n = cfg.n_returns_per_draw
         w_cf = stick_break(np.full(3, COUNTERFACTUAL_STICK))
         vols = np.empty((4, 4, 3))
         for d, params in enumerate(draws[-4:]):
-            stream = np.random.default_rng([cfg.seed, d])
-            u = stream.random((12, n))
-            z = stream.standard_normal((12, n))
             for i in range(4):
                 for j in range(3):
-                    c = i * 3 + j
                     mix = cell_mixture(params, g, i, j)
-                    w = mix.weights if g.mask[i, j] else w_cf
-                    comp = np.clip(np.searchsorted(np.cumsum(w), u[c]), 0, 2)
-                    x = (mix.means[comp] + mix.scale * z[c]) * scale
-                    vols[d, i, j] = np.std(x, ddof=1) * np.sqrt(78 * 252)
+                    if not g.mask[i, j]:
+                        mix = MixtureSpec(w_cf, mix.means, mix.scale)
+                    vols[d, i, j] = np.sqrt(mixture_moments(mix)[1]) * scale * np.sqrt(78 * 252)
+            one = build_surface([params, params], g, replace(cfg, n_param_draws=2),
+                                destandardize_scale=scale)
+            for name in ("vol_mean", "vol_lo", "vol_hi"):
+                np.testing.assert_allclose(getattr(one, name), vols[d], rtol=1e-12)
         surf = build_surface(draws, g, cfg, destandardize_scale=scale)
         np.testing.assert_allclose(surf.vol_mean, vols.mean(axis=0), rtol=1e-12)
         lo, hi = np.quantile(vols, [0.025, 0.975], axis=0)
@@ -129,7 +117,7 @@ class TestPredictiveStd:
         rng = np.random.default_rng(8)
         b.stick_raw[~g.mask] = rng.normal(size=b.stick_raw[~g.mask].shape)
         b.conc[~g.mask] = rng.normal(size=b.conc[~g.mask].shape)
-        cfg = SurfaceConfig(n_param_draws=2, n_returns_per_draw=400, seed=9)
+        cfg = SurfaceConfig(n_param_draws=2)
         s1 = build_surface([a, a], g, cfg)
         s2 = build_surface([b, b], g, cfg)
         np.testing.assert_array_equal(s1.vol_mean, s2.vol_mean)
@@ -196,7 +184,7 @@ class TestBuildSurface:
 
     def test_shapes_and_flags(self):
         g = small_grid()
-        cfg = SurfaceConfig(n_param_draws=5, n_returns_per_draw=50, seed=1)
+        cfg = SurfaceConfig(n_param_draws=5)
         surf = build_surface(self.make_draws(5), g, cfg)
         assert surf.vol_mean.shape == (3, 2)
         np.testing.assert_array_equal(surf.masked, ~g.mask)
@@ -207,24 +195,21 @@ class TestBuildSurface:
     def test_identical_draws_tight_interval(self):
         g = small_grid()
         draws = self.make_draws(1) * 40
-        cfg = SurfaceConfig(n_param_draws=40, n_returns_per_draw=400, seed=2)
+        cfg = SurfaceConfig(n_param_draws=40)
         surf = build_surface(draws, g, cfg)
-        # Spread across draws is pure sampling noise of the per-draw std
-        # estimate (the streams differ by draw index); it stays narrow.
-        rel_width = (surf.vol_hi - surf.vol_lo) / surf.vol_mean
-        assert rel_width.max() < 0.35
-        assert np.all(surf.vol_lo <= surf.vol_mean + 1e-12)
-        assert np.all(surf.vol_mean <= surf.vol_hi + 1e-12)
+        # Each draw's std is exact, so identical draws leave no spread.
+        np.testing.assert_array_equal(surf.vol_hi - surf.vol_lo, 0.0)
+        np.testing.assert_allclose(surf.vol_mean, surf.vol_lo, rtol=1e-12)
 
     def test_insufficient_draws_names_count(self):
         g = small_grid()
-        cfg = SurfaceConfig(n_param_draws=10, n_returns_per_draw=20)
+        cfg = SurfaceConfig(n_param_draws=10)
         with pytest.raises(SurfaceError, match="10"):
             build_surface(self.make_draws(3), g, cfg)
 
     def test_deterministic_given_seeds(self):
         g = small_grid()
-        cfg = SurfaceConfig(n_param_draws=4, n_returns_per_draw=60, seed=5)
+        cfg = SurfaceConfig(n_param_draws=4)
         a = build_surface(self.make_draws(4), g, cfg)
         b = build_surface(self.make_draws(4), g, cfg)
         np.testing.assert_array_equal(a.vol_mean, b.vol_mean)
@@ -237,12 +222,11 @@ class TestBuildSurface:
         g = small_grid(seed=21)
         dims = ModelDims(3, 2, 1)
         p = ModelParams.from_vector(dims, np.zeros(dims.n_coords))
-        cfg = SurfaceConfig(n_param_draws=3, n_returns_per_draw=2000,
-                            bins_per_day=78, trading_days=252, seed=6)
+        cfg = SurfaceConfig(n_param_draws=3, bins_per_day=78, trading_days=252)
         scale = 0.002
         surf = build_surface([p, p, p], g, cfg, destandardize_scale=scale)
         expected = annualize(scale, 78, 252)
-        np.testing.assert_allclose(surf.vol_mean, expected, rtol=0.1)
+        np.testing.assert_allclose(surf.vol_mean, expected, rtol=1e-12)
 
 
 @st.composite
@@ -263,10 +247,7 @@ def degenerate_fits(draw):
     dims = ModelDims(n_time, n_price, k)
     draws = [ModelParams.from_vector(dims, spread * rng.standard_normal(dims.n_coords))
              for _ in range(draw(st.integers(2, 4)))]
-    cfg = SurfaceConfig(n_param_draws=len(draws),
-                        n_returns_per_draw=draw(st.integers(2, 20)),
-                        seed=draw(st.integers(0, 100)))
-    return draws, grid, cfg
+    return draws, grid, SurfaceConfig(n_param_draws=len(draws))
 
 
 # One tick pair: exactly one visited cell, one component, one price bin.
@@ -274,7 +255,7 @@ ONE_VISITED_CELL = (
     [ModelParams.from_vector(ModelDims(2, 1, 1), np.zeros(ModelDims(2, 1, 1).n_coords))] * 2,
     build_grid(TickSeries(np.array([0.1, 0.2]), np.array([100.0, 101.0])),
                GridSpec(2, 1, 90.0, 110.0)),
-    SurfaceConfig(n_param_draws=2, n_returns_per_draw=2, seed=0),
+    SurfaceConfig(n_param_draws=2),
 )
 
 
@@ -297,7 +278,7 @@ class TestExport:
         dims = ModelDims(3, 2, 2)
         rng = np.random.default_rng(seed)
         draws = [ModelParams.random_init(dims, rng) for _ in range(4)]
-        cfg = SurfaceConfig(n_param_draws=4, n_returns_per_draw=40, seed=seed)
+        cfg = SurfaceConfig(n_param_draws=4)
         return build_surface(draws, g, cfg)
 
     def test_csv_round_trip(self, tmp_path):
@@ -323,7 +304,7 @@ class TestExport:
         g = small_grid(seed=13, n_time=1, n_price=1)
         dims = ModelDims(1, 1, 2)
         draws = [ModelParams.random_init(dims, np.random.default_rng(14)) for _ in range(2)]
-        cfg = SurfaceConfig(n_param_draws=2, n_returns_per_draw=30, seed=1)
+        cfg = SurfaceConfig(n_param_draws=2)
         surf = build_surface(draws, g, cfg)
         p = tmp_path / "one.csv"
         export_surface(surf, p, "csv")
@@ -425,10 +406,14 @@ def test_config_validation():
         SurfaceConfig(seed=-1)
 
 
-def test_config_rejects_one_return_per_draw():
-    # The sample std of one return is NaN: the surface would be all NaN.
-    with pytest.raises(SurfaceError, match="n_returns_per_draw"):
-        SurfaceConfig(n_returns_per_draw=1)
+def test_retired_knobs_change_nothing():
+    # n_returns_per_draw and seed stay loadable, but the surface reads neither.
+    g = small_grid()
+    draws = [ModelParams.random_init(ModelDims(3, 2, 2), np.random.default_rng(s))
+             for s in range(3)]
+    a = build_surface(draws, g, SurfaceConfig(n_param_draws=3))
+    b = build_surface(draws, g, SurfaceConfig(n_param_draws=3, n_returns_per_draw=1, seed=9))
+    assert_same_surface(a, b)
 
 
 def test_config_rejects_one_param_draw():
