@@ -10,7 +10,6 @@ from .ingest import (
     SESSION_SECONDS,
     TickSeries,
     load_ticks,
-    normalize_price,
     normalize_time,
     resample,
     save_ticks,

@@ -1,9 +1,10 @@
 """Time-price grid: presence mask and per-cell log-return observation sets.
 
 The session is partitioned into ``n_time`` x ``n_price`` cells over
-normalized time [0, 1] and a currency price band. Each consecutive-tick
-log return is attributed to the cell of its *later* tick; the boolean mask
-marks cells the price path visited.
+normalized time [0, 1] and a currency price band. ``GridSpec`` owns that
+geometry: its bin midpoints and, through ``assign_cell``, the cell a point
+falls in. Each consecutive-tick log return is attributed to the cell of its
+*later* tick; the boolean mask marks cells the price path visited.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .ingest import TickSeries, normalize_price
+from .ingest import TickSeries
 
 
 class GridError(ValueError):
@@ -37,6 +38,11 @@ class GridSpec:
             raise GridError("price_max must exceed price_min")
         if self.price_min < 0:
             raise GridError("price_min must be non-negative")
+
+    @property
+    def cell_time(self) -> np.ndarray:
+        """The normalized midpoint of each time bin."""
+        return (np.arange(self.n_time) + 0.5) / self.n_time
 
     @property
     def price_mid(self) -> np.ndarray:
@@ -144,9 +150,13 @@ def _require_fields(what: str, d, cls) -> None:
 
 
 def assign_cell(time_norm, price, spec: GridSpec):
-    """0-based (time, price) cell indices of a point, or of arrays of points;
-    boundary and out-of-range values clamp."""
-    frac = normalize_price(price, spec.price_min, spec.price_max)
+    """0-based (time, price) cell indices of a point, or of arrays of points.
+
+    Normalized time and the price's place in the band, 0 at ``price_min`` and
+    1 at ``price_max``, each split into equal bins; a value on or past either
+    end clamps into the end bin.
+    """
+    frac = (price - spec.price_min) / (spec.price_max - spec.price_min)
     i = np.clip(np.floor(np.multiply(time_norm, spec.n_time)), 0, spec.n_time - 1)
     j = np.clip(np.floor(np.multiply(frac, spec.n_price)), 0, spec.n_price - 1)
     return i.astype(int), j.astype(int)
@@ -190,13 +200,11 @@ def build_grid(series: TickSeries, spec: GridSpec) -> GridData:
     cell = i_all[1:] * spec.n_price + j_all[1:]
     counts = np.bincount(cell, minlength=spec.n_time * spec.n_price)
     returns = _nest(log_ret[np.argsort(cell, kind="stable")], counts, spec)
-    mask = counts.reshape(spec.n_time, spec.n_price) > 0
-    cell_time = (np.arange(spec.n_time) + 0.5) / spec.n_time
     return GridData(
         spec=spec,
-        mask=mask,
+        mask=counts.reshape(spec.n_time, spec.n_price) > 0,
         returns=returns,
-        cell_time=cell_time,
+        cell_time=spec.cell_time,
         cell_logprice=np.log(spec.price_mid / series.prices[0]),
     )
 

@@ -166,17 +166,6 @@ def normalize_time(series: TickSeries) -> TickSeries:
     )
 
 
-def normalize_price(price, min_price: float, max_price: float):
-    """Affine map of price onto [0, 1] over [min_price, max_price].
-
-    Out-of-range prices pass through (values below 0 or above 1); clamping
-    is the grid's job.
-    """
-    if max_price <= min_price:
-        raise TickDataError(f"max_price ({max_price}) must exceed min_price ({min_price})")
-    return (price - min_price) / (max_price - min_price)
-
-
 def resample(series: TickSeries, interval: float) -> TickSeries:
     """Last-observation-carried-forward resampling at interval boundaries.
 

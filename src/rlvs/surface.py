@@ -63,7 +63,9 @@ class VolSurface:
     """Per-cell annualized volatility mean and credible bounds.
 
     ``masked[i, j]`` is True for counterfactual cells (no observed data);
-    it is the complement of the grid's presence mask.
+    it is the complement of the grid's presence mask. The cells' coordinates
+    are the spec's bin midpoints, ``spec.cell_time`` and ``spec.price_mid``;
+    the exports write them out and the readers take them from the spec.
     """
 
     spec: GridSpec
@@ -71,14 +73,12 @@ class VolSurface:
     vol_lo: np.ndarray
     vol_hi: np.ndarray
     masked: np.ndarray
-    cell_time: np.ndarray
-    price_mid: np.ndarray
 
     def to_dict(self) -> dict:
         return {
             "spec": asdict(self.spec),
-            "cell_time": self.cell_time.tolist(),
-            "price_mid": self.price_mid.tolist(),
+            "cell_time": self.spec.cell_time.tolist(),
+            "price_mid": self.spec.price_mid.tolist(),
             "vol_mean": self.vol_mean.tolist(),
             "vol_lo": self.vol_lo.tolist(),
             "vol_hi": self.vol_hi.tolist(),
@@ -93,8 +93,6 @@ class VolSurface:
             vol_lo=np.asarray(d["vol_lo"], dtype=float),
             vol_hi=np.asarray(d["vol_hi"], dtype=float),
             masked=np.asarray(d["masked"], dtype=bool),
-            cell_time=np.asarray(d["cell_time"], dtype=float),
-            price_mid=np.asarray(d["price_mid"], dtype=float),
         )
 
 
@@ -156,8 +154,6 @@ def build_surface(draws, grid: GridData, config: SurfaceConfig,
         vol_lo=vol_lo,
         vol_hi=vol_hi,
         masked=~grid.mask,
-        cell_time=grid.cell_time.copy(),
-        price_mid=spec.price_mid,
     )
 
 
@@ -188,13 +184,13 @@ def _write_csv(surface: VolSurface, path) -> None:
     spec = surface.spec
     # linspace pins the outer edges to price_min and price_max exactly.
     edges = np.linspace(spec.price_min, spec.price_max, spec.n_price + 1)
+    cell_time, price_mid = spec.cell_time, spec.price_mid
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(_CSV_COLUMNS) + "\n")
         for i in range(spec.n_time):
             for j in range(spec.n_price):
                 fh.write(
-                    f"{i},{j},{float(surface.cell_time[i])!r},"
-                    f"{float(surface.price_mid[j])!r},"
+                    f"{i},{j},{float(cell_time[i])!r},{float(price_mid[j])!r},"
                     f"{float(edges[j])!r},{float(edges[j + 1])!r},"
                     f"{float(surface.vol_mean[i, j])!r},{float(surface.vol_lo[i, j])!r},"
                     f"{float(surface.vol_hi[i, j])!r},{int(surface.masked[i, j])}\n"
@@ -212,8 +208,6 @@ def _read_csv(path) -> VolSurface:
         raise SurfaceError(f"{path}: surface CSV has no column {', '.join(missing)}")
     i_n = max(int(r["i"]) for r in rows) + 1
     j_n = max(int(r["j"]) for r in rows) + 1
-    cell_time = np.zeros(i_n)
-    price_mid = np.zeros(j_n)
     edges = np.zeros(j_n + 1)
     vol_mean = np.zeros((i_n, j_n))
     vol_lo = np.zeros((i_n, j_n))
@@ -221,8 +215,6 @@ def _read_csv(path) -> VolSurface:
     masked = np.zeros((i_n, j_n), dtype=bool)
     for r in rows:
         i, j = int(r["i"]), int(r["j"])
-        cell_time[i] = float(r["t_norm"])
-        price_mid[j] = float(r["price_mid"])
         edges[j], edges[j + 1] = float(r["price_lo"]), float(r["price_hi"])
         vol_mean[i, j] = float(r["vol_mean"])
         vol_lo[i, j] = float(r["vol_lo"])
@@ -230,10 +222,8 @@ def _read_csv(path) -> VolSurface:
         masked[i, j] = r["masked"].strip() == "1"
     spec = GridSpec(n_time=i_n, n_price=j_n, price_min=float(edges[0]),
                     price_max=float(edges[-1]))
-    return VolSurface(
-        spec=spec, vol_mean=vol_mean, vol_lo=vol_lo, vol_hi=vol_hi,
-        masked=masked, cell_time=cell_time, price_mid=price_mid,
-    )
+    return VolSurface(spec=spec, vol_mean=vol_mean, vol_lo=vol_lo, vol_hi=vol_hi,
+                      masked=masked)
 
 
 def _heat_color(x: float) -> str:

@@ -631,7 +631,7 @@ class TestCompare:
         surf = load_surface(surf_path)
         quotes = tmp_path / "q.csv"
         rows = ["strike,expiry_years,mid,flag"]
-        for k in surf.price_mid:
+        for k in surf.spec.price_mid:
             price = bs_price(1.0, float(k), 0.0, 0.0, 1.0 / 252.0, vol, k >= 1.0)
             rows.append(f"{float(k)!r},{1.0 / 252.0},{price!r},{'C' if k >= 1.0 else 'P'}")
         quotes.write_text("\n".join(rows) + "\n")
@@ -674,7 +674,7 @@ class TestCompare:
 
     def test_unsolvable_strike_skipped_once(self, tmp_path, surface_file, capsys):
         quotes = self.make_quotes(tmp_path, surface_file)
-        strike = float(load_surface(surface_file).price_mid[0])
+        strike = float(load_surface(surface_file).spec.price_mid[0])
         # A call priced above spot has no implied vol.
         with open(quotes, "a") as fh:
             fh.write(f"{strike!r},{1.0 / 252.0},5.0,C\n")

@@ -36,6 +36,49 @@ class TestAssignCell:
         assert assign_cell(0.5, 455.0, spec)[1] == 9
         assert assign_cell(0.5, 10.0, spec)[1] == 0
 
+    def test_bin_midpoints_land_in_their_bins(self):
+        spec = GridSpec(13, 10, 400.0, 450.0)
+        assert assign_cell(0.5, 425.0, GridSpec(1, 1, 400.0, 450.0)) == (0, 0)
+        i, j = assign_cell(spec.cell_time, spec.price_mid, spec)
+        np.testing.assert_array_equal(i, np.arange(13))
+        np.testing.assert_array_equal(j, np.arange(10))
+
+    def test_band_ends_land_in_end_bins(self):
+        spec = GridSpec(13, 10, 400.0, 450.0)
+        assert assign_cell(0.0, 400.0, spec) == (0, 0)
+        assert assign_cell(1.0, 450.0, spec) == (12, 9)
+
+    def test_out_of_band_prices_and_times_clamp(self):
+        spec = GridSpec(13, 10, 400.0, 450.0)
+        i, j = assign_cell(np.array([-0.5, 1.5, 0.5]), np.array([0.0, 455.0, 1e9]), spec)
+        np.testing.assert_array_equal(i, [0, 12, 6])
+        np.testing.assert_array_equal(j, [0, 9, 9])
+
+    def test_empty_band_refused_by_spec(self):
+        # assign_cell divides by the band's width; the spec never holds a zero one.
+        with pytest.raises(GridError, match="^price_max must exceed price_min$"):
+            GridSpec(2, 2, 5.0, 5.0)
+
+    def test_monotone_in_price_and_time(self):
+        spec = GridSpec(7, 9, 400.0, 450.0)
+        rng = np.random.default_rng(13)
+        times, prices = np.sort(rng.uniform(-0.1, 1.1, 200)), np.sort(rng.uniform(380, 470, 200))
+        i, j = assign_cell(times, prices, spec)
+        assert (np.diff(i) >= 0).all() and (np.diff(j) >= 0).all()
+        assert set(i) == set(range(7)) and set(j) == set(range(9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_time=st.integers(1, 100), n_price=st.integers(1, 50),
+       price_min=st.floats(0.0, 1e4), width=st.floats(1e-3, 1e4))
+def test_every_cell_midpoint_assigns_to_its_cell(n_time, n_price, price_min, width):
+    spec = GridSpec(n_time, n_price, price_min, price_min + width)
+    times, prices = np.meshgrid(spec.cell_time, spec.price_mid, indexing="ij")
+    i, j = assign_cell(times, prices, spec)
+    expected = np.indices((n_time, n_price))
+    np.testing.assert_array_equal(i, expected[0])
+    np.testing.assert_array_equal(j, expected[1])
+
 
 class TestBuildGrid:
     def test_single_pair(self):

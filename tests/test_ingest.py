@@ -8,7 +8,6 @@ from rlvs.ingest import (
     TickDataError,
     TickSeries,
     load_ticks,
-    normalize_price,
     normalize_time,
     resample,
     save_ticks,
@@ -131,31 +130,6 @@ class TestNormalizeTime:
         s = synth_gbm_ticks(100.0, 0.0, 0.4, 200, seed=5)
         out = normalize_time(s)
         np.testing.assert_allclose(out.times * s.session_length, s.times, rtol=1e-12)
-
-
-class TestNormalizePrice:
-    def test_midpoint(self):
-        assert normalize_price(425.0, 400.0, 450.0) == pytest.approx(0.5)
-
-    def test_band_endpoints(self):
-        assert normalize_price(400.0, 400.0, 450.0) == 0.0
-        assert normalize_price(450.0, 400.0, 450.0) == 1.0
-
-    def test_out_of_range_passes_through(self):
-        assert normalize_price(455.0, 400.0, 450.0) == pytest.approx(1.1)
-
-    def test_degenerate_band(self):
-        with pytest.raises(TickDataError):
-            normalize_price(1.0, 5.0, 5.0)
-
-    def test_affine_in_convex_combinations(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            p, q = rng.uniform(300, 500, size=2)
-            a = rng.uniform()
-            lhs = normalize_price(a * p + (1 - a) * q, 400.0, 450.0)
-            rhs = a * normalize_price(p, 400.0, 450.0) + (1 - a) * normalize_price(q, 400.0, 450.0)
-            assert abs(lhs - rhs) < 1e-12
 
 
 class TestResample:

@@ -353,19 +353,16 @@ def surfaces(draw):
         return np.array(draw(st.lists(values, min_size=n_time * n_price,
                                       max_size=n_time * n_price))).reshape(shape)
 
-    width = (price_max - price_min) / n_price
     return VolSurface(
         spec=GridSpec(n_time, n_price, price_min, price_max),
         vol_mean=grid_of(vols), vol_lo=grid_of(vols), vol_hi=grid_of(vols),
         masked=grid_of(st.booleans()).astype(bool),
-        cell_time=(np.arange(n_time) + 0.5) / n_time,
-        price_mid=price_min + (np.arange(n_price) + 0.5) * width,
     )
 
 
 def assert_same_surface(a, b):
     assert a.spec == b.spec
-    for name in ("vol_mean", "vol_lo", "vol_hi", "masked", "cell_time", "price_mid"):
+    for name in ("vol_mean", "vol_lo", "vol_hi", "masked"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -384,8 +381,7 @@ def test_json_round_trip_is_exact(tmp_path_factory, surf):
 # One price bin over [90, 110]: the band must come back as [90, 110].
 ONE_PRICE_BIN = VolSurface(
     GridSpec(2, 1, 90.0, 110.0), np.array([[0.4], [0.5]]), np.array([[0.3], [0.4]]),
-    np.array([[0.5], [0.6]]), np.array([[False], [True]]), np.array([0.25, 0.75]),
-    np.array([100.0]),
+    np.array([[0.5], [0.6]]), np.array([[False], [True]]),
 )
 
 
