@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -61,6 +62,8 @@ DEFAULTS = {
 
 # Keys that may be left unset and resolved from data at run time.
 _OPTIONAL = {("grid", "price_min"), ("grid", "price_max")}
+# The seeds numpy reads, which it refuses when negative; [surface] seed has no reader.
+_SEEDS = {("synth", "seed"), ("hmc", "seed")}
 
 
 def default_config() -> dict:
@@ -88,6 +91,8 @@ def _convert(section: str, key: str, raw: str):
         raise ValueError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
     if not np.isfinite(value):
         raise ValueError(f"[{section}] {key}: expected a finite number, got {raw!r}")
+    if (section, key) in _SEEDS and value < 0:
+        raise ValueError(f"[{section}] {key}: expected a non-negative integer, got {raw!r}")
     return value
 
 
@@ -268,7 +273,8 @@ def checkpoint_draws(ckpt: dict) -> list:
             not isinstance(d, list) or len(d) != active.size for d in draws):
         raise ValueError(f"a draw is not of length {active.size}, the number of coordinates "
                          "the dims and the grid's mask leave the sampler")
-    values = np.asarray(draws, dtype=float).reshape(-1, active.size)
+    values = grid_mod.float_array("draws", list(itertools.chain.from_iterable(draws)))
+    values = values.reshape(-1, active.size)
     if not np.isfinite(values).all():
         raise ValueError("a draw holds a value that is not finite")
     full = np.asarray(sampler.Draws(np.zeros(dims.n_coords), active, values))
@@ -280,7 +286,7 @@ def run_surface(cfg: dict, ckpt_path, out_path, fmt: str) -> surface_mod.VolSurf
     try:
         gdata = grid_mod.GridData.from_dict(ckpt["grid"])
         draws = checkpoint_draws(ckpt)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer no float holds
         raise ValueError(f"{ckpt_path}: {exc}") from None
     surf_cfg = surface_mod.SurfaceConfig(**cfg["surface"], bins_per_day=ckpt["bins_per_day"],
                                          trading_days=cfg["synth"]["trading_days"])
@@ -403,6 +409,8 @@ def _build_parser():
 
 
 def _resolve(args) -> dict:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     cfg = load_config(args.config)
     if args.seed is not None:
         apply_master_seed(cfg, args.seed)

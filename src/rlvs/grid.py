@@ -9,6 +9,7 @@ falls in. Each consecutive-tick log return is attributed to the cell of its
 
 from __future__ import annotations
 
+import array
 import itertools
 from dataclasses import asdict, dataclass, fields
 
@@ -79,22 +80,28 @@ class GridData:
     cell_logprice: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("mask", bool), ("cell_time", float), ("cell_logprice", float)):
-            try:
-                setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
-            except (TypeError, ValueError) as exc:
-                raise GridError(f"grid {name} is malformed: {exc}") from None
         i, j = self.spec.n_time, self.spec.n_price
+        self.mask = mask_array("grid mask", self.mask)
         if self.mask.shape != (i, j):
             raise GridError("mask shape does not match spec")
+        for name in ("cell_time", "cell_logprice"):
+            values = getattr(self, name)
+            if isinstance(values, list):
+                values = float_array(f"grid {name}", values)
+            try:
+                setattr(self, name, np.asarray(values, dtype=float))
+            except (TypeError, ValueError) as exc:
+                raise GridError(f"grid {name} is malformed: {exc}") from None
         coords = (self.cell_time, (i,)), (self.cell_logprice, (j,))
         if any(c.shape != n or not np.isfinite(c).all() for c, n in coords):
             raise GridError("cell_time and cell_logprice must hold one finite value per bin")
         try:
             if len(self.returns) != i or any(len(row) != j for row in self.returns):
                 raise TypeError(f"expected {i} lists of {j} lists of returns")
-            values, counts = _flatten(_cells(self))
-        except (TypeError, ValueError) as exc:
+            cells = _cells(self)
+            values = float_array("grid returns", list(itertools.chain.from_iterable(cells)))
+            counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+        except TypeError as exc:
             raise GridError(f"grid returns is malformed: {exc}") from None
         bad = (counts > 0) != self.mask.ravel()
         bad[np.repeat(np.arange(i * j), counts)[~np.isfinite(values)]] = True
@@ -149,12 +156,46 @@ def _require_fields(what: str, d, cls) -> None:
             raise GridError(f"{what} {f.name} must be of type {f.type}, got {d[f.name]!r}")
 
 
+_NUMBER_TYPES = (int, float, np.integer, np.floating, type(None))
+
+
+def float_array(what: str, values: list) -> np.ndarray:
+    """The flat list ``values`` as a float array, refused by name unless each
+    element is an int or a float, or None: a JSON null, which reads as NaN for
+    a finiteness check to name. A bool or a string is refused, although
+    ``float`` would read it as a number."""
+    try:
+        numbers = np.frombuffer(array.array("d", values))
+    except TypeError:  # a string, null, list or other element that is no number
+        numbers = None
+    # array.array reads a bool as 0 or 1: only then are the elements' types read.
+    if numbers is None or ((numbers == 0) | (numbers == 1)).any():
+        odd = sorted({t.__name__ for t in set(map(type, values))
+                      if t is bool or not issubclass(t, _NUMBER_TYPES)})
+        if odd:
+            raise GridError(f"{what} must hold numbers, not {', '.join(odd)}")
+        return np.asarray(values, dtype=float)
+    return numbers
+
+
+def mask_array(what: str, values) -> np.ndarray:
+    """``values`` as a bool array, refused by name unless each element is 0,
+    1, true or false: ``bool`` would read any other number or string as true."""
+    try:
+        mask = np.asarray(values)
+    except ValueError as exc:
+        raise GridError(f"{what} is malformed: {exc}") from None
+    if mask.dtype.kind not in "biu" or ((mask != 0) & (mask != 1)).any():
+        raise GridError(f"{what} must hold only 0, 1, true or false")
+    return mask.astype(bool)
+
+
 def assign_cell(time_norm, price, spec: GridSpec):
     """0-based (time, price) cell indices of a point, or of arrays of points.
 
     Normalized time and the price's place in the band, 0 at ``price_min`` and
-    1 at ``price_max``, each split into equal bins; a value on or past either
-    end clamps into the end bin.
+    1 at ``price_max``, are each split into equal bins; a value at the upper
+    end, or past either end, falls in the end bin.
     """
     frac = (price - spec.price_min) / (spec.price_max - spec.price_min)
     i = np.clip(np.floor(np.multiply(time_norm, spec.n_time)), 0, spec.n_time - 1)

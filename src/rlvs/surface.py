@@ -11,12 +11,13 @@ function of the draws and its interval shows only their spread.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .grid import GridData, GridSpec
+from .grid import GridData, GridSpec, float_array, mask_array
 from .model import (COMPONENT_SCALE, component_means, mixture_mean_var, stick_break,
                     stick_weights_from_raw)
 
@@ -28,6 +29,7 @@ COUNTERFACTUAL_STICK = 1.0 - 0.5 ** (1.0 / COUNTERFACTUAL_CONC)
 
 _CSV_COLUMNS = ("i", "j", "t_norm", "price_mid", "price_lo", "price_hi",
                 "vol_mean", "vol_lo", "vol_hi", "masked")
+_VOLS = ("vol_mean", "vol_lo", "vol_hi")
 
 
 class SurfaceError(ValueError):
@@ -54,8 +56,6 @@ class SurfaceConfig:
             raise SurfaceError("ci_level must lie in (0, 1)")
         if self.bins_per_day < 1 or self.trading_days < 1:
             raise SurfaceError("bins_per_day and trading_days must be >= 1")
-        if self.seed < 0:
-            raise SurfaceError("seed must be non-negative")
 
 
 @dataclass
@@ -74,6 +74,22 @@ class VolSurface:
     vol_hi: np.ndarray
     masked: np.ndarray
 
+    def __post_init__(self):
+        shape = (self.spec.n_time, self.spec.n_price)
+        for name in _VOLS:
+            try:
+                values = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):  # ragged rows
+                values = np.empty(0)
+            if values.shape != shape or not np.isfinite(values).all():
+                raise SurfaceError(f"surface {name} must hold {shape[0]} x {shape[1]} "
+                                   "finite numbers, one per cell")
+            setattr(self, name, values)
+        self.masked = mask_array("surface masked", self.masked)
+        if self.masked.shape != shape:
+            raise SurfaceError(f"surface masked must hold {shape[0]} x {shape[1]} flags, "
+                               "one per cell")
+
     def to_dict(self) -> dict:
         return {
             "spec": asdict(self.spec),
@@ -87,13 +103,18 @@ class VolSurface:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VolSurface":
-        return cls(
-            spec=GridSpec.from_dict(d["spec"]),
-            vol_mean=np.asarray(d["vol_mean"], dtype=float),
-            vol_lo=np.asarray(d["vol_lo"], dtype=float),
-            vol_hi=np.asarray(d["vol_hi"], dtype=float),
-            masked=np.asarray(d["masked"], dtype=bool),
-        )
+        """The inverse of ``to_dict``; a field missing or malformed is refused
+        by name. ``cell_time`` and ``price_mid`` are not read: the spec fixes them."""
+        if not isinstance(d, dict):
+            raise SurfaceError(f"a surface must be an object, got {type(d).__name__}")
+        missing = [f.name for f in fields(cls) if f.name not in d]
+        if missing:
+            raise SurfaceError(f"surface has no field {', '.join(missing)}")
+        for name in _VOLS:
+            if not isinstance(d[name], list) or not all(isinstance(r, list) for r in d[name]):
+                raise SurfaceError(f"surface {name} must be a list of rows of numbers")
+            float_array(f"surface {name}", list(itertools.chain.from_iterable(d[name])))
+        return cls(GridSpec.from_dict(d["spec"]), *(d[name] for name in _VOLS), d["masked"])
 
 
 def annualize(std_per_bin, bins_per_day: int, trading_days: int):
@@ -172,58 +193,78 @@ def export_surface(surface: VolSurface, path, fmt: str = "csv") -> None:
 
 
 def load_surface(path) -> VolSurface:
-    """Read a surface back from its CSV or JSON export."""
-    text = str(path)
-    if text.endswith(".json"):
-        with open(path) as fh:
-            return VolSurface.from_dict(json.load(fh))
-    return _read_csv(path)
+    """Read a surface back from its CSV or JSON export; a malformed file is
+    refused with its path and the field at fault."""
+    try:
+        if str(path).endswith(".json"):
+            with open(path) as fh:
+                try:
+                    d = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise SurfaceError(f"not valid JSON: {exc}") from None
+            return VolSurface.from_dict(d)
+        return _read_csv(path)
+    except (ValueError, OverflowError, csv.Error) as exc:  # also undecodable text
+        raise SurfaceError(f"{path}: {exc}") from None
 
 
 def _write_csv(surface: VolSurface, path) -> None:
     spec = surface.spec
     # linspace pins the outer edges to price_min and price_max exactly.
-    edges = np.linspace(spec.price_min, spec.price_max, spec.n_price + 1)
-    cell_time, price_mid = spec.cell_time, spec.price_mid
+    edges = np.linspace(spec.price_min, spec.price_max, spec.n_price + 1).tolist()
+    cell_time, price_mid = spec.cell_time.tolist(), spec.price_mid.tolist()
+    mean, lo, hi = surface.vol_mean.tolist(), surface.vol_lo.tolist(), surface.vol_hi.tolist()
+    masked = surface.masked.astype(int).tolist()
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(_CSV_COLUMNS) + "\n")
         for i in range(spec.n_time):
             for j in range(spec.n_price):
-                fh.write(
-                    f"{i},{j},{float(cell_time[i])!r},{float(price_mid[j])!r},"
-                    f"{float(edges[j])!r},{float(edges[j + 1])!r},"
-                    f"{float(surface.vol_mean[i, j])!r},{float(surface.vol_lo[i, j])!r},"
-                    f"{float(surface.vol_hi[i, j])!r},{int(surface.masked[i, j])}\n"
-                )
+                fh.write(f"{i},{j},{cell_time[i]!r},{price_mid[j]!r},{edges[j]!r},"
+                         f"{edges[j + 1]!r},{mean[i][j]!r},{lo[i][j]!r},{hi[i][j]!r},"
+                         f"{masked[i][j]}\n")
 
 
 def _read_csv(path) -> VolSurface:
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+        header, *rows = list(csv.reader(fh)) or [[]]
     if not rows:
-        raise SurfaceError(f"{path}: empty surface file")
-    missing = [c for c in _CSV_COLUMNS if c not in reader.fieldnames]
+        raise SurfaceError("empty surface file")
+    missing = [c for c in _CSV_COLUMNS if c not in header]
     if missing:
-        raise SurfaceError(f"{path}: surface CSV has no column {', '.join(missing)}")
-    i_n = max(int(r["i"]) for r in rows) + 1
-    j_n = max(int(r["j"]) for r in rows) + 1
-    edges = np.zeros(j_n + 1)
-    vol_mean = np.zeros((i_n, j_n))
-    vol_lo = np.zeros((i_n, j_n))
-    vol_hi = np.zeros((i_n, j_n))
-    masked = np.zeros((i_n, j_n), dtype=bool)
-    for r in rows:
-        i, j = int(r["i"]), int(r["j"])
-        edges[j], edges[j + 1] = float(r["price_lo"]), float(r["price_hi"])
-        vol_mean[i, j] = float(r["vol_mean"])
-        vol_lo[i, j] = float(r["vol_lo"])
-        vol_hi[i, j] = float(r["vol_hi"])
-        masked[i, j] = r["masked"].strip() == "1"
-    spec = GridSpec(n_time=i_n, n_price=j_n, price_min=float(edges[0]),
-                    price_max=float(edges[-1]))
-    return VolSurface(spec=spec, vol_mean=vol_mean, vol_lo=vol_lo, vol_hi=vol_hi,
-                      masked=masked)
+        raise SurfaceError(f"surface CSV has no column {', '.join(missing)}")
+    ragged = [(n, len(r)) for n, r in enumerate(rows, start=2) if len(r) != len(header)]
+    if ragged:
+        raise SurfaceError(f"surface CSV line {ragged[0][0]} holds {ragged[0][1]} values "
+                           f"for {len(header)} columns")
+
+    def column(name, kind):
+        k = header.index(name)
+        try:
+            return np.array([r[k] for r in rows], dtype=kind)
+        except (TypeError, ValueError) as exc:
+            raise SurfaceError(f"surface CSV column {name}: {exc}") from None
+
+    i, j = column("i", int), column("j", int)
+    if min(i.min(), j.min()) < 0:
+        raise SurfaceError("surface CSV cell indices i and j must be >= 0")
+    i_n, j_n = int(i.max()) + 1, int(j.max()) + 1
+    if i_n * j_n != len(rows):
+        raise SurfaceError(f"surface CSV has {len(rows)} rows for its {i_n} x {j_n} cells, "
+                           "which need one row each")
+    cell = i * j_n + j
+    counts = np.bincount(cell, minlength=len(rows))
+    if (counts != 1).any():
+        k = int(np.argmax(counts != 1))
+        raise SurfaceError(f"surface CSV has {counts[k]} rows for cell {divmod(k, j_n)}, "
+                           "which needs one")
+    order = np.argsort(cell)
+
+    def cells(name, kind=float):
+        return column(name, kind)[order].reshape(i_n, j_n)
+
+    # linspace in _write_csv pins the outer edges to price_min and price_max.
+    spec = GridSpec(i_n, j_n, float(cells("price_lo")[0, 0]), float(cells("price_hi")[0, -1]))
+    return VolSurface(spec, *(cells(name) for name in _VOLS), cells("masked", int))
 
 
 def _heat_color(x: float) -> str:

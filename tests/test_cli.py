@@ -18,7 +18,7 @@ from rlvs import cli, model
 from rlvs.cli import apply_master_seed, load_checkpoint, load_config, main
 from rlvs.grid import GridData
 from rlvs.model import ModelDims, Posterior
-from rlvs.surface import load_surface
+from rlvs.surface import export_surface, load_surface
 from rlvs.voltools import bs_price
 
 
@@ -377,6 +377,38 @@ CHECKPOINT_FIELDS = [("dims",), ("grid",),
                                                          "price_max")]]
 
 
+# One element of each list field the surface reads: FIRST stands for the
+# first number of the field's nested lists.
+FIRST = object()
+ELEMENTS = [("grid", "mask", FIRST), ("grid", "cell_time", FIRST),
+            ("grid", "cell_logprice", FIRST), ("grid", "returns", FIRST), ("draws", FIRST)]
+
+
+def _first_number_list(values):
+    """The innermost list of nested lists ``values`` whose first element is a
+    number, or None if they hold no number."""
+    for v in values:
+        if not isinstance(v, list):
+            return values
+        found = _first_number_list(v)
+        if found is not None:
+            return found
+    return None
+
+
+def _retype_first(values, match, new):
+    """Replace the first number of nested lists ``values`` that equals
+    ``match`` (any number if None) with ``new``, or with ``new(number)``."""
+    for k, v in enumerate(values):
+        if isinstance(v, list):
+            if _retype_first(v, match, new):
+                return True
+        elif match is None or v == match:
+            values[k] = new(v) if callable(new) else new
+            return True
+    return False
+
+
 class TestSurface:
     @pytest.fixture(scope="class")
     def fitted(self, tmp_path_factory):
@@ -494,6 +526,16 @@ class TestSurface:
         # A JSON null reads as NaN.
         (lambda c: c["grid"]["cell_time"].__setitem__(0, None),
          "cell_time and cell_logprice must hold one finite value per bin"),
+        # Element types: bool("0") and float("0.5") would read these.
+        (lambda c: _retype_first(c["grid"]["mask"], 1, "0"),
+         "grid mask must hold only 0, 1, true or false"),
+        (lambda c: _retype_first(c["grid"]["cell_time"], None, str),
+         "grid cell_time must hold numbers, not str"),
+        (lambda c: _retype_first(c["grid"]["returns"], None, str),
+         "grid returns must hold numbers, not str"),
+        (lambda c: _retype_first(c["draws"], None, lambda x: "x"),
+         "draws must hold numbers, not str"),
+        (lambda c: _retype_first(c["draws"], None, True), "draws must hold numbers, not bool"),
         (lambda c: c["dims"].update(n_time=4),
          "dims n_time = 4, n_price = 3 do not match the grid's 3 x 3 cells"),
         (lambda c: c.pop("dims"), "missing field 'dims'"),
@@ -529,28 +571,39 @@ class TestSurface:
         assert rc != 0
         assert "unknown grid spec field session_length" in capsys.readouterr().err
 
-    @settings(max_examples=60, deadline=None)
-    @given(path=st.sampled_from(CHECKPOINT_FIELDS),
+    @settings(max_examples=100, deadline=None)
+    @given(path=st.sampled_from(CHECKPOINT_FIELDS + ELEMENTS),
            replacement=st.sampled_from([DELETE, "6", None, True, 7, 1.5, [], {}]))
     @example(path=("dims", "n_price"), replacement=DELETE)
     @example(path=("dims", "n_time"), replacement="6")
     @example(path=("grid", "mask"), replacement=DELETE)
     @example(path=("grid", "returns"), replacement=DELETE)
+    @example(path=("grid", "mask", FIRST), replacement="6")
+    @example(path=("grid", "cell_time", FIRST), replacement="6")
+    @example(path=("grid", "returns", FIRST), replacement="6")
+    @example(path=("draws", FIRST), replacement="6")
+    @example(path=("draws", FIRST), replacement=True)
     def test_malformed_dims_or_grid_refused_by_name(self, fitted, path, replacement):
         ckpt = json.loads(fitted.read_text())
         *parents, name = path
         holder = ckpt
         for key in parents:
             holder = holder[key]
-        original = holder[name]
+        key = name
+        if name is FIRST:
+            # One element: the first number of the field's nested lists.
+            assume(replacement is not DELETE)  # a cell may hold any number of returns
+            holder, name, key = _first_number_list(holder), parents[-1], 0
+        original = holder[key]
         if replacement is DELETE:
-            del holder[name]
+            del holder[key]
         else:
             # A retyping gives a value of another JSON type; an integer is a
-            # valid float.
+            # valid float, and a boolean a valid mask flag.
             assume(type(replacement) is not type(original)
-                   and not (type(original) is float and type(replacement) is int))
-            holder[name] = replacement
+                   and not (type(original) is float and type(replacement) is int)
+                   and not (key != name and name == "mask" and type(replacement) is bool))
+            holder[key] = replacement
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as d:
             bad, out = Path(d) / "bad.json", Path(d) / "s.csv"
@@ -562,7 +615,8 @@ class TestSurface:
         assert rc != 0
         message = err.getvalue()
         assert message.startswith(f"error: {bad}: ") and message.count("\n") == 1, message
-        assert name in message, message
+        # A null reads as NaN, refused per draw or per cell of returns.
+        assert {"draws": "draw", "returns": "return"}.get(name, name) in message, message
 
 
 class TestImplied:
@@ -696,6 +750,34 @@ class TestCompare:
         assert f"snapshot time {float(bad)!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt, edit, message", [
+        ("json", lambda d: d.pop("vol_mean"), "surface has no field vol_mean"),
+        ("json", lambda d: d.update(vol_mean=[[0.5]]),
+         "surface vol_mean must hold 3 x 3 finite numbers, one per cell"),
+        ("csv", lambda lines: lines.pop(5),
+         "surface CSV has 8 rows for its 3 x 3 cells, which need one row each"),
+    ])
+    def test_malformed_surface_refused_by_name(self, tmp_path, surface_file, capsys, fmt,
+                                               edit, message):
+        surf = load_surface(surface_file)
+        bad = tmp_path / f"bad.{fmt}"
+        export_surface(surf, bad, fmt)
+        if fmt == "json":
+            d = json.loads(bad.read_text())
+            edit(d)
+            bad.write_text(json.dumps(d))
+        else:
+            lines = bad.read_text().splitlines()
+            edit(lines)
+            bad.write_text("\n".join(lines) + "\n")
+        quotes = self.make_quotes(tmp_path, surface_file)
+        out = tmp_path / "cmp.csv"
+        capsys.readouterr()
+        assert run(["compare", "--surface", str(bad), "--quotes", str(quotes),
+                    "--spot", "1.0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
     def test_empty_quotes_error(self, tmp_path, surface_file):
         quotes = tmp_path / "empty.csv"
         quotes.write_text("strike,expiry_years,mid,flag\n")
@@ -781,6 +863,34 @@ class TestConfig:
         assert capsys.readouterr().err == (
             "error: [hmc] step_size: expected a finite number, got 'nan'\n")
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "fit", "surface"])
+    def test_negative_seed_flag_refused_before_any_work(self, tmp_path, capsys, command):
+        # fit and surface would read their input only after the flag.
+        argv = {"synth": [], "fit": ["--ticks", str(tmp_path / "nope.csv")],
+                "surface": ["--checkpoint", str(tmp_path / "nope.json")]}[command]
+        out = tmp_path / "out"
+        assert main([command, "--seed", "-5", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: --seed must be non-negative, got -5\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, command", [("synth", "synth"), ("hmc", "fit")])
+    def test_negative_stage_seed_refused_by_name(self, tmp_path, capsys, section, command):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[{section}]\nseed = -1\n")
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(p), "--ticks", str(tmp_path / "nope.csv"),
+                   "--out", str(out)] if command == "fit" else
+                  [command, "--config", str(p), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: [{section}] seed: expected a non-negative integer, got '-1'\n")
+        assert not out.exists()
+
+    def test_surface_seed_has_no_reader_and_no_bound(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text("[surface]\nseed = -3\n")
+        assert load_config(p)["surface"]["seed"] == -3
 
     def test_master_seed_derivation(self):
         cfg = load_config()

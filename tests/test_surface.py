@@ -1,3 +1,5 @@
+import json
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -393,13 +395,113 @@ def test_csv_round_trip_is_exact(tmp_path_factory, surf):
     assert_same_surface(round_trip(surf, tmp_path_factory.mktemp("csv"), "csv"), surf)
 
 
+# A 2 x 2 surface over [90, 110]; cell (0, 1) is the one the path missed.
+TWO_BY_TWO = VolSurface(
+    GridSpec(2, 2, 90.0, 110.0), np.array([[0.4, 0.5], [0.45, 0.55]]),
+    np.array([[0.3, 0.4], [0.35, 0.45]]), np.array([[0.5, 0.6], [0.55, 0.65]]),
+    np.array([[False, True], [False, False]]),
+)
+
+
+def _set(field, value):
+    return lambda d: d.__setitem__(field, value)
+
+
+def _drop(field):
+    def edit(d):
+        del d[field]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("vol_mean"), "surface has no field vol_mean"),
+    (_drop("spec"), "surface has no field spec"),
+    (_drop("masked"), "surface has no field masked"),
+    (_set("vol_mean", [[0.4]]), "surface vol_mean must hold 2 x 2 finite numbers, one per cell"),
+    (_set("vol_lo", [[0.3, 0.4], [0.35]]), "surface vol_lo must hold 2 x 2 finite numbers"),
+    (_set("vol_hi", [[0.5, 0.6], [0.55, 0.65], [0.1, 0.2]]),
+     "surface vol_hi must hold 2 x 2 finite numbers"),
+    (_set("vol_mean", [[0.4, None], [0.45, 0.55]]), "surface vol_mean must hold 2 x 2 finite"),
+    (_set("vol_mean", [[0.4, "0.5"], [0.45, 0.55]]), "surface vol_mean must hold numbers, not str"),
+    (_set("vol_lo", [[0.3, True], [0.35, 0.45]]), "surface vol_lo must hold numbers, not bool"),
+    (_set("vol_hi", "0.5"), "surface vol_hi must be a list of rows of numbers"),
+    (_set("vol_hi", [0.5, 0.6, 0.55, 0.65]), "surface vol_hi must be a list of rows of numbers"),
+    (_set("masked", [[0, "0"], [0, 0]]), "surface masked must hold only 0, 1, true or false"),
+    (_set("masked", [[0, 2], [0, 0]]), "surface masked must hold only 0, 1, true or false"),
+    (_set("masked", [[0, 1]]), "surface masked must hold 2 x 2 flags, one per cell"),
+    (lambda d: _drop("price_max")(d["spec"]), "grid spec has no field price_max"),
+    (lambda d: d["spec"].update(n_price="2"), "grid spec n_price must be of type int"),
+    (lambda d: json.dumps([d]), "a surface must be an object, got list"),
+    (lambda d: json.dumps(d)[:20], "not valid JSON: "),
+])
+def test_malformed_json_surface_refused_by_name(tmp_path, edit, message):
+    path = tmp_path / "surf.json"
+    d = TWO_BY_TWO.to_dict()
+    text = edit(d)  # a string is the file's new text
+    path.write_text(json.dumps(d) if text is None else text)
+    with pytest.raises(SurfaceError, match=f"^{re.escape(f'{path}: {message}')}"):
+        load_surface(path)
+
+
+def _csv_cell(i, j, column, value):
+    """An edit setting ``column`` of cell (i, j)'s row to the text ``value``."""
+    def edit(lines):
+        header = lines[0].split(",")
+        row = 1 + 2 * i + j
+        fields = lines[row].split(",")
+        fields[header.index(column)] = value
+        lines[row] = ",".join(fields)
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines.pop(3),
+     "surface CSV has 3 rows for its 2 x 2 cells, which need one row each"),
+    (lambda lines: lines.append(lines[2]), "surface CSV has 5 rows for its 2 x 2 cells"),
+    (_csv_cell(1, 1, "i", "0"), "surface CSV has 2 rows for cell (0, 1), which needs one"),
+    (_csv_cell(1, 1, "j", "3"), "surface CSV has 4 rows for its 2 x 4 cells"),
+    (_csv_cell(1, 1, "i", str(2 ** 62)), "surface CSV has 4 rows for its "),
+    (_csv_cell(0, 0, "i", "x"), "surface CSV column i: "),
+    (_csv_cell(0, 1, "j", "1.5"), "surface CSV column j: "),
+    (_csv_cell(1, 0, "i", "-1"), "surface CSV cell indices i and j must be >= 0"),
+    (_csv_cell(1, 1, "vol_mean", "abc"), "surface CSV column vol_mean: "),
+    (_csv_cell(1, 1, "vol_lo", "nan"), "surface vol_lo must hold 2 x 2 finite numbers"),
+    (_csv_cell(0, 0, "vol_hi", "inf"), "surface vol_hi must hold 2 x 2 finite numbers"),
+    (_csv_cell(0, 1, "masked", "2"), "surface masked must hold only 0, 1, true or false"),
+    (_csv_cell(0, 1, "masked", "yes"), "surface CSV column masked: "),
+    (_csv_cell(0, 0, "price_lo", "inf"), "price_min must be finite, got inf"),
+    (lambda lines: lines.__setitem__(2, "0,1,0.25"),
+     "surface CSV line 3 holds 3 values for 10 columns"),
+    (lambda lines: lines.__setitem__(4, lines[4] + ",0"),
+     "surface CSV line 5 holds 11 values for 10 columns"),
+    (lambda lines: lines.__setitem__(0, lines[0].replace("vol_hi", "vol_top")),
+     "surface CSV has no column vol_hi"),
+    (lambda lines: lines.__delitem__(slice(1, None)), "empty surface file"),
+    (lambda lines: lines.__setitem__(2, "9" * 200_000), "field larger than field limit"),
+])
+def test_malformed_csv_surface_refused_by_name(tmp_path, edit, message):
+    path = tmp_path / "surf.csv"
+    export_surface(TWO_BY_TWO, path, "csv")
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SurfaceError, match=f"^{re.escape(f'{path}: {message}')}"):
+        load_surface(path)
+
+
+def test_two_by_two_surface_loads_from_both_formats(tmp_path):
+    # The unedited files of the two tests above load.
+    for fmt in ("csv", "json"):
+        assert_same_surface(round_trip(TWO_BY_TWO, tmp_path, fmt), TWO_BY_TWO)
+
+
 def test_config_validation():
     with pytest.raises(SurfaceError):
         SurfaceConfig(n_param_draws=0)
     with pytest.raises(SurfaceError):
         SurfaceConfig(ci_level=1.0)
     with pytest.raises(SurfaceError):
-        SurfaceConfig(seed=-1)
+        SurfaceConfig(bins_per_day=0)
 
 
 def test_retired_knobs_change_nothing():
@@ -408,7 +510,7 @@ def test_retired_knobs_change_nothing():
     draws = [ModelParams.random_init(ModelDims(3, 2, 2), np.random.default_rng(s))
              for s in range(3)]
     a = build_surface(draws, g, SurfaceConfig(n_param_draws=3))
-    b = build_surface(draws, g, SurfaceConfig(n_param_draws=3, n_returns_per_draw=1, seed=9))
+    b = build_surface(draws, g, SurfaceConfig(n_param_draws=3, n_returns_per_draw=1, seed=-9))
     assert_same_surface(a, b)
 
 
