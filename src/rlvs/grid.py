@@ -9,7 +9,6 @@ falls in. Each consecutive-tick log return is attributed to the cell of its
 
 from __future__ import annotations
 
-import array
 import itertools
 from dataclasses import asdict, dataclass, fields
 
@@ -164,18 +163,11 @@ def float_array(what: str, values: list) -> np.ndarray:
     element is an int or a float, or None: a JSON null, which reads as NaN for
     a finiteness check to name. A bool or a string is refused, although
     ``float`` would read it as a number."""
-    try:
-        numbers = np.frombuffer(array.array("d", values))
-    except TypeError:  # a string, null, list or other element that is no number
-        numbers = None
-    # array.array reads a bool as 0 or 1: only then are the elements' types read.
-    if numbers is None or ((numbers == 0) | (numbers == 1)).any():
-        odd = sorted({t.__name__ for t in set(map(type, values))
-                      if t is bool or not issubclass(t, _NUMBER_TYPES)})
-        if odd:
-            raise GridError(f"{what} must hold numbers, not {', '.join(odd)}")
-        return np.asarray(values, dtype=float)
-    return numbers
+    odd = sorted({t.__name__ for t in set(map(type, values))
+                  if t is bool or not issubclass(t, _NUMBER_TYPES)})
+    if odd:
+        raise GridError(f"{what} must hold numbers, not {', '.join(odd)}")
+    return np.asarray(values, dtype=float)
 
 
 def mask_array(what: str, values) -> np.ndarray:

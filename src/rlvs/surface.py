@@ -77,8 +77,14 @@ class VolSurface:
     def __post_init__(self):
         shape = (self.spec.n_time, self.spec.n_price)
         for name in _VOLS:
+            values = getattr(self, name)
+            if isinstance(values, list) and all(isinstance(row, list) for row in values):
+                # Rows of numbers, as a JSON surface holds them: read once, types checked.
+                flat = float_array(f"surface {name}", list(itertools.chain.from_iterable(values)))
+                if len(values) == shape[0] and all(len(row) == shape[1] for row in values):
+                    values = flat.reshape(shape)
             try:
-                values = np.asarray(getattr(self, name), dtype=float)
+                values = np.asarray(values, dtype=float)
             except (TypeError, ValueError):  # ragged rows
                 values = np.empty(0)
             if values.shape != shape or not np.isfinite(values).all():
@@ -113,7 +119,6 @@ class VolSurface:
         for name in _VOLS:
             if not isinstance(d[name], list) or not all(isinstance(r, list) for r in d[name]):
                 raise SurfaceError(f"surface {name} must be a list of rows of numbers")
-            float_array(f"surface {name}", list(itertools.chain.from_iterable(d[name])))
         return cls(GridSpec.from_dict(d["spec"]), *(d[name] for name in _VOLS), d["masked"])
 
 
@@ -227,6 +232,7 @@ def _write_csv(surface: VolSurface, path) -> None:
 def _read_csv(path) -> VolSurface:
     with open(path, newline="") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
+    rows = [r for r in rows if r]  # a blank line holds no cell
     if not rows:
         raise SurfaceError("empty surface file")
     missing = [c for c in _CSV_COLUMNS if c not in header]

@@ -493,6 +493,12 @@ def test_two_by_two_surface_loads_from_both_formats(tmp_path):
     # The unedited files of the two tests above load.
     for fmt in ("csv", "json"):
         assert_same_surface(round_trip(TWO_BY_TWO, tmp_path, fmt), TWO_BY_TWO)
+    # Blank lines hold no cell, so a CSV that ends in one still loads.
+    path = tmp_path / "blank.csv"
+    export_surface(TWO_BY_TWO, path, "csv")
+    with open(path, "a") as fh:
+        fh.write("\n\n")
+    assert_same_surface(load_surface(path), TWO_BY_TWO)
 
 
 def test_config_validation():
