@@ -14,6 +14,7 @@ import dataclasses
 import itertools
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -62,6 +63,8 @@ DEFAULTS = {
 
 # Keys that may be left unset and resolved from data at run time.
 _OPTIONAL = {("grid", "price_min"), ("grid", "price_max")}
+# The largest length numpy can index, a bound on each checkpoint dimension.
+_MAX_LENGTH = int(np.iinfo(np.intp).max)
 # The seeds numpy reads, which it refuses when negative; [surface] seed has no reader.
 _SEEDS = {("synth", "seed"), ("hmc", "seed")}
 
@@ -191,10 +194,15 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     init = model.ModelParams.random_init(dims, init_rng)
 
     hmc_cfg = sampler.HmcConfig(**{k: v for k, v in h.items() if k != "keep_last"})
+    start = time.perf_counter()
     chain = sampler.run_chain(init.to_vector(), hmc_cfg, post)
+    chain_s = time.perf_counter() - start
     report = sampler.diagnostics(chain)
     print(f"acceptance rate: {report.acceptance_rate:.4f}")
-    print(f"{report}, coordinates sampled {post.active.size:,} of {dims.n_coords:,}")
+    # Timings go to stdout alone: the checkpoint of a fixed seed is the same on every run.
+    print(f"{report}, coordinates sampled {post.active.size:,} of {dims.n_coords:,}, "
+          f"step size {chain.step_size_used:.4g}, chain {chain_s:.3f} s, "
+          f"{chain_s / chain.n_grad * 1e6:.1f} us per gradient evaluation")
 
     # The surface reads only the sampled coordinates: the others hold their
     # initial values in every draw.
@@ -236,7 +244,7 @@ def load_checkpoint(path) -> dict:
     with open(path) as fh:
         try:
             ckpt = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer of more digits than int() reads
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(ckpt, dict) or ckpt.get("kind") != "rlvs-checkpoint":
         raise ValueError(f"{path}: not a fit checkpoint")
@@ -254,11 +262,16 @@ def load_checkpoint(path) -> dict:
     for key in keys:
         if type(dims[key]) is not int or dims[key] < 1:  # a JSON integer, not a bool
             raise ValueError(f"{path}: dims {key} must be an integer >= 1, got {dims[key]!r}")
+        if dims[key] > _MAX_LENGTH:
+            raise ValueError(f"{path}: dims {key} = {dims[key]} exceeds the longest array, "
+                             f"{_MAX_LENGTH}")
     scale, bins = ckpt["standardize_scale"], ckpt["bins_per_day"]
-    if not isinstance(scale, (int, float)) or not 0 < scale < np.inf:
+    if not isinstance(scale, (int, float)) or not 0 < grid_mod.as_float(scale) < np.inf:
         raise ValueError(f"{path}: standardize_scale must be positive and finite, got {scale}")
     if not isinstance(bins, int) or bins < 1:
         raise ValueError(f"{path}: bins_per_day must be an integer >= 1, got {bins}")
+    if grid_mod.as_float(bins) == np.inf:
+        raise ValueError(f"{path}: bins_per_day must be an integer a float holds, got {bins}")
     return ckpt
 
 
@@ -267,12 +280,15 @@ def checkpoint_draws(ckpt: dict) -> list:
     coordinates ``ModelDims.active`` derives from the dims and the grid's
     mask; the others, which ``build_surface`` never reads, are zero."""
     dims = model.ModelDims(**ckpt["dims"])
-    active = dims.active(ckpt["grid"]["mask"])
+    n_active = dims.n_active(ckpt["grid"]["mask"])
     draws = ckpt["draws"]
     if not isinstance(draws, list) or any(
-            not isinstance(d, list) or len(d) != active.size for d in draws):
-        raise ValueError(f"a draw is not of length {active.size}, the number of coordinates "
+            not isinstance(d, list) or len(d) != n_active for d in draws):
+        raise ValueError(f"a draw is not of length {n_active}, the number of coordinates "
                          "the dims and the grid's mask leave the sampler")
+    if not draws:  # the surface names the shortfall; the dims may be too large to index
+        return []
+    active = dims.active(ckpt["grid"]["mask"])
     values = grid_mod.float_array("draws", list(itertools.chain.from_iterable(draws)))
     values = values.reshape(-1, active.size)
     if not np.isfinite(values).all():
@@ -286,7 +302,7 @@ def run_surface(cfg: dict, ckpt_path, out_path, fmt: str) -> surface_mod.VolSurf
     try:
         gdata = grid_mod.GridData.from_dict(ckpt["grid"])
         draws = checkpoint_draws(ckpt)
-    except (ValueError, OverflowError) as exc:  # OverflowError: an integer no float holds
+    except ValueError as exc:
         raise ValueError(f"{ckpt_path}: {exc}") from None
     surf_cfg = surface_mod.SurfaceConfig(**cfg["surface"], bins_per_day=ckpt["bins_per_day"],
                                          trading_days=cfg["synth"]["trading_days"])

@@ -10,6 +10,7 @@ falls in. Each consecutive-tick log return is attributed to the cell of its
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -32,7 +33,7 @@ class GridSpec:
         if self.n_time < 1 or self.n_price < 1:
             raise GridError("grid needs at least one bin per axis")
         for name in ("price_min", "price_max"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(as_float(getattr(self, name))):
                 raise GridError(f"{name} must be finite, got {getattr(self, name)}")
         if self.price_max <= self.price_min:
             raise GridError("price_max must exceed price_min")
@@ -158,16 +159,29 @@ def _require_fields(what: str, d, cls) -> None:
 _NUMBER_TYPES = (int, float, np.integer, np.floating, type(None))
 
 
+def as_float(value) -> float:
+    """A JSON number or null as a float: null reads as NaN and an integer too
+    large for a float as inf of its sign, for a finiteness check to name."""
+    if value is None:
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def float_array(what: str, values: list) -> np.ndarray:
     """The flat list ``values`` as a float array, refused by name unless each
-    element is an int or a float, or None: a JSON null, which reads as NaN for
-    a finiteness check to name. A bool or a string is refused, although
-    ``float`` would read it as a number."""
+    element is an int or a float, or None, each read by ``as_float``. A bool
+    or a string is refused, although ``float`` would read it as a number."""
     odd = sorted({t.__name__ for t in set(map(type, values))
                   if t is bool or not issubclass(t, _NUMBER_TYPES)})
     if odd:
         raise GridError(f"{what} must hold numbers, not {', '.join(odd)}")
-    return np.asarray(values, dtype=float)
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:  # an integer too large for a float
+        return np.array([as_float(v) for v in values])
 
 
 def mask_array(what: str, values) -> np.ndarray:

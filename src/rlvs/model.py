@@ -22,6 +22,7 @@ the sampler integrates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,18 +44,6 @@ def _log_expit(x):
     element, so this equals ``scipy.special.log_expit`` bit for bit.
     """
     return -np.logaddexp(0.0, -x)
-
-
-def _expit(x):
-    """The logistic function 1 / (1 + exp(-x)); exp(-x) overflowing to inf
-    gives the exact limit 0.
-
-    numpy's vectorized ``exp`` differs from libm's in the last bit on a few
-    per cent of inputs, so the result can differ from
-    ``scipy.special.expit`` by a few ulps.
-    """
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
 
 
 class ModelError(ValueError):
@@ -84,13 +73,20 @@ class ModelDims:
         """The sorted ``to_vector()`` indices of the coordinates the data reach
         on a grid with visited-cell ``mask``: the mean coefficients, then each
         visited cell's K stick coordinates, then their concentrations."""
+        visited = self._visited(mask)
+        return np.flatnonzero(np.concatenate([np.ones(self.n_shared, dtype=bool),
+                                              np.repeat(visited, self.n_components), visited]))
+
+    def n_active(self, mask) -> int:
+        """The length of ``active(mask)``, counted without building it."""
+        return self.n_shared + int(self._visited(mask).sum()) * (self.n_components + 1)
+
+    def _visited(self, mask) -> np.ndarray:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.n_time, self.n_price):
             raise ModelError(f"dims n_time = {self.n_time}, n_price = {self.n_price} do not "
                              f"match the grid's {' x '.join(map(str, mask.shape))} cells")
-        visited = mask.ravel()
-        return np.flatnonzero(np.concatenate([np.ones(self.n_shared, dtype=bool),
-                                              np.repeat(visited, self.n_components), visited]))
+        return mask.ravel()
 
 
 @dataclass
@@ -190,21 +186,36 @@ def stick_break(gamma) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
     if np.any((g <= 0.0) | (g >= 1.0)):
         raise ModelError("stick fractions must lie strictly inside (0, 1)")
-    return np.exp(_log_stick_break(np.log(g), np.log1p(-g)))
+    return np.exp(_log_stick_break(np.log(g), np.log1p(-g))[..., :-1])
+
+
+@functools.lru_cache(maxsize=None)
+def _stick_matrices(k: int) -> np.ndarray:
+    """The read-only (2, k, k + 1) 0/1 matrices of ``_log_stick_break``: a
+    row of log(gamma) times the first selects its first k - 1 entries; a row
+    of log(1 - gamma) times the second gives its k exclusive prefix sums,
+    then, in the last column, its total."""
+    m = np.stack([np.eye(k, k + 1), np.triu(np.ones((k, k + 1)), 1)])
+    m[0, k - 1, k - 1] = 0.0
+    m.flags.writeable = False
+    return m
 
 
 def _log_stick_break(log_g: np.ndarray, log_1mg: np.ndarray) -> np.ndarray:
-    """log stick-break weights from log(gamma) and log(1 - gamma)."""
-    k = log_g.shape[-1]
-    logw = np.empty_like(log_g)
-    if k == 1:
-        logw[..., 0] = 0.0
-        return logw
-    prefix = log_1mg.cumsum(axis=-1)
-    logw[..., 0] = log_g[..., 0]
-    logw[..., 1:] = log_g[..., 1:] + prefix[..., :-1]
-    logw[..., -1] = prefix[..., -2]
-    return logw
+    """log stick-break weights from (..., K) log(gamma) and log(1 - gamma),
+    with the sum of log(1 - gamma) over all K fractions in a last column:
+    a (..., K + 1) array.
+
+    Weight k < K - 1 is log gamma_k plus the prefix sum of log(1 - gamma)
+    before it; the last is that prefix sum alone. Both terms come from
+    products with ``_stick_matrices``, whose zeros add nothing to a finite
+    input. Sums past the float range are -inf, as a running sum's would be:
+    every log(1 - gamma) is at most about 0.
+    """
+    select, prefix = _stick_matrices(log_g.shape[-1])
+    out = log_1mg @ prefix
+    out += log_g @ select
+    return out
 
 
 def stick_weights_from_raw(stick_raw: np.ndarray) -> np.ndarray:
@@ -218,7 +229,7 @@ def stick_weights_from_raw(stick_raw: np.ndarray) -> np.ndarray:
     """
     stick_raw = np.asarray(stick_raw, dtype=float)
     with np.errstate(over="ignore"):
-        return np.exp(_log_stick_break(_log_expit(stick_raw), _log_expit(-stick_raw)))
+        return np.exp(_log_stick_break(_log_expit(stick_raw), _log_expit(-stick_raw))[..., :-1])
 
 
 def component_means(params: ModelParams, grid: GridData) -> np.ndarray:
@@ -264,52 +275,71 @@ def _prior(vec: np.ndarray, n_shared: int, k_n: int):
     # log(1 - x) = log x - logit x: one logaddexp pass fewer, with an absolute
     # error of about ulp(cells), which is all the sums below need.
     log_1mx = log_x - cells
-    x = _expit(cells)
-    log_1mg = log_1mx[:n_sticks].reshape(-1, k_n)
-    sum_log_1mg = log_1mg.sum(axis=1)
+    x = np.exp(log_x)
+    sticks = _log_stick_break(log_x[:n_sticks].reshape(-1, k_n),
+                              log_1mx[:n_sticks].reshape(-1, k_n))
+    sum_log_1mg = sticks[:, k_n]
     gamma = x[:n_sticks].reshape(-1, k_n)
     a = x[n_sticks:]
     value = (
         -0.5 * float(shared @ shared) - 0.5 * n_shared * LOG_2PI
         # Every logistic Jacobian, log x + log(1 - x); Beta(1, 1) is flat.
-        + float((log_x + log_1mx).sum())
+        + float(np.add.reduce(log_x + log_1mx))
         # Beta(1, a) on each stick fraction: K log a + (a - 1) sum log(1 - gamma).
-        + float(k_n * log_x[n_sticks:].sum() + (a - 1.0) @ sum_log_1mg)
+        + float(k_n * np.add.reduce(log_x[n_sticks:]) + (a - 1.0) @ sum_log_1mg)
     )
     grad = np.empty(vec.size)
     np.negative(shared, out=grad[:n_shared])
     # d/d stick_raw of [log Beta(gamma; 1, a) + log Jacobian] = 1 - gamma - a gamma
-    grad[n_shared:n_shared + n_sticks] = (1.0 - (1.0 + a)[:, None] * gamma).ravel()
+    g_stick = grad[n_shared:n_shared + n_sticks].reshape(-1, k_n)
+    np.multiply((1.0 + a)[:, None], gamma, out=g_stick)
+    np.subtract(1.0, g_stick, out=g_stick)
     # d/d conc of [Jacobian + K log a + (a - 1) sum log(1 - gamma)]
-    grad[n_shared + n_sticks:] = (1.0 - 2.0 * a) + k_n * (1.0 - a) + a * (1.0 - a) * sum_log_1mg
-    return value, grad, _log_stick_break(log_x[:n_sticks].reshape(-1, k_n), log_1mg), gamma
+    # = (1 - 2a) + K (1 - a) + a (1 - a) sum log(1 - gamma)
+    np.add(a * ((1.0 - a) * sum_log_1mg - (2.0 + k_n)), 1.0 + k_n, out=grad[n_shared + n_sticks:])
+    return value, grad, sticks[:, :k_n], gamma
 
 
 def _log_sum_exp(terms: np.ndarray, work: np.ndarray) -> np.ndarray:
     """log(sum(exp(terms), axis=0)) for a (K, N) array, shifted by each
-    column's max so that no exp overflows and the largest term is exp(0);
-    ``work`` is a (K, N) scratch array it overwrites.
+    column's max so that no exp overflows and the largest term is exp(0).
+    On return ``terms`` holds each column's softmax, exp(terms - lse) (the
+    mixture's responsibilities), and ``work``, a (K, N) scratch array, the
+    shifted exponentials.
 
     A column whose max is not finite is not shifted, so every term -inf
     gives -inf, a +inf term +inf and a NaN NaN, as ``scipy.special.logsumexp``
-    does. Blanchard, Higham & Higham (2021), "Accurately computing the
-    log-sum-exp and softmax functions", bound this formula's error.
+    does; such a column divides by zero or meets inf - inf, so the caller
+    runs this under ``np.errstate(all="ignore")``. Blanchard, Higham &
+    Higham (2021), "Accurately computing the log-sum-exp and softmax
+    functions", bound this formula's error.
     """
-    mx = terms.max(axis=0)
+    mx = np.maximum.reduce(terms, axis=0)
     mx[~np.isfinite(mx)] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.exp(np.subtract(terms, mx, out=work), out=work)
-        return np.log(e.sum(axis=0)) + mx
+    e = np.exp(np.subtract(terms, mx, out=work), out=work)
+    total = np.add.reduce(e, axis=0)
+    np.divide(e, total, out=terms)
+    return np.log(total) + mx
 
 
 class _Observed(NamedTuple):
-    """What the kernel reads of the grid, for its V visited cells.
+    """What the kernel reads of the grid, for its V visited cells and N
+    returns, in units of s sqrt(2) for the component scale s. In them a
+    return x lies z = (x - mu) / (s sqrt(2)) from a component mean mu, and
+    log N(x; mu, s) = -z^2 - ``log_norm``.
 
-    ``coef[:, v]`` indexes, into the vector, the time, price and intercept
-    coefficients of cell v's component means, and ``cov[:, v]`` holds the
-    covariates they multiply (``cell_time``, ``cell_logprice``, 1). ``xs``
-    holds the returns cell by cell, in ``GridData.observations()`` order, so
-    cell v's returns are the one run ``xs[starts[v]:starts[v] + counts[v]]``.
+    ``xs`` holds the returns so scaled, cell by cell, in
+    ``GridData.observations()`` order, so cell v's returns are the one run
+    ``xs[starts[v]:starts[v] + counts[v]]``. ``design`` is the (V, I + J + 1)
+    design matrix of the component means, so scaled: row v holds cell v's
+    ``cell_time`` in its time column, its ``cell_logprice`` in its price
+    column and 1 in the last. One product with it maps the (I + J + 1, K)
+    mean coefficients to the cells' means, and one with its transpose the
+    cells' mean gradients back to the coefficients. It holds V (I + J + 1)
+    floats: 555 KB on the paper's 78 x 10 grid with every cell visited.
+    ``tail`` holds two (K, K) 0/1 matrices: a row of a cell's K
+    responsibilities times the first gives, for each l < K - 1, the l-th;
+    times the second, their sum over k >= l; both give 0 for l = K - 1.
     ``work`` is scratch that every pass overwrites. With it the (2, K, N)
     array is a pass's only allocation of that size, so what a tick-level
     pass frees stays below the size at which malloc returns freed heap
@@ -318,9 +348,9 @@ class _Observed(NamedTuple):
 
     n_shared: int
     n_components: int
-    scale: float
-    coef: np.ndarray    # (3, V, K) int
-    cov: np.ndarray     # (3, V, 1)
+    log_norm: float     # log(s sqrt(2 pi))
+    design: np.ndarray  # (V, I + J + 1)
+    tail: np.ndarray    # (2, K, K)
     xs: np.ndarray      # (N,)
     counts: np.ndarray  # (V,) int, each >= 1
     starts: np.ndarray  # (V,) int
@@ -330,45 +360,40 @@ class _Observed(NamedTuple):
 def _value_and_grad(vec: np.ndarray, obs: _Observed):
     """Log posterior and its gradient at a vector in ``Posterior.active``
     order (the mean coefficients, then each visited cell's stick coordinates,
-    then their concentrations), in one pass over the observations.
+    then their concentrations), in one pass over the observations. Run it
+    under ``np.errstate(all="ignore")``: far from the posterior's mass sums
+    overflow, and the value is then -inf or NaN.
     """
     n_shared, k_n = obs.n_shared, obs.n_components
     out, grad, logw, gamma = _prior(vec, n_shared, k_n)
     if obs.xs.size:
-        s = obs.scale
-        v_n = obs.coef.shape[1]
+        v_n = obs.design.shape[0]
         # (2, K, V): component means and log weights, component-major.
         table = np.empty((2, k_n, v_n))
-        table[0] = (vec[obs.coef] * obs.cov).sum(axis=0).T
+        np.matmul(vec[:n_shared].reshape(-1, k_n).T, obs.design.T, out=table[0])
         table[1] = logw.T
-        both = np.repeat(table, obs.counts, axis=2)  # (2, K, N)
+        both = table.repeat(obs.counts, axis=2)  # (2, K, N)
 
-        diff = np.subtract(obs.xs, both[0], out=both[0])
-        terms = both[1]  # log w_k + log N(x; mu_k, s), built in place
-        square = np.multiply(diff, 0.5 / (s * s), out=obs.work)
-        square *= diff
-        terms -= square
-        terms -= math.log(s) + 0.5 * LOG_2PI
+        z = np.subtract(obs.xs, both[0], out=both[0])
+        terms = both[1]  # log w_k - z^2, built in place
+        terms -= np.square(z, out=obs.work)
+        # _log_sum_exp turns terms into the responsibilities.
         lse = _log_sum_exp(terms, obs.work)
-        out += float(lse.sum())
-        terms -= lse
-        resp = np.exp(terms, out=terms)
-        diff *= resp
+        out += float(np.add.reduce(lse)) - obs.xs.size * obs.log_norm
+        z *= terms
 
-        # One reduceat sums resp * (x - mu) and resp over each cell's run.
+        # One reduceat sums resp * z and resp over each cell's run.
         sums = np.add.reduceat(both, obs.starts, axis=2)  # (2, K, V)
-        dmu_cell, resp_cell = sums.transpose(0, 2, 1)  # (V, K) each
-        dmu_cell = dmu_cell / (s * s)
-        grad[:n_shared] += np.bincount(obs.coef.ravel(), weights=(obs.cov * dmu_cell).ravel(),
-                                       minlength=n_shared)
+        # d(-z^2)/d mean coefficient = 2 z times its design entry.
+        g_coef = grad[:n_shared].reshape(-1, k_n)
+        g_coef += 2.0 * (obs.design.T @ sums[0].T)
 
         # d loglik / d stick_raw_l = R_l (1 - gamma_l) - (sum_{k > l} R_k) gamma_l
         # = R_l - (sum_{k >= l} R_k) gamma_l, and zero for the last index (the
         # remainder weight has no gamma of its own).
-        if k_n > 1:
-            tail = resp_cell[:, ::-1].cumsum(axis=1)[:, ::-1]
-            g_stick = grad[n_shared:n_shared + v_n * k_n].reshape(v_n, k_n)
-            g_stick[:, :-1] += (resp_cell - tail * gamma)[:, :-1]
+        resp_cell = sums[1].T  # (V, K)
+        g_stick = grad[n_shared:n_shared + v_n * k_n].reshape(v_n, k_n)
+        g_stick += resp_cell @ obs.tail[0] - (resp_cell @ obs.tail[1]) * gamma
     return out, grad
 
 
@@ -410,18 +435,24 @@ class Posterior:
         i_n, j_n, k_n = dims.n_time, dims.n_price, dims.n_components
         xs, cells, counts = grid.observations()
         ci, cj = np.divmod(cells, j_n)
-        rows = np.stack([ci, i_n + cj, np.full_like(ci, i_n + j_n)])
         if cells.size and counts.min() == 0:
             v = int(np.argmin(counts))
             raise ModelError(f"visited cell ({ci[v]}, {cj[v]}) holds no returns")
+        unit = self.component_scale * math.sqrt(2.0)
+        design = np.zeros((cells.size, i_n + j_n + 1))
+        rows = np.arange(cells.size)
+        design[rows, ci] = grid.cell_time[ci] / unit
+        design[rows, i_n + cj] = grid.cell_logprice[cj] / unit
+        design[:, -1] = 1.0 / unit
+        tail = np.stack([np.eye(k_n), np.tril(np.ones((k_n, k_n)))])
+        tail[:, :, -1] = 0.0  # the remainder weight has no fraction of its own
         self._obs = _Observed(
             n_shared=dims.n_shared,
             n_components=k_n,
-            scale=self.component_scale,
-            coef=rows[..., None] * k_n + np.arange(k_n),
-            cov=np.stack([grid.cell_time[ci], grid.cell_logprice[cj],
-                          np.ones(cells.size)])[..., None],
-            xs=xs,
+            log_norm=math.log(self.component_scale) + 0.5 * LOG_2PI,
+            design=design,
+            tail=tail,
+            xs=xs / unit,
             counts=counts,
             starts=np.cumsum(counts) - counts,
             work=np.empty((k_n, xs.size)),
@@ -434,16 +465,21 @@ class Posterior:
         if vec.shape not in ((n_active,), (n_coords,)):
             raise ModelError(f"expected a vector of length {n_active} (the active "
                              f"coordinates) or {n_coords}, got shape {vec.shape}")
-        if not np.isfinite(vec).all():
+        with np.errstate(all="ignore"):
+            if vec.size == n_active:
+                value, grad = _value_and_grad(vec, self._obs)
+            else:
+                value, g_active = _value_and_grad(vec[self.active], self._obs)
+                v_rest, g_rest, _, _ = _prior(vec[self._prior_only], 0, self.dims.n_components)
+                value += v_rest
+                grad = np.empty(n_coords)
+                grad[self.active] = g_active
+                grad[self._prior_only] = g_rest
+        # A coordinate that is not finite makes the value not finite, so the
+        # vector needs the check only then.
+        if not math.isfinite(value) and not np.isfinite(vec).all():
             raise ModelError("parameters must be finite")
-        if vec.size == n_active:
-            return _value_and_grad(vec, self._obs)
-        value, g_active = _value_and_grad(vec[self.active], self._obs)
-        v_rest, g_rest, _, _ = _prior(vec[self._prior_only], 0, self.dims.n_components)
-        grad = np.empty(n_coords)
-        grad[self.active] = g_active
-        grad[self._prior_only] = g_rest
-        return value + v_rest, grad
+        return value, grad
 
     def logp(self, vec: np.ndarray) -> float:
         return self._evaluate(vec)[0]

@@ -130,8 +130,7 @@ class DiagnosticsReport:
 
 def kinetic(p: np.ndarray, mass_diag) -> float:
     """K(p) = 0.5 * sum p_d^2 / m_d for a diagonal mass matrix."""
-    p = np.asarray(p, dtype=float)
-    return 0.5 * float(np.sum(p * p / np.asarray(mass_diag, dtype=float)))
+    return 0.5 * float(np.dot(p, np.divide(p, mass_diag)))
 
 
 def _logp_reader(target):
@@ -168,11 +167,12 @@ def _integrate(q, p, grad_q, target, step_size: float, n_steps: int, mass, h0: f
                 return q, p, None, g, np.inf
             g = target.grad(q)
             logp = logp_at(q)
-            p_end = p + half * g
+            kick = half * g
+            p_end = p + kick
             delta_h = kinetic(p_end, mass) - logp - h0
             if not -np.inf < delta_h <= max_delta_h:
                 return q, p_end, logp, g, np.inf
-            p = p + step_size * g
+            p = p_end + kick
     return q, p_end, logp, g, delta_h
 
 

@@ -202,6 +202,22 @@ class TestFit:
         full = 1 + 20 * (50 + 60)  # the start point, then n_leapfrog per iteration
         assert n_grad == full if ckpt["acceptance"]["n_divergent"] == 0 else n_grad < full
 
+    def test_summary_reports_step_size_and_timing_outside_the_checkpoint(self, tmp_path,
+                                                                          capsys):
+        ckpt_path = toy_checkpoint(tmp_path)
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines() if "coordinates sampled" in l)
+        found = re.search(r", step size (\S+), chain (\d+\.\d{3}) s, (\d+\.\d) us per gradient "
+                          r"evaluation$", line)
+        assert found, line
+        ckpt = load_checkpoint(ckpt_path)
+        assert found[1] == f"{ckpt['step_size_used']:.4g}"
+        n_grad = int(re.search(r"gradient evaluations ([\d,]+)", line)[1].replace(",", ""))
+        chain_s, us = float(found[2]), float(found[3])
+        assert us == pytest.approx(chain_s / n_grad * 1e6, abs=0.05 + 5e-4 / n_grad * 1e6)
+        assert set(ckpt) == {"kind", "dims", "standardize_scale", "bins_per_day",
+                             "step_size_used", "acceptance", "draws", "grid", "config"}
+
     @pytest.mark.parametrize("edit", [
         {},
         {"n_components = 2": "n_components = 1"},
@@ -544,6 +560,15 @@ class TestSurface:
         (lambda c: c.update(standardize_scale=-1),
          "standardize_scale must be positive and finite, got -1"),
         (lambda c: json.dumps([c]), "not a fit checkpoint"),
+        # Integers no float holds.
+        (lambda c: c["grid"]["spec"].update(price_max=10 ** 400),
+         f"price_max must be finite, got {10 ** 400}"),
+        (lambda c: c.update(standardize_scale=10 ** 400),
+         f"standardize_scale must be positive and finite, got {10 ** 400}"),
+        (lambda c: c.update(bins_per_day=10 ** 400),
+         f"bins_per_day must be an integer a float holds, got {10 ** 400}"),
+        (lambda c: c["dims"].update(n_components=10 ** 30),
+         f"dims n_components = {10 ** 30} exceeds the longest array, {np.iinfo(np.intp).max}"),
         (lambda c: json.dumps(c)[:27],
          "not valid JSON: Expecting property name enclosed in double quotes: "
          "line 1 column 28 (char 27)"),
@@ -560,6 +585,24 @@ class TestSurface:
         assert rc != 0
         assert capsys.readouterr().err == f"error: {bad}: {message.format(n=n)}\n"
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("field, message", [
+        ("cell_time", "cell_time and cell_logprice must hold one finite value per bin"),
+        ("returns", "non-finite return in cell"),
+        ("draws", "a draw holds a value that is not finite"),
+    ])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_element_no_float_holds_refused_by_name(self, tmp_path, toy_cfg, fitted, capsys,
+                                                    field, message, sign):
+        ckpt = json.loads(fitted.read_text())
+        _retype_first(ckpt[field] if field == "draws" else ckpt["grid"][field], None,
+                      sign * 10 ** 400)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(ckpt))
+        rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(bad),
+                  "--out", str(tmp_path / "s.csv")])
+        assert rc != 0
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
 
     def test_checkpoint_with_session_length_named(self, tmp_path, toy_cfg, fitted, capsys):
         ckpt = json.loads(fitted.read_text())
