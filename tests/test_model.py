@@ -161,7 +161,8 @@ class TestStickArithmeticAtTheEdges:
         post = Posterior(g, ModelDims(2, 2, k))
         n_shared = post.dims.n_shared
         rng = np.random.default_rng(40 + k)
-        for raw in self.raws(k)[:: max(1, len(self.raws(k)) // 200)]:
+        raws = self.raws(k)
+        for raw in raws[::max(1, len(raws) // 200)]:
             vec = np.concatenate([rng.normal(scale=0.5, size=n_shared), raw, [0.3]])
             with np.errstate(all="ignore"):
                 _, grad = model._value_and_grad(vec, post._obs)
@@ -591,7 +592,7 @@ def _take_bincount_pass(post, vec):
     grad[:n_shared] += np.bincount(coef.ravel(), weights=(cov * dmu_cell).ravel(),
                                    minlength=n_shared)
     if k_n > 1:
-        tail = _cumsum_tail(resp_cell)
+        tail = np.cumsum(resp_cell[:, ::-1], axis=1)[:, ::-1]
         g_stick = grad[n_shared:n_shared + v_n * k_n].reshape(v_n, k_n)
         g_stick[:, :-1] += (resp_cell - tail * gamma)[:, :-1]
     return out, grad
@@ -607,11 +608,6 @@ def _cumsum_log_weights(stick_raw):
     logw[..., 1:] = log_g[..., 1:] + prefix[..., :-1]
     logw[..., -1] = prefix[..., -2] if log_g.shape[-1] > 1 else 0.0
     return logw
-
-
-def _cumsum_tail(resp):
-    """Each row's sums over components k >= l, by a reversed running sum."""
-    return np.cumsum(resp[..., ::-1], axis=-1)[..., ::-1]
 
 
 class TestKernel:
