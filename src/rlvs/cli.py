@@ -286,7 +286,7 @@ def checkpoint_draws(ckpt: dict) -> list:
             not isinstance(d, list) or len(d) != n_active for d in draws):
         raise ValueError(f"a draw is not of length {n_active}, the number of coordinates "
                          "the dims and the grid's mask leave the sampler")
-    if not draws:  # the surface names the shortfall; the dims may be too large to index
+    if not draws:  # run_surface names the shortfall; the dims may be too large to index
         return []
     active = dims.active(ckpt["grid"]["mask"])
     values = grid_mod.float_array("draws", list(itertools.chain.from_iterable(draws)))
@@ -299,13 +299,16 @@ def checkpoint_draws(ckpt: dict) -> list:
 
 def run_surface(cfg: dict, ckpt_path, out_path, fmt: str) -> surface_mod.VolSurface:
     ckpt = load_checkpoint(ckpt_path)
+    surf_cfg = surface_mod.SurfaceConfig(**cfg["surface"], bins_per_day=ckpt["bins_per_day"],
+                                         trading_days=cfg["synth"]["trading_days"])
     try:
         gdata = grid_mod.GridData.from_dict(ckpt["grid"])
         draws = checkpoint_draws(ckpt)
+        if len(draws) < surf_cfg.n_param_draws:
+            raise ValueError(f"draws holds {len(draws)} draws, fewer than the "
+                             f"{surf_cfg.n_param_draws} of [surface] n_param_draws")
     except ValueError as exc:
         raise ValueError(f"{ckpt_path}: {exc}") from None
-    surf_cfg = surface_mod.SurfaceConfig(**cfg["surface"], bins_per_day=ckpt["bins_per_day"],
-                                         trading_days=cfg["synth"]["trading_days"])
     surf = surface_mod.build_surface(
         draws, gdata, surf_cfg, destandardize_scale=ckpt["standardize_scale"]
     )

@@ -115,8 +115,10 @@ class ModelParams:
             raise ModelError("inconsistent coefficient shapes")
         if self.stick_raw.shape != (i, j, k) or self.conc.shape != (i, j):
             raise ModelError("inconsistent stick/concentration shapes")
+        # count_nonzero, not np.all, whose Python wrapper costs more than the
+        # check on a draw of the paper's grid.
         for a in (self.time_effect, self.price_effect, self.alpha, self.stick_raw, self.conc):
-            if not np.all(np.isfinite(a)):
+            if np.count_nonzero(np.isfinite(a)) != a.size:
                 raise ModelError("parameters must be finite")
 
     @property
@@ -139,13 +141,17 @@ class ModelParams:
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (dims.n_coords,):
             raise ModelError(f"expected vector of length {dims.n_coords}, got {vec.shape}")
-        parts = np.split(vec, np.cumsum([i * k, j * k, k, i * j * k]))
+        # The parts are views of vec, cut at the offsets to_vector writes them at.
+        a = i * k
+        b = a + j * k
+        c = b + k
+        d = c + i * j * k
         return cls(
-            time_effect=parts[0].reshape(i, k),
-            price_effect=parts[1].reshape(j, k),
-            alpha=parts[2],
-            stick_raw=parts[3].reshape(i, j, k),
-            conc=parts[4].reshape(i, j),
+            time_effect=vec[:a].reshape(i, k),
+            price_effect=vec[a:b].reshape(j, k),
+            alpha=vec[b:c],
+            stick_raw=vec[c:d].reshape(i, j, k),
+            conc=vec[d:].reshape(i, j),
         )
 
     @classmethod
@@ -232,15 +238,21 @@ def stick_weights_from_raw(stick_raw: np.ndarray) -> np.ndarray:
         return np.exp(_log_stick_break(_log_expit(stick_raw), _log_expit(-stick_raw))[..., :-1])
 
 
-def component_means(params: ModelParams, grid: GridData) -> np.ndarray:
-    """(I, J, K) component means from the affine coefficient model."""
-    t = grid.cell_time
-    ls = grid.cell_logprice
-    return (
-        (params.time_effect * t[:, None])[:, None, :]
-        + (params.price_effect * ls[:, None])[None, :, :]
-        + params.alpha[None, None, :]
-    )
+def component_means(time_effect, price_effect, alpha, grid: GridData) -> np.ndarray:
+    """(..., I, J, K) component means of the affine coefficient model from
+    (..., I, K) time effects, (..., J, K) price effects and (..., K)
+    intercepts: one draw's, or a stack of draws' along leading axes.
+
+    Each mean is (time term + price term) + intercept, the same float
+    whatever the stack. The means are stored component-major, as a C-order
+    (K, ..., I, J) array seen through a (..., I, J, K) view, so a sum over
+    the components adds whole arrays.
+    """
+    t = np.moveaxis(time_effect * grid.cell_time[:, None], -1, 0)
+    p = np.moveaxis(price_effect * grid.cell_logprice[:, None], -1, 0)
+    means = np.add(t[..., :, None], p[..., None, :], order="C")
+    means += np.moveaxis(alpha, -1, 0)[..., None, None]
+    return np.moveaxis(means, 0, -1)
 
 
 def mixture_mean_var(weights, means, scale):
@@ -288,6 +300,11 @@ def _prior(vec: np.ndarray, n_shared: int, k_n: int):
         # Beta(1, a) on each stick fraction: K log a + (a - 1) sum log(1 - gamma).
         + float(k_n * np.add.reduce(log_x[n_sticks:]) + (a - 1.0) @ sum_log_1mg)
     )
+    if math.isnan(value):
+        # The one term >= 0, (a - 1) sum log(1 - gamma), is inf (or NaN at a = 1)
+        # only where a log(1 - gamma) sum passes the float range, and then the
+        # Jacobian sum, which holds those terms, is -inf: so is the value.
+        value = -math.inf
     grad = np.empty(vec.size)
     np.negative(shared, out=grad[:n_shared])
     # d/d stick_raw of [log Beta(gamma; 1, a) + log Jacobian] = 1 - gamma - a gamma

@@ -448,6 +448,21 @@ class TestSurface:
         assert rc != 0
         assert "50" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("draws, param_draws", [(0, "10"), (20, "21")])
+    def test_draw_shortfall_refused_with_checkpoint_path(self, tmp_path, toy_cfg, fitted,
+                                                         capsys, draws, param_draws):
+        ckpt = json.loads(fitted.read_text())
+        ckpt["draws"] = ckpt["draws"][:draws]
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(ckpt))
+        rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(short),
+                  "--param-draws", param_draws, "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {short}: draws holds {draws} draws, fewer than the {param_draws} of "
+            "[surface] n_param_draws\n")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_bitwise_equal_to_scipy_log_expit(self, tmp_path, toy_cfg, fitted, monkeypatch):
         # The surface reads stick weights through model._log_expit.
         from scipy.special import log_expit

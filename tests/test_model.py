@@ -155,6 +155,28 @@ class TestStickArithmeticAtTheEdges:
         np.testing.assert_allclose(w, np.exp(ref), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("conc", [0.0, 800.0, -800.0, 1e308, -1e308])
+    def test_log_prior_is_a_number_or_minus_inf(self, k, conc):
+        # Every cell's sticks from EDGES at one concentration. Each term of
+        # the log prior is <= 0, so a sum past the float range gives -inf; a
+        # NaN in any cell would make the whole value NaN.
+        raw = self.raws(k)
+        vec = np.concatenate([raw.ravel(), np.full(len(raw), conc)])
+        with np.errstate(all="ignore"):
+            value = model._prior(vec, 0, k)[0]
+        assert not np.isnan(value) and value < np.inf
+
+    def test_log_prior_of_two_sticks_at_the_float_limit(self):
+        # Their log(1 - gamma) sum overflows to -inf, and so does the
+        # Jacobian sum; the Beta(1, a) term is then inf, and the value -inf.
+        dims = ModelDims(2, 2, 3)
+        p = ModelParams.random_init(dims, np.random.default_rng(41))
+        p.stick_raw[0, 1, :2] = [1e308, 1e308]
+        with np.errstate(all="ignore"):
+            value = model._prior(p.to_vector(), dims.n_shared, dims.n_components)[0]
+        assert value == -np.inf
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
     def test_gradient_tail(self, k):
         # The stick gradient holds each cell's tail sums of responsibilities.
         g = one_cell_grid()
@@ -195,7 +217,7 @@ class TestComponentMeans:
         dims = ModelDims(3, 3, 2)
         p = ModelParams.from_vector(dims, np.zeros(dims.n_coords))
         p.alpha[:] = [1.5, -2.0]
-        mu = component_means(p, g)
+        mu = component_means(p.time_effect, p.price_effect, p.alpha, g)
         np.testing.assert_allclose(mu[..., 0], 1.5)
         np.testing.assert_allclose(mu[..., 1], -2.0)
 
@@ -204,7 +226,7 @@ class TestComponentMeans:
         dims = ModelDims(3, 3, 1)
         p = ModelParams.from_vector(dims, np.zeros(dims.n_coords))
         p.time_effect[:, 0] = 1.0
-        mu = component_means(p, g)
+        mu = component_means(p.time_effect, p.price_effect, p.alpha, g)
         for i in range(3):
             np.testing.assert_allclose(mu[i, :, 0], g.cell_time[i])
 
@@ -219,7 +241,23 @@ class TestComponentMeans:
             + p.price_effect[j, k] * g.cell_logprice[j]
             + p.alpha[k]
         )
-        assert component_means(p, g)[i, j, k] == pytest.approx(expected, rel=1e-14)
+        mu = component_means(p.time_effect, p.price_effect, p.alpha, g)
+        assert mu[i, j, k] == pytest.approx(expected, rel=1e-14)
+
+    def test_stack_of_draws_gives_each_draws_means(self):
+        # A leading draw axis changes neither a mean nor the (..., I, J, K)
+        # shape; the means are stored component-major.
+        g = toy_grid(n_time=4, n_price=3)
+        rng = np.random.default_rng(18)
+        draws = [ModelParams.random_init(ModelDims(4, 3, 3), rng) for _ in range(5)]
+        stacked = component_means(np.stack([p.time_effect for p in draws]),
+                                  np.stack([p.price_effect for p in draws]),
+                                  np.stack([p.alpha for p in draws]), g)
+        assert stacked.shape == (5, 4, 3, 3)
+        assert np.moveaxis(stacked, -1, 0).flags.c_contiguous
+        for d, p in enumerate(draws):
+            np.testing.assert_array_equal(
+                stacked[d], component_means(p.time_effect, p.price_effect, p.alpha, g))
 
 
 class TestMixtureLogpdf:

@@ -1,13 +1,15 @@
 import json
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rlvs.grid import GridSpec, build_grid
+from rlvs.grid import GridData, GridSpec, build_grid
 from rlvs.ingest import TickSeries, normalize_time, synth_gbm_ticks
 from rlvs.model import (
     MixtureSpec,
@@ -28,8 +30,9 @@ from rlvs.surface import (
     load_surface,
     render_svg,
 )
+from rlvs import surface
 from rlvs.surface import VolSurface
-from model_reference import cell_mixture
+from model_reference import cell_mixture, surface_by_draw
 
 
 def small_grid(seed=3, n_time=3, n_price=2):
@@ -272,6 +275,86 @@ def test_surface_finite_on_degenerate_shapes(fit):
         assert np.isfinite(values).all()
         assert (values >= 0).all()
     assert (surf.vol_lo <= surf.vol_hi).all()
+
+
+def mask_fit(mask, k, n_draws, n_param_draws, spread=1.0, masked_edge=False, seed=0):
+    """Draws on a grid with visited-cell ``mask`` and one return in each
+    visited cell; ``masked_edge`` puts every masked cell's stick and
+    concentration coordinates at +-1e308, signs drawn at random."""
+    mask = np.asarray(mask, dtype=bool)
+    n_time, n_price = mask.shape
+    spec = GridSpec(n_time, n_price, 90.0, 110.0)
+    returns = [[[0.1] if mask[i, j] else [] for j in range(n_price)] for i in range(n_time)]
+    rng = np.random.default_rng(seed)
+    grid = GridData(spec, mask, returns, spec.cell_time, rng.normal(size=n_price))
+    dims = ModelDims(n_time, n_price, k)
+    draws = []
+    for _ in range(n_draws):
+        p = ModelParams.from_vector(dims, spread * rng.standard_normal(dims.n_coords))
+        if masked_edge:
+            p.stick_raw[~mask] = rng.choice([1e308, -1e308], size=p.stick_raw[~mask].shape)
+            p.conc[~mask] = rng.choice([1e308, -1e308], size=p.conc[~mask].shape)
+        draws.append(p)
+    return draws, grid, SurfaceConfig(n_param_draws=n_param_draws)
+
+
+@st.composite
+def mask_fits(draw, components=st.integers(1, 7)):
+    """Random small grids, visited cells and draws, with fewer kept draws than
+    given and masked coordinates at the float limit."""
+    n_time, n_price = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n_time * n_price,
+                                  max_size=n_time * n_price))).reshape(n_time, n_price)
+    n_draws = draw(st.integers(2, 20))
+    return mask_fit(mask, draw(components), n_draws, draw(st.integers(2, n_draws)),
+                    draw(st.sampled_from([1.0, 50.0])), draw(st.booleans()),
+                    draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fit=mask_fits(), block=st.one_of(st.none(), st.integers(1, 8)))
+# K = 1, one price bin and one visited cell; the paper's grid with every cell
+# visited, in its own blocks of 8 draws, 11 kept of 13, so the last block is
+# partial; the masked cells at the float limit.
+@example(fit=mask_fit([[False], [True]], 1, 2, 2), block=None)
+@example(fit=mask_fit(np.ones((78, 10)), 5, 13, 11), block=None)
+@example(fit=mask_fit([[True, False], [False, False]], 3, 9, 9, 50.0, True), block=2)
+def test_blocked_surface_equals_draw_by_draw_loop(fit, block):
+    # With K < 8 numpy sums a per-draw (I, J, K) array's K terms in order, as
+    # the component-major blocks do, so every float is the same. ``block``
+    # draws per block, where given, make small grids' blocks partial too.
+    draws, grid, cfg = fit
+    budget = surface._BLOCK_BYTES if block is None else block * 8 * draws[0].stick_raw.size
+    with mock.patch.object(surface, "_BLOCK_BYTES", budget):
+        ours = build_surface(draws, grid, cfg, destandardize_scale=0.002)
+    assert_same_surface(ours, surface_by_draw(draws, grid, cfg, destandardize_scale=0.002))
+
+
+@settings(max_examples=10, deadline=None)
+@given(fit=mask_fits(components=st.integers(8, 12)))
+def test_blocked_surface_near_draw_by_draw_loop_for_eight_or_more_components(fit):
+    # From 8 terms numpy sums a contiguous axis pairwise, so the loop's sums
+    # group the K terms otherwise: a few ulp of each moment, 1e-12 at most
+    # once the variance's cancellation is counted at the strategy's spreads.
+    draws, grid, cfg = fit
+    ours, ref = build_surface(draws, grid, cfg), surface_by_draw(draws, grid, cfg)
+    for name in ("vol_mean", "vol_lo", "vol_hi"):
+        np.testing.assert_allclose(getattr(ours, name), getattr(ref, name), rtol=1e-12)
+
+
+def test_blocked_surface_peak_memory():
+    # 500 draws on the paper's 78 x 10 x 5 grid, every cell visited. The
+    # draw-by-draw loop peaked at 9.49 MB under tracemalloc (its (draws, I, J)
+    # stds and two scaled copies); one (draws, I, J, K) array would be 15.6 MB.
+    draws, grid, cfg = mask_fit(np.ones((78, 10)), 5, 500, 500)
+    build_surface(draws[:10], grid, replace(cfg, n_param_draws=10))
+    tracemalloc.start()
+    try:
+        build_surface(draws, grid, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.49e6
 
 
 class TestExport:
