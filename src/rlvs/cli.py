@@ -9,10 +9,12 @@ reproducible. ``implied`` and ``compare`` take only their flags.
 from __future__ import annotations
 
 import argparse
+import base64
 import configparser
 import dataclasses
 import itertools
 import json
+import os
 import sys
 import time
 
@@ -207,6 +209,7 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     # The surface reads only the sampled coordinates: the others hold their
     # initial values in every draw.
     kept = chain.draws[-h["keep_last"]:]
+    start = time.perf_counter()
     checkpoint = {
         "kind": "rlvs-checkpoint",
         "dims": {"n_time": dims.n_time, "n_price": dims.n_price,
@@ -221,15 +224,54 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
             "mean_abs_delta_h": _json_number(report.mean_abs_delta_h),
             "n_divergent": report.n_divergent,
         },
-        "draws": kept.values.tolist(),
+        "draws": _pack_draws(kept.values),
         "grid": gdata.to_dict(),
         "config": cfg,
     }
     with open(out_path, "w", newline="\n") as fh:
         # The C encoder (json.dump streams in Python); strict JSON, no NaN or Infinity.
         fh.write(json.dumps(checkpoint, allow_nan=False))
-    print(f"wrote checkpoint ({len(kept)} retained draws) to {out_path}")
+    write_s = time.perf_counter() - start
+    print(f"wrote checkpoint ({len(kept)} retained draws, {os.path.getsize(out_path):,} bytes "
+          f"in {write_s:.3f} s) to {out_path}")
     return checkpoint
+
+
+def _pack_draws(values: np.ndarray) -> str:
+    """The (draws, active coordinates) array ``values`` as the checkpoint's
+    ``draws``: the base64 (RFC 4648, padded, one line) of its row-major
+    little-endian float64 bytes. Each value keeps all its bits, and a JSON
+    parser reads one string where a list of lists took one number a value."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unpack_draws(draws, n_active: int) -> np.ndarray:
+    """The checkpoint's ``draws`` as one flat float array, draw after draw,
+    refused by name unless it holds whole draws of ``n_active`` finite
+    values. A list of per-draw lists, the form of checkpoints written before
+    the packing, is read too."""
+    if isinstance(draws, str):
+        try:
+            raw = base64.b64decode(draws, validate=True)
+        except ValueError:  # binascii.Error, or a character beyond ASCII
+            raise ValueError("draws is not strict base64 (RFC 4648, padded, with no line "
+                             "breaks)") from None
+        if len(raw) % (8 * n_active):
+            raise ValueError(f"draws holds {len(raw)} bytes, not whole draws of {n_active} "
+                             "float64 values, the number of coordinates the dims and the "
+                             "grid's mask leave the sampler")
+        values = np.frombuffer(raw, "<f8")
+    elif isinstance(draws, list):
+        if any(not isinstance(d, list) or len(d) != n_active for d in draws):
+            raise ValueError(f"a draw is not of length {n_active}, the number of coordinates "
+                             "the dims and the grid's mask leave the sampler")
+        values = grid_mod.float_array("draws", list(itertools.chain.from_iterable(draws)))
+    else:
+        raise ValueError("draws must be a base64 string or a list of draws, not "
+                         f"{type(draws).__name__}")
+    if not np.isfinite(values).all():
+        raise ValueError("a draw holds a value that is not finite")
+    return values
 
 
 def _json_number(x: float) -> float | None:
@@ -280,19 +322,11 @@ def checkpoint_draws(ckpt: dict) -> list:
     coordinates ``ModelDims.active`` derives from the dims and the grid's
     mask; the others, which ``build_surface`` never reads, are zero."""
     dims = model.ModelDims(**ckpt["dims"])
-    n_active = dims.n_active(ckpt["grid"]["mask"])
-    draws = ckpt["draws"]
-    if not isinstance(draws, list) or any(
-            not isinstance(d, list) or len(d) != n_active for d in draws):
-        raise ValueError(f"a draw is not of length {n_active}, the number of coordinates "
-                         "the dims and the grid's mask leave the sampler")
-    if not draws:  # run_surface names the shortfall; the dims may be too large to index
+    values = _unpack_draws(ckpt["draws"], dims.n_active(ckpt["grid"]["mask"]))
+    if not values.size:  # run_surface names the shortfall; the dims may be too large to index
         return []
     active = dims.active(ckpt["grid"]["mask"])
-    values = grid_mod.float_array("draws", list(itertools.chain.from_iterable(draws)))
     values = values.reshape(-1, active.size)
-    if not np.isfinite(values).all():
-        raise ValueError("a draw holds a value that is not finite")
     full = np.asarray(sampler.Draws(np.zeros(dims.n_coords), active, values))
     return [model.ModelParams.from_vector(dims, v) for v in full]
 

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import rlvs
 from rlvs import cli, model
@@ -53,6 +55,9 @@ seed = 7
 
 DRAW_LENGTH = ("a draw is not of length {n}, the number of coordinates the dims and the "
                "grid's mask leave the sampler")
+WHOLE_DRAWS = ("not whole draws of {n} float64 values, the number of coordinates the dims and "
+               "the grid's mask leave the sampler")
+NOT_BASE64 = "draws is not strict base64 (RFC 4648, padded, with no line breaks)"
 
 
 @pytest.fixture
@@ -64,6 +69,35 @@ def toy_cfg(tmp_path):
 
 def run(argv):
     return main(argv)
+
+
+# Floats whose bits a decimal or narrower round trip could lose: signed
+# zeros, subnormals and the edges of the float range.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308,
+                     np.finfo(float).max, -np.finfo(float).max]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def packed_values(ckpt: dict) -> np.ndarray:
+    """``ckpt``'s packed ``draws`` as a writable (draws, active coordinates)
+    array, decoded without ``cli``."""
+    n = ModelDims(**ckpt["dims"]).n_active(ckpt["grid"]["mask"])
+    return np.frombuffer(base64.b64decode(ckpt["draws"]), "<f8").reshape(-1, n).copy()
+
+
+def list_draws(ckpt: dict) -> dict:
+    """``ckpt`` with its packed ``draws`` rewritten in place as a list of
+    per-draw lists, the form fits wrote before the packing; returns ``ckpt``."""
+    ckpt["draws"] = packed_values(ckpt).tolist()
+    return ckpt
+
+
+def set_packed_value(ckpt: dict, value: float) -> None:
+    """Set the first value of the third draw in ``ckpt``'s packed ``draws``."""
+    values = packed_values(ckpt)
+    values[2, 0] = value
+    ckpt["draws"] = base64.b64encode(values.astype("<f8").tobytes()).decode()
 
 
 def toy_checkpoint(d, config=TOY_CONFIG):
@@ -115,7 +149,7 @@ class TestFit:
         out = capsys.readouterr().out
         assert "acceptance rate:" in out
         loaded = load_checkpoint(ckpt)
-        assert len(loaded["draws"]) == 20
+        assert len(list_draws(loaded)["draws"]) == 20
         assert loaded["dims"] == {"n_time": 3, "n_price": 3, "n_components": 2}
         # The config block and the draws hold these; the checkpoint holds each value once.
         assert not {"component_scale", "seed", "n_kept"} & set(loaded)
@@ -218,6 +252,16 @@ class TestFit:
         assert set(ckpt) == {"kind", "dims", "standardize_scale", "bins_per_day",
                              "step_size_used", "acceptance", "draws", "grid", "config"}
 
+    def test_checkpoint_line_reports_size_and_write_time(self, tmp_path, capsys):
+        ckpt_path = toy_checkpoint(tmp_path)
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("wrote checkpoint"))
+        found = re.fullmatch(r"wrote checkpoint \(20 retained draws, ([\d,]+) bytes in "
+                             r"(\d+\.\d{3}) s\) to (.+)", line)
+        assert found, line
+        assert int(found[1].replace(",", "")) == ckpt_path.stat().st_size
+        assert found[3] == str(ckpt_path)
+
     @pytest.mark.parametrize("edit", [
         {},
         {"n_components = 2": "n_components = 1"},
@@ -250,6 +294,29 @@ class TestFit:
             vec = params.to_vector()
             np.testing.assert_array_equal(vec[active], draw[active])
             assert np.all(vec[rest] == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_kept=st.integers(0, 5), n_active=st.integers(1, 20))
+    def test_packed_draws_round_trip_bit_for_bit(self, data, n_kept, n_active):
+        values = data.draw(hnp.arrays(np.float64, (n_kept, n_active), elements=EDGE_FLOATS))
+        packed = json.loads(json.dumps(cli._pack_draws(values)))
+        back = cli._unpack_draws(packed, n_active).reshape(n_kept, n_active)
+        np.testing.assert_array_equal(back.view(np.uint64), values.view(np.uint64))
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), n_time=st.integers(1, 2), n_price=st.integers(1, 2),
+           k=st.integers(1, 3), n_kept=st.integers(1, 5))
+    def test_checkpoint_draws_expand_packed_values_bit_for_bit(self, data, n_time, n_price, k,
+                                                               n_kept):
+        mask = data.draw(hnp.arrays(bool, (n_time, n_price)))
+        dims = ModelDims(n_time, n_price, k)
+        active = dims.active(mask)
+        values = data.draw(hnp.arrays(np.float64, (n_kept, active.size), elements=EDGE_FLOATS))
+        ckpt = {"dims": {"n_time": n_time, "n_price": n_price, "n_components": k},
+                "grid": {"mask": mask.tolist()}, "draws": cli._pack_draws(values)}
+        full = np.array([p.to_vector() for p in cli.checkpoint_draws(ckpt)])
+        np.testing.assert_array_equal(full[:, active].view(np.uint64), values.view(np.uint64))
+        assert not np.delete(full, active, axis=1).view(np.uint64).any()  # +0.0 elsewhere
 
     def test_surface_level_does_not_depend_on_price_unit(self, tmp_path):
         # The acceptance protocol's session and fit at three price units. The
@@ -380,12 +447,13 @@ def test_degenerate_tick_files_fit_or_are_refused_by_rlvs(ticks, k, n_time, n_pr
             assert Path(last.filename).resolve().parent == RLVS_DIR, (last, exc)
             assert last.line.startswith("raise"), (last, exc)
         else:
-            assert len(load_checkpoint(ckpt)["draws"]) == 2
+            assert len(list_draws(load_checkpoint(ckpt))["draws"]) == 2
 
 
 DELETE = object()
-# Every field of a checkpoint's dims and grid, and the two objects themselves.
-CHECKPOINT_FIELDS = [("dims",), ("grid",),
+# Every field of a checkpoint's dims and grid, the two objects themselves,
+# and the packed draws.
+CHECKPOINT_FIELDS = [("dims",), ("grid",), ("draws",),
                      *[("dims", key) for key in ("n_time", "n_price", "n_components")],
                      *[("grid", key) for key in ("spec", "mask", "returns", "cell_time",
                                                  "cell_logprice")],
@@ -451,7 +519,7 @@ class TestSurface:
     @pytest.mark.parametrize("draws, param_draws", [(0, "10"), (20, "21")])
     def test_draw_shortfall_refused_with_checkpoint_path(self, tmp_path, toy_cfg, fitted,
                                                          capsys, draws, param_draws):
-        ckpt = json.loads(fitted.read_text())
+        ckpt = list_draws(json.loads(fitted.read_text()))
         ckpt["draws"] = ckpt["draws"][:draws]
         short = tmp_path / "short.json"
         short.write_text(json.dumps(ckpt))
@@ -506,6 +574,18 @@ class TestSurface:
         assert capsys.readouterr().err == f"error: {old}: {DRAW_LENGTH.format(n=n)}\n"
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_list_form_draws_give_the_same_surface(self, tmp_path, toy_cfg, fitted, fmt):
+        # Checkpoints written before the packing hold each draw as a list of numbers.
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(list_draws(json.loads(fitted.read_text()))))
+        assert old.stat().st_size > fitted.stat().st_size
+        a, b = tmp_path / f"packed.{fmt}", tmp_path / f"list.{fmt}"
+        for path, out in ((fitted, a), (old, b)):
+            assert run(["surface", "--config", str(toy_cfg), "--checkpoint", str(path),
+                        "--format", fmt, "--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_checkpoint_at_other_component_scale_refused_by_name(self, tmp_path, toy_cfg,
                                                                  fitted, capsys):
         ckpt = json.loads(fitted.read_text())
@@ -526,7 +606,7 @@ class TestSurface:
         ckpt = json.loads(fitted.read_text())
         active = Posterior(GridData.from_dict(ckpt["grid"]), ModelDims(**ckpt["dims"])).active
         ckpt.update(component_scale=1.0, seed=ckpt["config"]["hmc"]["seed"],
-                    n_kept=len(ckpt["draws"]), active=active.tolist())
+                    n_kept=len(cli.checkpoint_draws(ckpt)), active=active.tolist())
         old = tmp_path / "old.json"
         old.write_text(json.dumps(ckpt))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -548,12 +628,23 @@ class TestSurface:
         np.testing.assert_allclose(vols[1], 0.5 * vols[0], rtol=1e-12)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda c: c["draws"][3].pop(), DRAW_LENGTH),
+        (lambda c: list_draws(c)["draws"][3].pop(), DRAW_LENGTH),
         # Draws whose total size a regrouping could hide.
-        (lambda c: c["draws"][0].append(c["draws"][1].pop()), DRAW_LENGTH),
-        (lambda c: c["draws"][2].__setitem__(0, float("nan")),
+        (lambda c: list_draws(c)["draws"][0].append(c["draws"][1].pop()), DRAW_LENGTH),
+        (lambda c: list_draws(c)["draws"][2].__setitem__(0, float("nan")),
          "a draw holds a value that is not finite"),
-        (lambda c: c.update(draws=5), DRAW_LENGTH),
+        (lambda c: c.update(draws=5), "draws must be a base64 string or a list of draws, not int"),
+        (lambda c: c.update(draws={}), "draws must be a base64 string or a list of draws, not dict"),
+        # Packed draws: a character outside the alphabet, a line break, lost padding.
+        (lambda c: c.update(draws=c["draws"][:-4] + "*" + c["draws"][-3:]), NOT_BASE64),
+        (lambda c: c.update(draws=c["draws"][:76] + "\n" + c["draws"][76:]), NOT_BASE64),
+        (lambda c: c.update(draws=c["draws"].rstrip("=")[:-1]), NOT_BASE64),
+        # 3 bytes, then one float64 fewer than 20 draws hold.
+        (lambda c: c.update(draws="AAAA"), "draws holds 3 bytes, " + WHOLE_DRAWS),
+        (lambda c: c.update(draws=base64.b64encode(base64.b64decode(c["draws"])[8:]).decode()),
+         "draws holds {bytes} bytes, " + WHOLE_DRAWS),
+        (lambda c: set_packed_value(c, np.nan), "a draw holds a value that is not finite"),
+        (lambda c: set_packed_value(c, -np.inf), "a draw holds a value that is not finite"),
         # A JSON null reads as NaN.
         (lambda c: c["grid"]["cell_time"].__setitem__(0, None),
          "cell_time and cell_logprice must hold one finite value per bin"),
@@ -564,9 +655,10 @@ class TestSurface:
          "grid cell_time must hold numbers, not str"),
         (lambda c: _retype_first(c["grid"]["returns"], None, str),
          "grid returns must hold numbers, not str"),
-        (lambda c: _retype_first(c["draws"], None, lambda x: "x"),
+        (lambda c: _retype_first(list_draws(c)["draws"], None, lambda x: "x"),
          "draws must hold numbers, not str"),
-        (lambda c: _retype_first(c["draws"], None, True), "draws must hold numbers, not bool"),
+        (lambda c: _retype_first(list_draws(c)["draws"], None, True),
+         "draws must hold numbers, not bool"),
         (lambda c: c["dims"].update(n_time=4),
          "dims n_time = 4, n_price = 3 do not match the grid's 3 x 3 cells"),
         (lambda c: c.pop("dims"), "missing field 'dims'"),
@@ -598,7 +690,8 @@ class TestSurface:
         rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(bad),
                   "--out", str(tmp_path / "s.csv")])
         assert rc != 0
-        assert capsys.readouterr().err == f"error: {bad}: {message.format(n=n)}\n"
+        assert capsys.readouterr().err == (
+            f"error: {bad}: {message.format(n=n, bytes=(20 * n - 1) * 8)}\n")
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("field, message", [
@@ -610,8 +703,8 @@ class TestSurface:
     def test_element_no_float_holds_refused_by_name(self, tmp_path, toy_cfg, fitted, capsys,
                                                     field, message, sign):
         ckpt = json.loads(fitted.read_text())
-        _retype_first(ckpt[field] if field == "draws" else ckpt["grid"][field], None,
-                      sign * 10 ** 400)
+        _retype_first(list_draws(ckpt)[field] if field == "draws" else ckpt["grid"][field],
+                      None, sign * 10 ** 400)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(ckpt))
         rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(bad),
@@ -631,7 +724,7 @@ class TestSurface:
 
     @settings(max_examples=100, deadline=None)
     @given(path=st.sampled_from(CHECKPOINT_FIELDS + ELEMENTS),
-           replacement=st.sampled_from([DELETE, "6", None, True, 7, 1.5, [], {}]))
+           replacement=st.sampled_from([DELETE, "6", "AAAA", None, True, 7, 1.5, [], {}]))
     @example(path=("dims", "n_price"), replacement=DELETE)
     @example(path=("dims", "n_time"), replacement="6")
     @example(path=("grid", "mask"), replacement=DELETE)
@@ -641,8 +734,13 @@ class TestSurface:
     @example(path=("grid", "returns", FIRST), replacement="6")
     @example(path=("draws", FIRST), replacement="6")
     @example(path=("draws", FIRST), replacement=True)
+    @example(path=("draws",), replacement="6")
+    @example(path=("draws",), replacement="AAAA")
+    @example(path=("draws",), replacement=None)
     def test_malformed_dims_or_grid_refused_by_name(self, fitted, path, replacement):
         ckpt = json.loads(fitted.read_text())
+        if path == ("draws", FIRST):
+            list_draws(ckpt)  # a number of the list form fits wrote before the packing
         *parents, name = path
         holder = ckpt
         for key in parents:
@@ -657,8 +755,9 @@ class TestSurface:
             del holder[key]
         else:
             # A retyping gives a value of another JSON type; an integer is a
-            # valid float, and a boolean a valid mask flag.
-            assume(type(replacement) is not type(original)
+            # valid float, and a boolean a valid mask flag. Packed draws take
+            # strings that are not a packing: "6" is not base64, "AAAA" 3 bytes.
+            assume((type(replacement) is not type(original) or path == ("draws",))
                    and not (type(original) is float and type(replacement) is int)
                    and not (key != name and name == "mask" and type(replacement) is bool))
             holder[key] = replacement
