@@ -323,7 +323,7 @@ def checkpoint_draws(ckpt: dict) -> list:
     mask; the others, which ``build_surface`` never reads, are zero."""
     dims = model.ModelDims(**ckpt["dims"])
     values = _unpack_draws(ckpt["draws"], dims.n_active(ckpt["grid"]["mask"]))
-    if not values.size:  # run_surface names the shortfall; the dims may be too large to index
+    if not values.size:  # build_surface names the shortfall; the dims may be too large to index
         return []
     active = dims.active(ckpt["grid"]["mask"])
     values = values.reshape(-1, active.size)
@@ -337,15 +337,10 @@ def run_surface(cfg: dict, ckpt_path, out_path, fmt: str) -> surface_mod.VolSurf
                                          trading_days=cfg["synth"]["trading_days"])
     try:
         gdata = grid_mod.GridData.from_dict(ckpt["grid"])
-        draws = checkpoint_draws(ckpt)
-        if len(draws) < surf_cfg.n_param_draws:
-            raise ValueError(f"draws holds {len(draws)} draws, fewer than the "
-                             f"{surf_cfg.n_param_draws} of [surface] n_param_draws")
+        surf = surface_mod.build_surface(checkpoint_draws(ckpt), gdata, surf_cfg,
+                                         destandardize_scale=ckpt["standardize_scale"])
     except ValueError as exc:
         raise ValueError(f"{ckpt_path}: {exc}") from None
-    surf = surface_mod.build_surface(
-        draws, gdata, surf_cfg, destandardize_scale=ckpt["standardize_scale"]
-    )
     surface_mod.export_surface(surf, out_path, fmt)
     print(f"wrote surface ({fmt}) to {out_path}")
     return surf
@@ -377,27 +372,20 @@ def run_compare(surface_path, quotes_path, spot, rate, yield_rate,
             f"no overlapping price range: quote strikes all outside "
             f"[{spec.price_min}, {spec.price_max}]"
         )
-    solved = []
-    for q in in_range:
-        try:
-            solved.append((q.strike, voltools.implied_vol(q)))
-        except voltools.VolToolsError as exc:
-            print(f"skipped strike {q.strike}: {exc}", file=sys.stderr)
-    strikes = np.array([strike for strike, _ in solved])
-    n_rows = 0
+    curve = voltools.implied_curve(in_range)
+    for strike, reason in curve.skipped:
+        print(f"skipped strike {strike}: {reason}", file=sys.stderr)
     with open(out_path, "w", newline="\n") as fh:
         fh.write("snapshot,strike,implied_vol,realized_vol,difference,masked\n")
         for t in snapshots:
-            i, cols = grid_mod.assign_cell(t, strikes, spec)
-            for (strike, iv), j in zip(solved, cols):
+            i, cols = grid_mod.assign_cell(t, curve.strikes, spec)
+            for strike, iv, j in zip(curve.strikes.tolist(), curve.vols.tolist(), cols):
                 rv = float(surf.vol_mean[i, j])
                 fh.write(
                     f"{t!r},{strike!r},{iv!r},{rv!r},{rv - iv!r},"
                     f"{int(surf.masked[i, j])}\n"
                 )
-                n_rows += 1
-    if n_rows == 0:
-        raise ValueError("no comparable (snapshot, strike) pairs produced")
+    n_rows = len(snapshots) * curve.strikes.size
     print(f"wrote {n_rows} comparison rows to {out_path}")
     return n_rows
 

@@ -159,8 +159,6 @@ def synth_gbm_ticks(
 
 def normalize_time(series: TickSeries) -> TickSeries:
     """Map session times onto [0, 1] (open -> 0, close -> 1)."""
-    if series.session_length <= 0:
-        raise TickDataError("session_length must be positive")
     return TickSeries(
         series.times / series.session_length, series.prices.copy(), session_length=1.0
     )

@@ -13,11 +13,11 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import GridData, GridSpec, float_array, mask_array
+from .grid import GridData, GridSpec, _require_fields, float_array, mask_array
 from .model import (COMPONENT_SCALE, component_means, mixture_mean_var, stick_break,
                     stick_weights_from_raw)
 
@@ -111,11 +111,7 @@ class VolSurface:
     def from_dict(cls, d: dict) -> "VolSurface":
         """The inverse of ``to_dict``; a field missing or malformed is refused
         by name. ``cell_time`` and ``price_mid`` are not read: the spec fixes them."""
-        if not isinstance(d, dict):
-            raise SurfaceError(f"a surface must be an object, got {type(d).__name__}")
-        missing = [f.name for f in fields(cls) if f.name not in d]
-        if missing:
-            raise SurfaceError(f"surface has no field {', '.join(missing)}")
+        _require_fields("surface", d, cls)
         for name in _VOLS:
             if not isinstance(d[name], list) or not all(isinstance(r, list) for r in d[name]):
                 raise SurfaceError(f"surface {name} must be a list of rows of numbers")
@@ -160,9 +156,8 @@ def build_surface(draws, grid: GridData, config: SurfaceConfig,
     """
     draws = list(draws)
     if len(draws) < config.n_param_draws:
-        raise SurfaceError(
-            f"need at least {config.n_param_draws} parameter draws, got {len(draws)}"
-        )
+        raise SurfaceError(f"draws holds {len(draws)} draws, fewer than the "
+                           f"{config.n_param_draws} of [surface] n_param_draws")
     # Scaled in place and rebound: at most two (draws, I, J) arrays at a time.
     vols = _draw_stds(draws[-config.n_param_draws:], grid)
     vols *= destandardize_scale

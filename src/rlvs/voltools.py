@@ -254,11 +254,10 @@ class ImpliedCurve:
 
 
 def implied_curve(quotes) -> ImpliedCurve:
-    """Per-strike implied vols at one expiry; bound-violating quotes are
-    skipped and reported rather than failing the whole curve."""
-    quotes = list(quotes)
-    if len(quotes) < 2:
-        raise VolToolsError("implied_curve needs at least 2 quotes")
+    """Per-strike implied vols at one expiry, in ascending strike order;
+    bound-violating quotes are skipped and reported rather than failing the
+    whole curve, which is refused, naming each strike's reason, only when no
+    quote has an implied vol."""
     good, skipped = [], []
     for q in quotes:
         try:
@@ -266,7 +265,8 @@ def implied_curve(quotes) -> ImpliedCurve:
         except VolToolsError as exc:
             skipped.append((q.strike, str(exc)))
     if not good:
-        raise VolToolsError("no valid quotes: " + "; ".join(r for _, r in skipped))
+        reasons = "; ".join(f"strike {k}: {r}" for k, r in skipped)
+        raise VolToolsError(f"no valid quotes: {reasons or 'none given'}")
     good.sort(key=lambda kv: kv[0])
     return ImpliedCurve(
         strikes=np.asarray([kv[0] for kv in good]),

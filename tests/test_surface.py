@@ -514,7 +514,7 @@ def _drop(field):
     (_set("masked", [[0, 1]]), "surface masked must hold 2 x 2 flags, one per cell"),
     (lambda d: _drop("price_max")(d["spec"]), "grid spec has no field price_max"),
     (lambda d: d["spec"].update(n_price="2"), "grid spec n_price must be of type int"),
-    (lambda d: json.dumps([d]), "a surface must be an object, got list"),
+    (lambda d: json.dumps([d]), "surface must be an object, got list"),
     (lambda d: json.dumps(d)[:20], "not valid JSON: "),
 ])
 def test_malformed_json_surface_refused_by_name(tmp_path, edit, message):
