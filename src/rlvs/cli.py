@@ -157,6 +157,7 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     if not interval >= 0:
         raise ValueError(f"[grid] resample_interval must be >= 0 (0 fits at tick level), "
                          f"got {interval}")
+    dims = model.ModelDims(g["n_time"], g["n_price"], m["n_components"])  # before any tick
     session_length = cfg["synth"]["session_length"]
     series = ingest.load_ticks(ticks_path, session_length=session_length)
     late = series.times > session_length
@@ -190,7 +191,6 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     spec = grid_mod.GridSpec(g["n_time"], g["n_price"], pmin, pmax)
     gdata, scale = grid_mod.standardize_returns(grid_mod.build_grid(norm, spec))
 
-    dims = model.ModelDims(g["n_time"], g["n_price"], m["n_components"])
     post = model.Posterior(gdata, dims)
     init_rng = np.random.default_rng([h["seed"], 1])  # init stream, distinct from chain
     init = model.ModelParams.random_init(dims, init_rng)
@@ -200,7 +200,6 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     chain = sampler.run_chain(init.to_vector(), hmc_cfg, post)
     chain_s = time.perf_counter() - start
     report = sampler.diagnostics(chain)
-    print(f"acceptance rate: {report.acceptance_rate:.4f}")
     # Timings go to stdout alone: the checkpoint of a fixed seed is the same on every run.
     print(f"{report}, coordinates sampled {post.active.size:,} of {dims.n_coords:,}, "
           f"step size {chain.step_size_used:.4g}, chain {chain_s:.3f} s, "
@@ -477,7 +476,10 @@ def main(argv=None) -> int:
             run_implied(args.quotes, args.spot, args.rate, args.yield_rate,
                         args.out or "implied.csv")
         elif args.command == "compare":
-            snapshots = [float(s) for s in args.snapshots.split(",") if s.strip()]
+            try:
+                snapshots = [float(s) for s in args.snapshots.split(",") if s.strip()]
+            except ValueError as exc:
+                raise ValueError(f"--snapshots: {exc}") from None
             if not snapshots:
                 raise ValueError("--snapshots produced no snapshot times")
             run_compare(args.surface_path, args.quotes, args.spot, args.rate,

@@ -30,8 +30,9 @@ class GridSpec:
     price_max: float
 
     def __post_init__(self):
-        if self.n_time < 1 or self.n_price < 1:
-            raise GridError("grid needs at least one bin per axis")
+        for name in ("n_time", "n_price"):
+            if getattr(self, name) < 1:
+                raise GridError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("price_min", "price_max"):
             if not math.isfinite(as_float(getattr(self, name))):
                 raise GridError(f"{name} must be finite, got {getattr(self, name)}")

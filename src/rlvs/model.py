@@ -57,8 +57,9 @@ class ModelDims:
     n_components: int
 
     def __post_init__(self):
-        if min(self.n_time, self.n_price, self.n_components) < 1:
-            raise ModelError("all model dimensions must be >= 1")
+        for name in ("n_time", "n_price", "n_components"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def n_shared(self) -> int:

@@ -118,11 +118,13 @@ class DiagnosticsReport:
     n_draws: int
     all_rejected_post_burn: bool
     n_grad: int = 0
+    n_divergent_post_burn: int = 0
 
     def __str__(self):
         return (
             f"acceptance {self.acceptance_rate:.4f} (post-burn {self.post_burn_rate:.4f}), "
-            f"mean |dH| {self.mean_abs_delta_h:.4g}, divergences {self.n_divergent}, "
+            f"mean |dH| {self.mean_abs_delta_h:.4g}, divergences {self.n_divergent} "
+            f"({self.n_divergent_post_burn} after burn-in), "
             f"draws {self.n_draws}, gradient evaluations {self.n_grad:,}"
             + (", WARNING: no post-burn proposal accepted" if self.all_rejected_post_burn else "")
         )
@@ -338,7 +340,8 @@ def diagnostics(chain: Chain) -> DiagnosticsReport:
     the full run when nothing was retained, and is inf when every iteration
     it covers diverged. The divergence count covers the whole run: the
     trajectories stopped at an energy error above ``MAX_DELTA_H`` or at a
-    non-finite state.
+    non-finite state. ``n_divergent_post_burn`` counts those after burn-in,
+    the only ones that bear on the kept draws.
     """
     total = chain.accept_flags.size
     if total == 0:
@@ -357,6 +360,7 @@ def diagnostics(chain: Chain) -> DiagnosticsReport:
         n_draws=len(chain.draws),
         all_rejected_post_burn=bool(post.size) and not bool(post.any()),
         n_grad=chain.n_grad,
+        n_divergent_post_burn=int(np.sum(chain.divergent[chain.n_burn:])),
     )
 
 

@@ -31,10 +31,9 @@ class OptionQuote:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise VolToolsError(f"{name} must be finite, got {value!r}")
-        if self.strike <= 0 or self.spot <= 0 or self.mid_price <= 0:
-            raise VolToolsError("strike, spot and mid_price must be positive")
-        if self.expiry <= 0:
-            raise VolToolsError("expiry must be positive")
+        for name in ("strike", "expiry", "mid_price", "spot"):
+            if getattr(self, name) <= 0:
+                raise VolToolsError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -277,7 +276,10 @@ def implied_curve(quotes) -> ImpliedCurve:
 
 def load_quotes(path, spot: float, rate: float = 0.0,
                 yield_rate: float = 0.0) -> list[OptionQuote]:
-    """Read quote CSV rows `strike,expiry_years,mid,flag` (flag C or P)."""
+    """Read quote CSV rows `strike,expiry_years,mid,flag` (flag C or P).
+    A bad ``spot``, ``rate`` or ``yield_rate`` is refused by name before any
+    row is read, so that no line takes the blame for it."""
+    OptionQuote(1.0, 1.0, 1.0, True, spot, rate, yield_rate)  # the other fields are valid
     quotes = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -147,7 +147,10 @@ class TestFit:
         assert run(["fit", "--config", str(toy_cfg), "--ticks", str(ticks),
                     "--out", str(ckpt)]) == 0
         out = capsys.readouterr().out
-        assert "acceptance rate:" in out
+        # One summary line holds the acceptance: no line repeats it.
+        summary = [l for l in out.splitlines() if "acceptance" in l]
+        assert len(summary) == 1, summary
+        assert re.match(r"acceptance \d\.\d{4} \(post-burn \d\.\d{4}\), ", summary[0])
         loaded = load_checkpoint(ckpt)
         assert len(list_draws(loaded)["draws"]) == 20
         assert loaded["dims"] == {"n_time": 3, "n_price": 3, "n_components": 2}
@@ -162,7 +165,8 @@ class TestFit:
         assert ckpt.read_text() == json.dumps(returned)
 
     @pytest.mark.parametrize("n_draws", [0, 20])
-    def test_fully_divergent_checkpoint_is_strict_json(self, tmp_path, toy_cfg, n_draws):
+    def test_fully_divergent_checkpoint_is_strict_json(self, tmp_path, toy_cfg, capsys,
+                                                       n_draws):
         # At step 50 every trajectory passes the energy-error threshold, so
         # mean |dH| has no finite term; with no draws the post-burn rate is
         # undefined too. Both are written as null, not as NaN or Infinity.
@@ -177,6 +181,9 @@ class TestFit:
 
         acc = json.loads(ckpt.read_text(), parse_constant=refuse)["acceptance"]
         assert acc["n_divergent"] == 5 + n_draws
+        # The summary line splits the count at burn-in; the checkpoint holds the total.
+        assert f", divergences {5 + n_draws} ({n_draws} after burn-in), " in (
+            capsys.readouterr().out)
         assert acc["rate"] == 0.0 and acc["mean_abs_delta_h"] is None
         assert acc["post_burn_rate"] == (None if n_draws == 0 else 0.0)
 
@@ -356,8 +363,8 @@ class TestFit:
         assert run(["fit", "--config", str(cfg), "--ticks", str(ticks),
                     "--out", str(ckpt)]) == 0
         out = capsys.readouterr().out
-        line = next(l for l in out.splitlines() if l.startswith("acceptance rate:"))
-        rate = float(line.split(":")[1])
+        line = next(l for l in out.splitlines() if "coordinates sampled" in l)
+        rate = float(re.match(r"acceptance (\S+) \(post-burn", line)[1])
         assert 0.4 <= rate <= 0.99
 
     def test_ticks_after_session_length_refused_by_name(self, tmp_path, capsys):
@@ -399,14 +406,21 @@ class TestFit:
             f"got {float(interval)}\n")
         assert not ckpt.exists()
 
-    def test_unstandardized_fit_refused_before_reading_ticks(self, tmp_path, capsys):
+    @pytest.mark.parametrize("config, flags, message", [
         # The unit component scale holds only in standardized returns.
-        cfg, ckpt = tmp_path / "raw.ini", tmp_path / "ckpt.json"
-        cfg.write_text("[grid]\nstandardize = false\n")
+        ("[grid]\nstandardize = false\n", [],
+         "[grid] standardize must be true: the fit reads standardized returns"),
+        ("", ["--components", "0"], "n_components must be >= 1, got 0"),
+        ("[grid]\nn_time = 0\n", [], "n_time must be >= 1, got 0"),
+        ("[grid]\nn_price = -2\n", [], "n_price must be >= 1, got -2"),
+    ])
+    def test_bad_fit_config_refused_before_reading_ticks(self, tmp_path, capsys, config,
+                                                         flags, message):
+        cfg, ckpt = tmp_path / "bad.ini", tmp_path / "ckpt.json"
+        cfg.write_text(config)
         assert run(["fit", "--config", str(cfg), "--ticks", str(tmp_path / "nope.csv"),
-                    "--out", str(ckpt)]) == 1
-        assert capsys.readouterr().err == (
-            "error: [grid] standardize must be true: the fit reads standardized returns\n")
+                    *flags, "--out", str(ckpt)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not ckpt.exists()
 
 
@@ -808,13 +822,34 @@ class TestImplied:
         assert rc != 0
         assert f"{quotes}: line 3: strike must be finite, got nan" in capsys.readouterr().err
 
-    def test_non_finite_spot_named(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--spot", "nan", "spot must be finite, got nan"),
+        ("--spot", "-1", "spot must be positive, got -1.0"),
+        ("--spot", "0", "spot must be positive, got 0.0"),
+        ("--rate", "inf", "rate must be finite, got inf"),
+        ("--yield", "nan", "yield_rate must be finite, got nan"),
+    ])
+    def test_bad_market_flag_named_before_any_row(self, tmp_path, capsys, flag, value,
+                                                  message):
+        # The flag is refused by its field, not blamed on the quote file's first line.
         quotes = tmp_path / "q.csv"
         quotes.write_text("strike,expiry_years,mid,flag\n0.95,0.004,0.01,P\n")
-        rc = run(["implied", "--quotes", str(quotes), "--spot", "nan",
+        argv = {"--spot": "1.0", "--rate": "0.0", "--yield": "0.0", flag: value}
+        rc = run(["implied", "--quotes", str(quotes), *[a for kv in argv.items() for a in kv],
                   "--out", str(tmp_path / "c.csv")])
-        assert rc != 0
-        assert "spot must be finite, got nan" in capsys.readouterr().err
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_one_quote_writes_one_row(self, tmp_path):
+        quotes, out = tmp_path / "q.csv", tmp_path / "curve.csv"
+        price = bs_price(1.0, 1.0, 0.0, 0.0, 1.0 / 252.0, 0.5)
+        quotes.write_text(f"strike,expiry_years,mid,flag\n1.0,{1.0 / 252.0},{price!r},C\n")
+        assert run(["implied", "--quotes", str(quotes), "--spot", "1.0",
+                    "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert header == "strike,iv" and row.startswith("1.0,")
+        assert float(row.split(",")[1]) == pytest.approx(0.5, abs=1e-6)
 
     def test_echoes_no_config(self, tmp_path, capsys):
         quotes = tmp_path / "q.csv"
@@ -896,16 +931,75 @@ class TestCompare:
         assert capsys.readouterr().err.count(f"skipped strike {strike!r}") == 1
         assert len(out.read_text().splitlines()) == 1 + 3 * 3
 
-    @pytest.mark.parametrize("bad", ["1.5", "-0.25", "nan"])
-    def test_snapshot_outside_session_names_value(self, tmp_path, surface_file, capsys, bad):
+    @pytest.mark.parametrize("bad, message", [
+        ("1.5", "snapshot time 1.5 outside the session [0, 1]"),
+        ("-0.25", "snapshot time -0.25 outside the session [0, 1]"),
+        ("nan", "snapshot time nan outside the session [0, 1]"),
+        ("abc", "--snapshots: could not convert string to float: 'abc'"),
+    ])
+    def test_snapshot_outside_session_names_value(self, tmp_path, surface_file, capsys, bad,
+                                                  message):
         quotes = self.make_quotes(tmp_path, surface_file)
         out = tmp_path / "cmp.csv"
         rc = run(["compare", "--surface", str(surface_file), "--quotes", str(quotes),
                   "--spot", "1.0", "--snapshots", f"0.5,{bad}", "--out", str(out)])
-        assert rc != 0
-        err = capsys.readouterr().err
-        assert f"snapshot time {float(bad)!r}" in err
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_no_implied_vol_in_band_refused_without_output(self, tmp_path, surface_file,
+                                                           capsys):
+        # Every in-band call is priced above the spot, so none has an implied vol.
+        strikes = load_surface(surface_file).spec.price_mid.tolist()
+        quotes = tmp_path / "q.csv"
+        quotes.write_text("strike,expiry_years,mid,flag\n"
+                          + "".join(f"{k!r},{1.0 / 252.0},5.0,C\n" for k in strikes))
+        out = tmp_path / "cmp.csv"
+        capsys.readouterr()
+        assert run(["compare", "--surface", str(surface_file), "--quotes", str(quotes),
+                    "--spot", "1.0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no valid quotes: strike ")
+        for k in strikes:
+            assert f"strike {k!r}: mid price 5.0 at or above no-arbitrage upper bound" in err
+        assert not out.exists()
+
+    def test_one_in_band_quote_gives_one_row_per_snapshot(self, tmp_path, surface_file):
+        strike = float(load_surface(surface_file).spec.price_mid[1])
+        price = bs_price(1.0, strike, 0.0, 0.0, 1.0 / 252.0, 0.5)
+        quotes = tmp_path / "q.csv"
+        # The second quote lies outside the band and is left out.
+        quotes.write_text(f"strike,expiry_years,mid,flag\n{strike!r},{1.0 / 252.0},{price!r},C\n"
+                          f"50.0,{1.0 / 252.0},1.0,C\n")
+        out = tmp_path / "cmp.csv"
+        assert run(["compare", "--surface", str(surface_file), "--quotes", str(quotes),
+                    "--spot", "1.0", "--snapshots", "0.2,0.5,0.8", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [[t, repr(strike)]
+                                                     for t in ("0.2", "0.5", "0.8")]
+
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.permutations(range(8)))
+    def test_shuffled_quote_file_gives_the_sorted_files_rows(self, surface_file, order):
+        # Eight distinct strikes across the band and past both ends, on a smile.
+        spec = load_surface(surface_file).spec
+        strikes = np.linspace(spec.price_min - 0.01, spec.price_max + 0.01, 8).tolist()
+        rows = []
+        for k in strikes:
+            vol = 0.4 + (k - 1.0) ** 2
+            price = bs_price(1.0, k, 0.0, 0.0, 1.0 / 252.0, vol, k >= 1.0)
+            rows.append(f"{k!r},{1.0 / 252.0},{price!r},{'C' if k >= 1.0 else 'P'}\n")
+        with tempfile.TemporaryDirectory() as d:
+            texts = []
+            for name, chosen in (("sorted", range(8)), ("shuffled", order)):
+                quotes, out = Path(d) / f"{name}.csv", Path(d) / f"{name}_cmp.csv"
+                quotes.write_text("strike,expiry_years,mid,flag\n"
+                                  + "".join(rows[n] for n in chosen))
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.run_compare(surface_file, quotes, 1.0, 0.0, 0.0, [0.25, 0.75], out)
+                texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert len(texts[0].splitlines()) == 1 + 2 * 6  # six of the strikes are in band
 
     @pytest.mark.parametrize("fmt, edit, message", [
         ("json", lambda d: d.pop("vol_mean"), "surface has no field vol_mean"),

@@ -305,11 +305,13 @@ def test_spec_validation():
         GridSpec(1, 1, 2.0, 1.0)
 
 
-@pytest.mark.parametrize("band, message", [
-    ((np.nan, 1.0), "price_min must be finite, got nan"),
-    ((0.5, np.nan), "price_max must be finite, got nan"),
-    ((0.5, np.inf), "price_max must be finite, got inf"),
+@pytest.mark.parametrize("args, message", [
+    ((2, 2, np.nan, 1.0), "price_min must be finite, got nan"),
+    ((2, 2, 0.5, np.nan), "price_max must be finite, got nan"),
+    ((2, 2, 0.5, np.inf), "price_max must be finite, got inf"),
+    ((0, 2, 0.5, 1.0), "n_time must be >= 1, got 0"),
+    ((2, -1, 0.5, 1.0), "n_price must be >= 1, got -1"),
 ])
-def test_spec_rejects_non_finite_band_naming_field(band, message):
+def test_spec_refusal_names_field_and_value(args, message):
     with pytest.raises(GridError, match=f"^{message}$"):
-        GridSpec(2, 2, *band)
+        GridSpec(*args)

@@ -784,6 +784,15 @@ class TestParamsSerialization:
         np.testing.assert_array_equal(q.stick_raw, p.stick_raw)
         np.testing.assert_array_equal(q.conc, p.conc)
 
+    @pytest.mark.parametrize("args, message", [
+        ((0, 2, 2), "n_time must be >= 1, got 0"),
+        ((2, -3, 2), "n_price must be >= 1, got -3"),
+        ((2, 2, 0), "n_components must be >= 1, got 0"),
+    ])
+    def test_dims_below_one_named(self, args, message):
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            ModelDims(*args)
+
     def test_mixture_weight_validation(self):
         with pytest.raises(ModelError):
             MixtureSpec([0.6, 0.6], [0.0, 1.0], 1.0)

@@ -1,10 +1,15 @@
 """Every name the package exports is used by the pipeline, the benchmark or
 the acceptance criteria; a name only other tests use belongs in the tests.
-Every config key is read by the pipeline."""
+Every config key is read by the pipeline, and changing it changes an output
+or is refused by name."""
 
 import ast
+import copy
 import inspect
+import json
 from pathlib import Path
+
+import pytest
 
 import rlvs
 from rlvs import cli, ingest, sampler, surface
@@ -67,3 +72,75 @@ def _unread_keys(defaults):
 def test_every_config_key_has_a_reader():
     assert _unread_keys({"model": {"unread": 1.0}}) == [("model", "unread")]
     assert _unread_keys(cli.DEFAULTS) == []
+
+
+# A protocol far smaller than any real fit, so each key's run is cheap: 201
+# ticks at tick level on a 2 x 2 grid, K = 2, 10 iterations of 3 steps.
+KNOB_BASE = {
+    "synth": {"s0": 1.0, "n_ticks": 201},
+    "grid": {"n_time": 2, "n_price": 2, "resample_interval": 0.0},
+    "model": {"n_components": 2},
+    "hmc": {"n_leapfrog": 3, "n_burn": 5, "n_draws": 5, "step_size": 0.05, "keep_last": 3},
+    "surface": {"n_param_draws": 3},
+}
+# For every key, a value other than the protocol's.
+KNOB_VALUES = {
+    "synth": {"s0": 2.0, "mu": 0.5, "sigma": 0.3, "n_ticks": 150, "session_length": 600.0,
+              "trading_days": 250, "seed": 9},
+    "grid": {"n_time": 3, "n_price": 3, "price_min": 0.5, "price_max": 2.0,
+             "resample_interval": 600.0, "standardize": False},
+    "model": {"n_components": 3},
+    "hmc": {"step_size": 0.02, "n_leapfrog": 4, "n_burn": 6, "n_draws": 6,
+            "adapt_step_size": False, "target_accept": 0.9, "keep_last": 4, "seed": 9},
+    "surface": {"n_param_draws": 2, "ci_level": 0.5},
+}
+# Keys that read nothing today, each with why it stays.
+KNOB_EXEMPT = {
+    ("surface", "n_returns_per_draw"): "the benchmark's workload configs set it",
+    ("surface", "seed"): "acceptance criterion 10's config sets it",
+}
+
+
+def _knob_outputs(cfg, d: Path):
+    """The synth -> fit -> surface files of ``cfg`` in ``d``, the checkpoint
+    without the config it echoes, which holds every key."""
+    ticks, ckpt, surf = d / "ticks.csv", d / "ckpt.json", d / "surface.csv"
+    cli.run_synth(copy.deepcopy(cfg), ticks)
+    checkpoint = cli.run_fit(copy.deepcopy(cfg), ticks, ckpt)
+    cli.run_surface(copy.deepcopy(cfg), ckpt, surf, "csv")
+    del checkpoint["config"]
+    return ticks.read_bytes(), json.dumps(checkpoint), surf.read_bytes()
+
+
+def test_every_config_key_changes_an_output_or_is_refused_by_name(tmp_path, capsys):
+    base = cli.default_config()
+    for section, values in KNOB_BASE.items():
+        base[section].update(values)
+    (tmp_path / "base").mkdir()
+    expected = _knob_outputs(base, tmp_path / "base")
+    inert = []
+    for section, keys in cli.DEFAULTS.items():
+        for key in keys:
+            if (section, key) in KNOB_EXEMPT:
+                continue
+            cfg = copy.deepcopy(base)
+            cfg[section][key] = KNOB_VALUES[section][key]  # a new key needs a value here
+            d = tmp_path / f"{section}.{key}"
+            d.mkdir()
+            try:
+                outputs = _knob_outputs(cfg, d)
+            except ValueError as exc:
+                assert f"[{section}] {key}" in str(exc), (section, key, exc)
+                continue
+            if outputs == expected:
+                inert.append((section, key))
+    capsys.readouterr()
+    assert inert == []
+    assert all(k in KNOB_VALUES[s] or (s, k) in KNOB_EXEMPT
+               for s, keys in cli.DEFAULTS.items() for k in keys)
+
+
+@pytest.mark.parametrize("section, key", sorted(KNOB_EXEMPT))
+def test_exempt_keys_are_still_config_keys(section, key):
+    # An exemption outlives its key only by mistake.
+    assert key in cli.DEFAULTS[section]

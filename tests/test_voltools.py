@@ -156,10 +156,17 @@ class TestOptionQuote:
         with pytest.raises(VolToolsError, match="line 3: strike must be finite, got nan"):
             load_quotes(path, spot=100.0)
 
+    @pytest.mark.parametrize("field", ["strike", "expiry", "mid_price", "spot"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_field_named(self, field, bad):
+        with pytest.raises(VolToolsError, match=f"^{field} must be positive, got {bad!r}$"):
+            OptionQuote(**{**self.FIELDS, field: bad})
+
     def test_load_quotes_names_spot(self, tmp_path):
+        # Refused before any row is read: no line of the file is at fault.
         path = tmp_path / "quotes.csv"
         path.write_text("strike,expiry_years,mid,flag\n95,0.004,0.5,P\n")
-        with pytest.raises(VolToolsError, match="line 2: spot must be finite, got inf"):
+        with pytest.raises(VolToolsError, match="^spot must be finite, got inf$"):
             load_quotes(path, spot=float("inf"))
 
 
@@ -376,8 +383,14 @@ class TestImpliedCurve:
     def test_all_bad_quotes_error(self):
         quotes = [OptionQuote(90.0, 0.5, 110.0, True, 100.0),
                   OptionQuote(95.0, 0.5, 110.0, True, 100.0)]
-        with pytest.raises(VolToolsError, match="no valid quotes"):
+        with pytest.raises(VolToolsError, match=r"^no valid quotes: strike 90\.0: mid price "
+                           r"110\.0 at or above .*; strike 95\.0: mid price 110\.0 at or above"):
             implied_curve(quotes)
+
+    def test_one_quote_gives_a_one_strike_curve(self):
+        curve = implied_curve(self.quotes_from_vol(lambda k: 0.4, [100.0]))
+        assert curve.strikes.tolist() == [100.0] and not curve.skipped
+        np.testing.assert_allclose(curve.vols, 0.4, atol=1e-6)
 
     def test_csv_round_trip(self, tmp_path):
         quotes_path = tmp_path / "quotes.csv"
