@@ -157,7 +157,7 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     if not interval >= 0:
         raise ValueError(f"[grid] resample_interval must be >= 0 (0 fits at tick level), "
                          f"got {interval}")
-    dims = model.ModelDims(g["n_time"], g["n_price"], m["n_components"])  # before any tick
+    dims = model.ModelDims(g["n_time"], g["n_price"], m["n_components"])  # refused before any tick
     session_length = cfg["synth"]["session_length"]
     series = ingest.load_ticks(ticks_path, session_length=session_length)
     late = series.times > session_length
@@ -358,6 +358,8 @@ def run_implied(quotes_path, spot, rate, yield_rate, out_path) -> voltools.Impli
 
 def run_compare(surface_path, quotes_path, spot, rate, yield_rate,
                 snapshots, out_path) -> int:
+    if not snapshots:
+        raise ValueError("--snapshots produced no snapshot times")
     for t in snapshots:
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"snapshot time {t!r} outside the session [0, 1]")
@@ -480,8 +482,6 @@ def main(argv=None) -> int:
                 snapshots = [float(s) for s in args.snapshots.split(",") if s.strip()]
             except ValueError as exc:
                 raise ValueError(f"--snapshots: {exc}") from None
-            if not snapshots:
-                raise ValueError("--snapshots produced no snapshot times")
             run_compare(args.surface_path, args.quotes, args.spot, args.rate,
                         args.yield_rate, snapshots, args.out or "compare.csv")
         return 0

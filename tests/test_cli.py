@@ -931,18 +931,19 @@ class TestCompare:
         assert capsys.readouterr().err.count(f"skipped strike {strike!r}") == 1
         assert len(out.read_text().splitlines()) == 1 + 3 * 3
 
-    @pytest.mark.parametrize("bad, message", [
-        ("1.5", "snapshot time 1.5 outside the session [0, 1]"),
-        ("-0.25", "snapshot time -0.25 outside the session [0, 1]"),
-        ("nan", "snapshot time nan outside the session [0, 1]"),
-        ("abc", "--snapshots: could not convert string to float: 'abc'"),
+    @pytest.mark.parametrize("snapshots, message", [
+        ("0.5,1.5", "snapshot time 1.5 outside the session [0, 1]"),
+        ("0.5,-0.25", "snapshot time -0.25 outside the session [0, 1]"),
+        ("0.5,nan", "snapshot time nan outside the session [0, 1]"),
+        ("0.5,abc", "--snapshots: could not convert string to float: 'abc'"),
+        (" , ", "--snapshots produced no snapshot times"),
     ])
-    def test_snapshot_outside_session_names_value(self, tmp_path, surface_file, capsys, bad,
-                                                  message):
+    def test_snapshot_outside_session_names_value(self, tmp_path, surface_file, capsys,
+                                                  snapshots, message):
         quotes = self.make_quotes(tmp_path, surface_file)
         out = tmp_path / "cmp.csv"
         rc = run(["compare", "--surface", str(surface_file), "--quotes", str(quotes),
-                  "--spot", "1.0", "--snapshots", f"0.5,{bad}", "--out", str(out)])
+                  "--spot", "1.0", "--snapshots", snapshots, "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
