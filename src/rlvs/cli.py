@@ -157,7 +157,9 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     if not interval >= 0:
         raise ValueError(f"[grid] resample_interval must be >= 0 (0 fits at tick level), "
                          f"got {interval}")
-    dims = model.ModelDims(g["n_time"], g["n_price"], m["n_components"])  # refused before any tick
+    # Both refused before any tick is read.
+    dims = model.ModelDims(g["n_time"], g["n_price"], m["n_components"])
+    hmc_cfg = sampler.HmcConfig(**{k: v for k, v in h.items() if k != "keep_last"})
     session_length = cfg["synth"]["session_length"]
     series = ingest.load_ticks(ticks_path, session_length=session_length)
     late = series.times > session_length
@@ -195,7 +197,6 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     init_rng = np.random.default_rng([h["seed"], 1])  # init stream, distinct from chain
     init = model.ModelParams.random_init(dims, init_rng)
 
-    hmc_cfg = sampler.HmcConfig(**{k: v for k, v in h.items() if k != "keep_last"})
     start = time.perf_counter()
     chain = sampler.run_chain(init.to_vector(), hmc_cfg, post)
     chain_s = time.perf_counter() - start
@@ -376,16 +377,19 @@ def run_compare(surface_path, quotes_path, spot, rate, yield_rate,
     curve = voltools.implied_curve(in_range)
     for strike, reason in curve.skipped:
         print(f"skipped strike {strike}: {reason}", file=sys.stderr)
+    # Each snapshot time, strike and vol is formatted once, and each
+    # snapshot's cells are read with one index.
+    ivs = curve.vols.tolist()
+    quoted = [f"{k!r},{iv!r}," for k, iv in zip(curve.strikes.tolist(), ivs)]
+    rows = ["snapshot,strike,implied_vol,realized_vol,difference,masked\n"]
+    for t in snapshots:
+        i, cols = grid_mod.assign_cell(t, curve.strikes, spec)
+        rvs, masked = surf.vol_mean[i, cols].tolist(), surf.masked[i, cols].tolist()
+        when = f"{t!r},"
+        rows += [f"{when}{kv}{rv!r},{rv - iv!r},{int(m)}\n"
+                 for kv, iv, rv, m in zip(quoted, ivs, rvs, masked)]
     with open(out_path, "w", newline="\n") as fh:
-        fh.write("snapshot,strike,implied_vol,realized_vol,difference,masked\n")
-        for t in snapshots:
-            i, cols = grid_mod.assign_cell(t, curve.strikes, spec)
-            for strike, iv, j in zip(curve.strikes.tolist(), curve.vols.tolist(), cols):
-                rv = float(surf.vol_mean[i, j])
-                fh.write(
-                    f"{t!r},{strike!r},{iv!r},{rv!r},{rv - iv!r},"
-                    f"{int(surf.masked[i, j])}\n"
-                )
+        fh.write("".join(rows))
     n_rows = len(snapshots) * curve.strikes.size
     print(f"wrote {n_rows} comparison rows to {out_path}")
     return n_rows

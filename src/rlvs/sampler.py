@@ -50,15 +50,15 @@ class HmcConfig:
         if not 0 < self.step_size < np.inf:
             raise SamplerError(f"step_size must be positive and finite, got {self.step_size}")
         if self.n_leapfrog < 1:
-            raise SamplerError("n_leapfrog must be >= 1")
-        if np.any(np.asarray(self.mass_diag) <= 0):
-            raise SamplerError("mass entries must be positive")
-        if self.n_burn < 0 or self.n_draws < 0:
-            raise SamplerError("n_burn and n_draws must be non-negative")
+            raise SamplerError(f"n_leapfrog must be >= 1, got {self.n_leapfrog}")
+        mass = np.asarray(self.mass_diag)
+        if np.any(mass <= 0):
+            raise SamplerError(f"mass_diag entries must be positive, got {mass.min()}")
+        for name in ("n_burn", "n_draws", "seed"):
+            if getattr(self, name) < 0:
+                raise SamplerError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 < self.target_accept < 1.0:
-            raise SamplerError("target_accept must lie in (0, 1)")
-        if self.seed < 0:
-            raise SamplerError("seed must be non-negative")
+            raise SamplerError(f"target_accept must lie in (0, 1), got {self.target_accept}")
 
 
 class Draws(Sequence):

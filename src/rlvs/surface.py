@@ -239,16 +239,18 @@ def _write_csv(surface: VolSurface, path) -> None:
     spec = surface.spec
     # linspace pins the outer edges to price_min and price_max exactly.
     edges = np.linspace(spec.price_min, spec.price_max, spec.n_price + 1).tolist()
-    cell_time, price_mid = spec.cell_time.tolist(), spec.price_mid.tolist()
+    # One string per time bin and one per price bin: each axis value is formatted once.
+    times = [repr(t) for t in spec.cell_time.tolist()]
+    prices = [f"{mid!r},{a!r},{b!r}"
+              for mid, a, b in zip(spec.price_mid.tolist(), edges, edges[1:])]
     mean, lo, hi = surface.vol_mean.tolist(), surface.vol_lo.tolist(), surface.vol_hi.tolist()
     masked = surface.masked.astype(int).tolist()
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(_CSV_COLUMNS) + "\n")
-        for i in range(spec.n_time):
-            for j in range(spec.n_price):
-                fh.write(f"{i},{j},{cell_time[i]!r},{price_mid[j]!r},{edges[j]!r},"
-                         f"{edges[j + 1]!r},{mean[i][j]!r},{lo[i][j]!r},{hi[i][j]!r},"
-                         f"{masked[i][j]}\n")
+        for i, t in enumerate(times):
+            fh.write("".join(f"{i},{j},{t},{p},{v!r},{v_lo!r},{v_hi!r},{m}\n"
+                             for j, (p, v, v_lo, v_hi, m)
+                             in enumerate(zip(prices, mean[i], lo[i], hi[i], masked[i]))))
 
 
 def _read_csv(path) -> VolSurface:

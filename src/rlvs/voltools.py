@@ -127,12 +127,17 @@ def bs_price(spot, strike, rate, yield_rate, expiry, vol, is_call: bool = True) 
     return _price_vega(_terms(spot, strike, rate, yield_rate, expiry), vol, is_call)[0]
 
 
-def no_arbitrage_bounds(quote: OptionQuote) -> tuple[float, float]:
-    """(lower, upper) price bounds for a European quote."""
+def _bounds(quote: OptionQuote) -> tuple[_Terms, float, float]:
+    """The quote's vol-free terms and its (lower, upper) price bounds."""
     c = _terms(quote.spot, quote.strike, quote.rate, quote.yield_rate, quote.expiry)
     if quote.is_call:
-        return max(c.df_s - c.df_k, 0.0), c.df_s
-    return max(c.df_k - c.df_s, 0.0), c.df_k
+        return c, max(c.df_s - c.df_k, 0.0), c.df_s
+    return c, max(c.df_k - c.df_s, 0.0), c.df_k
+
+
+def no_arbitrage_bounds(quote: OptionQuote) -> tuple[float, float]:
+    """(lower, upper) price bounds for a European quote."""
+    return _bounds(quote)[1:]
 
 
 def implied_vol(quote: OptionQuote) -> float:
@@ -140,10 +145,14 @@ def implied_vol(quote: OptionQuote) -> float:
 
     Iterates until the volatility step stabilizes (well past the pricing
     tolerance of 1e-10 * spot), so round trips are accurate even deep out of
-    the money where vega is tiny. The quote's vol-free terms are computed
-    once, and each iterate's price and vega come from one d1.
+    the money where vega is tiny. A Newton step under 1e-12 from an iterate
+    that prices the mid within 1e-10 * spot ends the solve at once: the
+    stepped vol is returned without pricing it, and an iterate that reprices
+    the mid exactly (a zero step) is the root. The quote's vol-free terms are
+    computed once, for the bounds and the iteration alike, and each iterate's
+    price and vega come from one d1.
     """
-    lower, upper = no_arbitrage_bounds(quote)
+    c, lower, upper = _bounds(quote)
     if quote.mid_price <= lower:
         raise VolToolsError(
             f"mid price {quote.mid_price} at or below no-arbitrage lower bound {lower:.6g}"
@@ -153,7 +162,6 @@ def implied_vol(quote: OptionQuote) -> float:
             f"mid price {quote.mid_price} at or above no-arbitrage upper bound {upper:.6g}"
         )
 
-    c = _terms(quote.spot, quote.strike, quote.rate, quote.yield_rate, quote.expiry)
     price_tol = 1e-10 * quote.spot
     lo, hi = 1e-12, 4.0
     while _price_vega(c, hi, quote.is_call)[0] < quote.mid_price:
@@ -172,6 +180,8 @@ def implied_vol(quote: OptionQuote) -> float:
             lo = max(lo, sigma)
         if vega > 1e-14:
             step = diff / vega
+            if abs(step) < 1e-12 and abs(diff) < price_tol:
+                return float(sigma - step)
             new = sigma - step
             if not lo < new < hi:
                 new = 0.5 * (lo + hi)

@@ -413,6 +413,9 @@ class TestFit:
         ("", ["--components", "0"], "n_components must be >= 1, got 0"),
         ("[grid]\nn_time = 0\n", [], "n_time must be >= 1, got 0"),
         ("[grid]\nn_price = -2\n", [], "n_price must be >= 1, got -2"),
+        ("[hmc]\nn_leapfrog = 0\n", [], "n_leapfrog must be >= 1, got 0"),
+        ("[hmc]\ntarget_accept = 1.5\n", [], "target_accept must lie in (0, 1), got 1.5"),
+        ("[hmc]\nn_burn = -1\n", [], "n_burn must be >= 0, got -1"),
     ])
     def test_bad_fit_config_refused_before_reading_ticks(self, tmp_path, capsys, config,
                                                          flags, message):
@@ -1001,6 +1004,34 @@ class TestCompare:
                 texts.append(out.read_text())
         assert texts[0] == texts[1]
         assert len(texts[0].splitlines()) == 1 + 2 * 6  # six of the strikes are in band
+
+    @pytest.mark.parametrize("shuffle", [None, 0, 1])
+    def test_implied_vol_column_is_implieds_iv(self, tmp_path, surface_file, shuffle):
+        # Each strike's vol depends on its own quote alone: compare's column holds
+        # the text of `rlvs implied`'s iv for every in-band strike, in any file order.
+        spec = load_surface(surface_file).spec
+        rows = []
+        for k in np.linspace(spec.price_min - 0.02, spec.price_max + 0.02, 40).tolist():
+            vol = 0.4 + (k - 1.0) ** 2
+            price = bs_price(1.0, k, 0.0153, 0.0, 0.1, vol, k >= 1.0)
+            rows.append(f"{k!r},0.1,{price!r},{'C' if k >= 1.0 else 'P'}\n")
+        header = "strike,expiry_years,mid,flag\n"
+        quotes, shuffled = tmp_path / "q.csv", tmp_path / "shuffled.csv"
+        quotes.write_text(header + "".join(rows))
+        if shuffle is not None:
+            rows = [rows[n] for n in np.random.default_rng(shuffle).permutation(len(rows))]
+        shuffled.write_text(header + "".join(rows))
+        curve, out = tmp_path / "curve.csv", tmp_path / "cmp.csv"
+        market = ["--spot", "1.0", "--rate", "0.0153"]
+        assert run(["implied", "--quotes", str(quotes), *market, "--out", str(curve)]) == 0
+        assert run(["compare", "--surface", str(surface_file), "--quotes", str(shuffled),
+                    *market, "--snapshots", "0.25,0.75", "--out", str(out)]) == 0
+        iv = dict(line.split(",") for line in curve.read_text().splitlines()[1:])
+        in_band = [k for k in iv if spec.price_min <= float(k) <= spec.price_max]
+        assert 0 < len(in_band) < len(iv)
+        pairs = [line.split(",")[1:3] for line in out.read_text().splitlines()[1:]]
+        assert [k for k, _ in pairs] == in_band * 2
+        assert all(vol == iv[k] for k, vol in pairs)
 
     @pytest.mark.parametrize("fmt, edit, message", [
         ("json", lambda d: d.pop("vol_mean"), "surface has no field vol_mean"),

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import norm
 
+from rlvs import voltools
 from rlvs.voltools import (
     CallGrid,
     OptionQuote,
@@ -239,8 +242,14 @@ def scipy_implied_vol(q):
         else:
             lo = max(lo, sigma)
         vg = vega(sigma)
-        new = sigma - diff / vg if vg > 1e-14 else 0.5 * (lo + hi)
-        if not lo < new < hi:
+        if vg > 1e-14:
+            step = diff / vg
+            if abs(step) < 1e-12 and abs(diff) < 1e-10 * q.spot:
+                return sigma - step
+            new = sigma - step
+            if not lo < new < hi:
+                new = 0.5 * (lo + hi)
+        else:
             new = 0.5 * (lo + hi)
         moved, sigma = abs(new - sigma), new
         diff = price(sigma) - q.mid_price
@@ -280,7 +289,7 @@ class TestImpliedVol:
             implied_vol(q)
 
     def test_within_1e_10_of_scipy_solver(self):
-        # Measured worst 3.8e-11 in vol: inside the 1e-10 * spot price
+        # Measured worst 3.6e-11 in vol: inside the 1e-10 * spot price
         # tolerance both solvers stop at.
         rng = np.random.default_rng(12)
         for _ in range(300):
@@ -292,6 +301,70 @@ class TestImpliedVol:
             quote = OptionQuote(k, t, price, is_call, s, r, q)
             assert implied_vol(quote) == pytest.approx(scipy_implied_vol(quote), rel=0.0,
                                                        abs=1e-10)
+
+    def test_chain_lands_on_generating_vols(self):
+        # 200 OTM strikes priced at their own vols. Measured worst 1.2e-15; a
+        # solver that bisects away from an iterate repricing the mid exactly
+        # ends up to 9.5e-13 off.
+        strikes = np.linspace(0.85, 1.15, 202)[1:-1].tolist()
+        vols = np.random.default_rng(0).uniform(0.3, 0.7, len(strikes)).tolist()
+        for k, vol in zip(strikes, vols):
+            price = bs_price(1.0, k, 0.0153, 0.0, 0.1, vol, k >= 1.0)
+            quote = OptionQuote(k, 0.1, price, k >= 1.0, 1.0, 0.0153, 0.0)
+            assert implied_vol(quote) == pytest.approx(vol, rel=0.0, abs=1e-14)
+
+
+def count_evaluations(monkeypatch) -> list:
+    """A list that grows by one on each price-and-vega evaluation."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _price_vega(*args)
+
+    monkeypatch.setattr(voltools, "_price_vega", counted)
+    return calls
+
+
+def otm_quote(moneyness, expiry, vol):
+    """The OTM quote at unit spot, or None when it is worth under 1e-6."""
+    is_call = moneyness >= 1.0
+    price = bs_price(1.0, moneyness, 0.0, 0.0, expiry, vol, is_call)
+    return OptionQuote(moneyness, expiry, price, is_call, 1.0) if price >= 1e-6 else None
+
+
+class TestEvaluationBudget:
+    """Price evaluations per implied vol on OTM quotes within 30 % of the
+    money, priced at 1e-6 of the spot or more."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(moneyness=st.floats(0.7, 1.3), expiry=st.floats(0.01, 2.0),
+           vol=st.floats(0.05, 2.0))
+    # The most found in a scan of 355,000 such quotes: 17. The solver that
+    # bisected away from exact roots took up to 52.
+    @example(moneyness=1.292436974789916, expiry=0.029376909192993694,
+             vol=0.38890499032039366)
+    def test_at_most_20_per_quote(self, monkeypatch, moneyness, expiry, vol):
+        quote = otm_quote(moneyness, expiry, vol)
+        assume(quote is not None)
+        calls = count_evaluations(monkeypatch)
+        implied_vol(quote)
+        assert len(calls) <= 20
+
+    def test_at_most_8_on_average(self, monkeypatch):
+        # Measured mean 6.26; the solver that bisected away from exact roots made 16.3.
+        rng = np.random.default_rng(5)
+        quotes = []
+        while len(quotes) < 2000:
+            quote = otm_quote(rng.uniform(0.7, 1.3), rng.uniform(0.01, 2.0),
+                              rng.uniform(0.05, 2.0))
+            if quote is not None:
+                quotes.append(quote)
+        calls = count_evaluations(monkeypatch)
+        for quote in quotes:
+            implied_vol(quote)
+        assert len(calls) / len(quotes) <= 8.0
 
 
 class TestDupire:
