@@ -192,6 +192,14 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     norm = ingest.normalize_time(series)
     spec = grid_mod.GridSpec(g["n_time"], g["n_price"], pmin, pmax)
     gdata, scale = grid_mod.standardize_returns(grid_mod.build_grid(norm, spec))
+    # The tick path only: a resampled fit's series holds the resampled prices.
+    signals = ingest.tick_signals(series) if interval == 0 else None
+    if signals is not None and signals.noisy:
+        print(f"warning: {ticks_path}: the tick returns' lag-1 autocorrelation "
+              f"{signals.autocorr:+.3f} is below -3 standard errors "
+              f"({-3.0 * signals.autocorr_se:+.3f}): microstructure noise or price rounding "
+              "inflates a tick-level fit's vols; [grid] resample_interval = 300 fits "
+              "5-minute returns", file=sys.stderr)
 
     post = model.Posterior(gdata, dims)
     init_rng = np.random.default_rng([h["seed"], 1])  # init stream, distinct from chain
@@ -202,7 +210,11 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     chain_s = time.perf_counter() - start
     report = sampler.diagnostics(chain)
     # Timings go to stdout alone: the checkpoint of a fixed seed is the same on every run.
-    print(f"{report}, coordinates sampled {post.active.size:,} of {dims.n_coords:,}, "
+    tick_fields = "" if signals is None else (
+        f"zero tick returns {signals.zero_share:.1%}, lag-1 autocorrelation "
+        f"{signals.autocorr:+.3f} (se {signals.autocorr_se:.4f}), tick/5-minute RV "
+        f"{signals.rv_ratio:.3f}, ")
+    print(f"{report}, coordinates sampled {post.active.size:,} of {dims.n_coords:,}, {tick_fields}"
           f"step size {chain.step_size_used:.4g}, chain {chain_s:.3f} s, "
           f"{chain_s / chain.n_grad * 1e6:.1f} us per gradient evaluation")
 

@@ -10,6 +10,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,3 +188,42 @@ def resample(series: TickSeries, interval: float) -> TickSeries:
     return TickSeries(
         bounds[keep], series.prices[idx[keep]], session_length=series.session_length
     )
+
+
+class TickSignals(NamedTuple):
+    """What a session's tick log returns say about microstructure noise.
+
+    ``zero_share`` is the share of returns that are exactly 0, as price
+    rounding leaves them. ``autocorr`` is the returns' lag-1
+    autocorrelation, with standard error ``autocorr_se`` = 1/sqrt(N) for N
+    independent returns; additive noise and rounding both push it below 0.
+    ``rv_ratio`` is the tick-level realized variance over that of the
+    returns resampled at 5 minutes, a two-point volatility signature plot
+    (Andersen, Bollerslev, Diebold & Labys 2000), about 1 when the ticks
+    carry no noise. A statistic that the session cannot give (a single
+    return, a constant price) is NaN or inf.
+    """
+
+    zero_share: float
+    autocorr: float
+    autocorr_se: float
+    rv_ratio: float
+
+    @property
+    def noisy(self) -> bool:
+        """The autocorrelation lies below -3 standard errors."""
+        return self.autocorr < -3.0 * self.autocorr_se
+
+
+def tick_signals(series: TickSeries) -> TickSignals:
+    """The ``TickSignals`` of a series of at least 2 ticks. Reads only."""
+    r = np.diff(np.log(series.prices))
+    coarse = np.diff(np.log(resample(series, 300.0).prices))
+    d = r - r.mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return TickSignals(
+            zero_share=float(np.count_nonzero(r == 0.0) / r.size),
+            autocorr=float(np.divide(d[1:] @ d[:-1], d @ d)),
+            autocorr_se=1.0 / math.sqrt(r.size),
+            rv_ratio=float(np.divide(r @ r, coarse @ coarse)),
+        )

@@ -318,26 +318,48 @@ def _prior(vec: np.ndarray, n_shared: int, k_n: int):
     return value, grad, sticks[:, :k_n], gamma
 
 
-def _log_sum_exp(terms: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """log(sum(exp(terms), axis=0)) for a (K, N) array, shifted by each
-    column's max so that no exp overflows and the largest term is exp(0).
-    On return ``terms`` holds each column's softmax, exp(terms - lse) (the
-    mixture's responsibilities), and ``work``, a (K, N) scratch array, the
-    shifted exponentials.
+# The least column sum of exponentials that _log_sum_exp takes unshifted:
+# 2^53 times the least normal float, exp(-671.7). Above it, an exponential
+# that rounds into the subnormal range, where it keeps fewer than 53 bits,
+# lies below half an ulp of its column's sum, so its lost bits cannot move
+# the sum and change its responsibility by at most 2^-106. A kernel column
+# sums below it only for a return about 37 component scales from every mean.
+_MIN_TOTAL = 2.0 ** -969
 
-    A column whose max is not finite is not shifted, so every term -inf
-    gives -inf, a +inf term +inf and a NaN NaN, as ``scipy.special.logsumexp``
-    does; such a column divides by zero or meets inf - inf, so the caller
-    runs this under ``np.errstate(all="ignore")``. Blanchard, Higham &
-    Higham (2021), "Accurately computing the log-sum-exp and softmax
-    functions", bound this formula's error.
+
+def _log_sum_exp(terms: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """log(sum(exp(terms), axis=0)) for a (K, N) array. On return ``terms``
+    holds each column's softmax, exp(terms - lse) (the mixture's
+    responsibilities), and ``work``, a (K, N) scratch array, the
+    exponentials that were summed.
+
+    The kernel's terms, log w - z^2, are all <= 0, so their exps cannot
+    overflow and are summed unshifted. Only a column whose sum is below
+    ``_MIN_TOTAL``, +inf or NaN is redone shifted by its max (Blanchard,
+    Higham & Higham 2021, "Accurately computing the log-sum-exp and softmax
+    functions"), and ``work`` holds its shifted exponentials. A column whose
+    max is not finite is not shifted, so every term -inf gives -inf, a +inf
+    term +inf and a NaN NaN, as ``scipy.special.logsumexp`` does; such a
+    column divides by zero or meets inf - inf, so the caller runs this
+    under ``np.errstate(all="ignore")``.
     """
-    mx = np.maximum.reduce(terms, axis=0)
-    mx[~np.isfinite(mx)] = 0.0
-    e = np.exp(np.subtract(terms, mx, out=work), out=work)
+    e = np.exp(terms, out=work)
     total = np.add.reduce(e, axis=0)
+    ok = total >= _MIN_TOTAL
+    ok &= total < math.inf
+    redo = np.flatnonzero(~ok) if np.count_nonzero(ok) < ok.size else None
+    if redo is not None:
+        sub = terms[:, redo]
+        mx = np.maximum.reduce(sub, axis=0)
+        mx[~np.isfinite(mx)] = 0.0
+        np.exp(np.subtract(sub, mx, out=sub), out=sub)
+        e[:, redo] = sub
+        total[redo] = np.add.reduce(sub, axis=0)
     np.divide(e, total, out=terms)
-    return np.log(total) + mx
+    lse = np.log(total)
+    if redo is not None:
+        lse[redo] += mx
+    return lse
 
 
 class _Observed(NamedTuple):
@@ -358,7 +380,9 @@ class _Observed(NamedTuple):
     ``tail`` holds two (K, K) 0/1 matrices: a row of a cell's K
     responsibilities times the first gives, for each l < K - 1, the l-th;
     times the second, their sum over k >= l; both give 0 for l = K - 1.
-    ``work`` is scratch that every pass overwrites. With it the (2, K, N)
+    ``work`` is (K, N) scratch that every pass overwrites: it holds the
+    squared distances, then ``_log_sum_exp``'s exponentials, unshifted
+    except in the columns that it redoes shifted. With it the (2, K, N)
     array is a pass's only allocation of that size, so what a tick-level
     pass frees stays below the size at which malloc returns freed heap
     memory to the system, and the next pass does not fault it in again.

@@ -19,6 +19,7 @@ import rlvs
 from rlvs import cli, model
 from rlvs.cli import apply_master_seed, load_checkpoint, load_config, main
 from rlvs.grid import GridData
+from rlvs.ingest import TickSeries, save_ticks, synth_gbm_ticks
 from rlvs.model import ModelDims, Posterior
 from rlvs.surface import export_surface, load_surface
 from rlvs.voltools import bs_price
@@ -425,6 +426,83 @@ class TestFit:
                     *flags, "--out", str(ckpt)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not ckpt.exists()
+
+
+# A tick-level fit far shorter than any real one: the signals read the ticks alone.
+SIGNALS_CONFIG = """
+[grid]
+n_time = 3
+n_price = 3
+resample_interval = 0
+[model]
+n_components = 2
+[hmc]
+n_burn = 0
+n_draws = 2
+n_leapfrog = 2
+keep_last = 1
+"""
+
+
+class TestTickSignals:
+    """On the tick path the summary line reports the share of zero tick
+    returns, their lag-1 autocorrelation and the tick over 5-minute realized
+    variance; fit warns when the autocorrelation is below -3 standard errors."""
+
+    @staticmethod
+    def fit(tmp_path, capsys, prices, config=SIGNALS_CONFIG):
+        cfg, ticks, ckpt = tmp_path / "sig.ini", tmp_path / "ticks.csv", tmp_path / "ckpt.json"
+        cfg.write_text(config)
+        save_ticks(TickSeries(np.linspace(0.0, 23_400.0, prices.size), prices), ticks)
+        assert run(["fit", "--config", str(cfg), "--ticks", str(ticks), "--out", str(ckpt)]) == 0
+        out, err = capsys.readouterr()
+        line = next(l for l in out.splitlines() if "coordinates sampled" in l)
+        found = re.search(r", zero tick returns (\S+)%, lag-1 autocorrelation (\S+) \(se (\S+)\), "
+                          r"tick/5-minute RV (\S+), step size ", line)
+        assert found, line
+        return [float(x) for x in found.groups()], err
+
+    @staticmethod
+    def session(s0=100.0, seed=5):
+        return synth_gbm_ticks(s0, 0.0, 0.5, 23_401, seed=seed).prices
+
+    def test_clean_session_reports_without_warning(self, tmp_path, capsys):
+        prices = self.session()
+        (zero, rho, se, ratio), err = self.fit(tmp_path, capsys, prices)
+        r = np.diff(np.log(prices))
+        five = np.diff(np.log(prices[::300]))
+        assert zero == 0.0
+        assert rho == pytest.approx(np.corrcoef(r[1:], r[:-1])[0, 1], abs=5e-4)
+        assert se == pytest.approx(1.0 / np.sqrt(r.size), abs=5e-4)
+        assert ratio == pytest.approx((r @ r) / (five @ five), abs=5e-4)
+        assert "warning" not in err
+
+    def test_log_price_noise_warns(self, tmp_path, capsys):
+        prices = self.session()
+        prices *= np.exp(1e-4 * np.random.default_rng(8).standard_normal(prices.size))
+        (zero, rho, se, ratio), err = self.fit(tmp_path, capsys, prices)
+        assert rho < -3.0 * se and ratio > 1.2
+        assert err.startswith("warning: ") and "lag-1 autocorrelation" in err
+        assert f"{rho:+.3f} is below -3 standard errors" in err
+
+    def test_rounded_prices_report_their_zero_share_and_warn(self, tmp_path, capsys):
+        # A $20 stock on a 0.01 tick, a tick a second: most prices repeat.
+        prices = np.round(self.session(s0=20.0), 2)
+        (zero, rho, se, ratio), err = self.fit(tmp_path, capsys, prices)
+        share = np.count_nonzero(np.diff(prices) == 0.0) / (prices.size - 1)
+        assert f"{zero:.1f}" == f"{100.0 * share:.1f}"
+        assert zero > 50.0 and rho < -3.0 * se
+        assert err.startswith("warning: ")
+
+    def test_resampled_fit_reports_no_tick_signals(self, tmp_path, capsys):
+        cfg, ticks = tmp_path / "fit.ini", tmp_path / "ticks.csv"
+        cfg.write_text(SIGNALS_CONFIG.replace("resample_interval = 0", "resample_interval = 300"))
+        save_ticks(TickSeries(np.linspace(0.0, 23_400.0, 23_401),
+                              np.round(self.session(s0=20.0), 2)), ticks)
+        assert run(["fit", "--config", str(cfg), "--ticks", str(ticks),
+                    "--out", str(tmp_path / "ckpt.json")]) == 0
+        out, err = capsys.readouterr()
+        assert "zero tick returns" not in out and "warning" not in err
 
 
 SHORT_SESSION = 600.0

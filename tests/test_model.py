@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import expit, log_expit, logsumexp
+from scipy.special import expit, log_expit, logsumexp, softmax
 
 from rlvs import model
 from rlvs.grid import GridData, GridSpec, build_grid, standardize_returns
@@ -759,6 +760,9 @@ class TestKernel:
     def test_log_sum_exp_matches_scipy(self, k):
         # Within 4 ulp of max(1, |column max|), measured worst 2; columns
         # that are all -inf, hold +inf or hold NaN give scipy's value exactly.
+        # Columns 80-89 lie below -745, where every exp is 0, and 100-109
+        # near -700, where the sum is below _MIN_TOTAL: both are redone
+        # shifted. Columns 90-99 hold one term near 0 beside terms below -745.
         rng = np.random.default_rng(33)
         terms = rng.normal(scale=5.0, size=(500, k))
         terms[:50] = np.round(terms[:50])  # ties at the max
@@ -766,14 +770,67 @@ class TestKernel:
         terms[60:70] = -np.inf
         terms[70, 0] = np.inf
         terms[71, 0] = np.nan
+        terms[80:100] = rng.uniform(-1500.0, -745.0, size=(20, k))
+        terms[90:100, 0] = rng.uniform(-1.0, 0.0, size=10)
+        terms[100:110] = rng.normal(-700.0, 5.0, size=(10, k))
         with np.errstate(all="ignore"):  # the kernel pass's errstate
             # A copy: _log_sum_exp leaves the softmax in the array it is given.
-            ours = model._log_sum_exp(terms.T.copy(), np.empty((k, 500)))
+            resp = terms.T.copy()
+            ours = model._log_sum_exp(resp, np.empty((k, 500)))
             ref = logsumexp(terms, axis=1)
+            ref_resp = softmax(terms, axis=1)
         finite = np.isfinite(ref)
         bound = 4.0 * np.spacing(np.maximum(1.0, np.abs(terms.max(axis=1))))
         assert np.all(np.abs(ours[finite] - ref[finite]) <= bound[finite])
         np.testing.assert_array_equal(ours[~finite], ref[~finite])
+        # In every column with a finite value, the responsibilities lie
+        # within 4 ulp of 1, their column sum, of scipy's: measured worst
+        # 3.5, at K = 20, as for the max-shifted formula.
+        err = np.abs(resp.T[finite] - ref_resp[finite])
+        assert np.all(err <= 4.0 * np.spacing(1.0))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_far_outlier_matches_reference(self, sign):
+        # A standardized return 60 units out lies about 1,800 kernel units
+        # (log w - z^2) from every component: each of its exps underflows to
+        # 0, so its column takes the shifted fallback.
+        g = toy_grid(seed=34)
+        i, j = np.argwhere(g.mask)[0]
+        g.returns[i][j][0] = 60.0 * sign
+        dims = ModelDims(3, 3, 3)
+        post = Posterior(g, dims)
+        rng = np.random.default_rng(35)
+        for _ in range(3):
+            v = rng.normal(scale=0.5, size=dims.n_coords)
+            ref = lambda x: _reference_log_posterior(ModelParams.from_vector(dims, x), g)
+            value = post.logp(v)
+            assert np.isfinite(value)
+            assert value == pytest.approx(ref(v), rel=1e-12)
+            gf = fd_grad(ref, v)
+            assert np.max(np.abs(post.grad(v) - gf) / np.maximum(1.0, np.abs(gf))) < 1e-5
+
+    @pytest.mark.parametrize("outliers", [0, 5])
+    def test_tick_sized_pass_allocates_one_block(self, outliers):
+        # The (2, K, N) block is a pass's only (K, N)-sized allocation: the
+        # rest of its peak is N-length vectors and small tables. Measured
+        # 2.2 N-length float vectors beside the block, on both grids.
+        g = toy_grid(6, 4, n_ticks=20_001, seed=36)
+        for c, (i, j) in enumerate(np.argwhere(g.mask)[:outliers]):
+            g.returns[i][j][0] = 60.0 * (-1.0) ** c  # fallback columns, as above
+        k = 5
+        post = Posterior(g, ModelDims(6, 4, k))
+        n = post._obs.xs.size
+        assert n >= 20_000
+        v = np.random.default_rng(37).normal(scale=0.3, size=post.active.size)
+        post.grad(v)  # warm: later passes reuse the same scratch
+        tracemalloc.start()
+        try:
+            post.grad(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(post.last_logp())
+        assert peak < (2 * k + 3) * n * 8
 
 
 class TestParamsSerialization:
