@@ -56,7 +56,8 @@ class TickSeries:
 
 
 def load_ticks(path, session_length: float = SESSION_SECONDS) -> TickSeries:
-    """Read a tick CSV (header ``time_s,price``) and return a sorted TickSeries.
+    """Read a tick CSV (header ``time_s,price``; a UTF-8 byte-order mark is
+    skipped) and return a sorted TickSeries.
 
     Rows are sorted ascending by time with a stable sort, so duplicate
     timestamps keep their file order. Errors name the offending file line.
@@ -65,7 +66,7 @@ def load_ticks(path, session_length: float = SESSION_SECONDS) -> TickSeries:
     accepts what ``float`` accepts and names the first bad line.
     """
     table = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = fh.readline()
         if header:
             row = next(csv.reader([header]))
@@ -94,7 +95,7 @@ def _parse_rows(path):
     blank rows are skipped and the first bad row raises an error naming its
     file line."""
     times, prices = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if lineno == 1 or not row or all(not c.strip() for c in row):
                 continue

@@ -11,8 +11,10 @@ function of the draws and its interval shows only their spread.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,6 +32,7 @@ COUNTERFACTUAL_STICK = 1.0 - 0.5 ** (1.0 / COUNTERFACTUAL_CONC)
 _CSV_COLUMNS = ("i", "j", "t_norm", "price_mid", "price_lo", "price_hi",
                 "vol_mean", "vol_lo", "vol_hi", "masked")
 _VOLS = ("vol_mean", "vol_lo", "vol_hi")
+_INT_COLUMNS = ("i", "j", "masked")
 
 
 class SurfaceError(ValueError):
@@ -132,6 +135,10 @@ def credible_interval(samples, level: float):
     """Central empirical interval via linear interpolation of order stats.
 
     Samples lie along the first axis; the bounds have the shape of the rest.
+    One sort serves both bounds, which follow ``np.quantile``'s default
+    (linear) method to the bit: the order statistics around the index
+    (n - 1) * q, weighted as its ``_lerp`` weights them. A slice holding a
+    NaN gives NaN bounds, as there.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 0 or x.shape[0] < 2:
@@ -139,8 +146,20 @@ def credible_interval(samples, level: float):
     if not 0.0 < level < 1.0:
         raise SurfaceError("level must lie in (0, 1)")
     tail = (1.0 - level) / 2.0
-    lo, hi = np.quantile(x, [tail, 1.0 - tail], axis=0)
-    return lo, hi
+    x = np.sort(x, axis=0)  # NaNs last
+    last = x.shape[0] - 1
+    bounds = []
+    for q in (tail, 1.0 - tail):
+        index = last * q
+        k = min(int(index), last)
+        gamma = index - k
+        below, above = x[k], x[min(k + 1, last)]
+        step = above - below
+        bounds.append(above - step * (1.0 - gamma) if gamma >= 0.5 else below + step * gamma)
+    nan = np.isnan(x[-1])
+    if nan.any():
+        bounds = [np.where(nan, np.nan, b) for b in bounds]
+    return tuple(bounds)
 
 
 def build_surface(draws, grid: GridData, config: SurfaceConfig,
@@ -254,7 +273,17 @@ def _write_csv(surface: VolSurface, path) -> None:
 
 
 def _read_csv(path) -> VolSurface:
-    with open(path, newline="") as fh:
+    """The surface of a CSV export. The body is parsed in one ``np.loadtxt``
+    call; a file it refuses, or whose values fail a check, is read again row
+    by row with ``csv.reader``, which accepts what ``int`` and ``float``
+    accept and names the fault. So both paths accept the same files."""
+    columns = _loadtxt_columns(path)
+    if columns is not None:
+        try:
+            return _surface_from_columns(len(columns["i"]), columns.__getitem__)
+        except (ValueError, OverflowError):
+            pass
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
     rows = [r for r in rows if r]  # a blank line holds no cell
     if not rows:
@@ -267,34 +296,67 @@ def _read_csv(path) -> VolSurface:
         raise SurfaceError(f"surface CSV line {ragged[0][0]} holds {ragged[0][1]} values "
                            f"for {len(header)} columns")
 
-    def column(name, kind):
+    def column(name):
         k = header.index(name)
         try:
-            return np.array([r[k] for r in rows], dtype=kind)
+            return np.array([r[k] for r in rows], dtype=_column_kind(name))
         except (TypeError, ValueError) as exc:
             raise SurfaceError(f"surface CSV column {name}: {exc}") from None
 
-    i, j = column("i", int), column("j", int)
+    return _surface_from_columns(len(rows), column)
+
+
+def _column_kind(name: str) -> type:
+    return int if name in _INT_COLUMNS else float
+
+
+def _loadtxt_columns(path) -> dict | None:
+    """The surface columns of a CSV export from one ``np.loadtxt`` call, or
+    None when the header is quoted or lacks a column, a line may hold a
+    field over ``csv``'s size limit, or ``loadtxt`` refuses the body."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            line = fh.readline()
+            body = fh.read()
+        header = next(csv.reader([line]), [])
+        limit = csv.field_size_limit()
+        if ('"' in line or any(c not in header for c in _CSV_COLUMNS)
+                or len(body) > limit and max(map(len, body.split("\n"))) > limit):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: refused by csv.reader
+            table = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None,
+                               ndmin=1, dtype=[(f"c{k}", _column_kind(name))
+                                               for k, name in enumerate(header)])
+    except (ValueError, csv.Error):  # also undecodable text
+        return None
+    return {name: table[f"c{header.index(name)}"] for name in _CSV_COLUMNS}
+
+
+def _surface_from_columns(n_rows: int, column) -> VolSurface:
+    """The surface of ``n_rows`` parsed CSV rows; ``column(name)`` gives a
+    column's values, in file order."""
+    i, j = column("i"), column("j")
     if min(i.min(), j.min()) < 0:
         raise SurfaceError("surface CSV cell indices i and j must be >= 0")
     i_n, j_n = int(i.max()) + 1, int(j.max()) + 1
-    if i_n * j_n != len(rows):
-        raise SurfaceError(f"surface CSV has {len(rows)} rows for its {i_n} x {j_n} cells, "
+    if i_n * j_n != n_rows:
+        raise SurfaceError(f"surface CSV has {n_rows} rows for its {i_n} x {j_n} cells, "
                            "which need one row each")
     cell = i * j_n + j
-    counts = np.bincount(cell, minlength=len(rows))
+    counts = np.bincount(cell, minlength=n_rows)
     if (counts != 1).any():
         k = int(np.argmax(counts != 1))
         raise SurfaceError(f"surface CSV has {counts[k]} rows for cell {divmod(k, j_n)}, "
                            "which needs one")
     order = np.argsort(cell)
 
-    def cells(name, kind=float):
-        return column(name, kind)[order].reshape(i_n, j_n)
+    def cells(name):
+        return column(name)[order].reshape(i_n, j_n)
 
     # linspace in _write_csv pins the outer edges to price_min and price_max.
     spec = GridSpec(i_n, j_n, float(cells("price_lo")[0, 0]), float(cells("price_hi")[0, -1]))
-    return VolSurface(spec, *(cells(name) for name in _VOLS), cells("masked", int))
+    return VolSurface(spec, *(cells(name) for name in _VOLS), cells("masked"))
 
 
 def _heat_color(x: float) -> str:

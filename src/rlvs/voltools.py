@@ -140,17 +140,37 @@ def no_arbitrage_bounds(quote: OptionQuote) -> tuple[float, float]:
     return _bounds(quote)[1:]
 
 
+# No implied vol above this is sought: a quote whose mid only a larger vol
+# reaches is refused.
+_MAX_VOL = 1e6
+
+
+def _start_vol(c: _Terms, mid: float, is_call: bool) -> float:
+    """Corrado & Miller's (1996) closed-form estimate of the vol that prices
+    ``mid``, from the discounted spot and strike; a put goes through
+    put-call parity. 0.3 when the estimate is not positive and finite."""
+    gap = c.df_s - c.df_k
+    a = (mid if is_call else mid + gap) - 0.5 * gap
+    root = math.sqrt(max(a * a - gap * gap / math.pi, 0.0))  # NaN passes through
+    est = _SQRT_2PI * (a + root) / ((c.df_s + c.df_k) * c.sqrt_t)
+    return est if 0.0 < est < math.inf else 0.3
+
+
 def implied_vol(quote: OptionQuote) -> float:
     """Newton-Raphson implied volatility with bracketed bisection fallback.
 
-    Iterates until the volatility step stabilizes (well past the pricing
-    tolerance of 1e-10 * spot), so round trips are accurate even deep out of
-    the money where vega is tiny. A Newton step under 1e-12 from an iterate
-    that prices the mid within 1e-10 * spot ends the solve at once: the
-    stepped vol is returned without pricing it, and an iterate that reprices
-    the mid exactly (a zero step) is the root. The quote's vol-free terms are
-    computed once, for the bounds and the iteration alike, and each iterate's
-    price and vega come from one d1.
+    Newton starts from Corrado & Miller's closed-form estimate. The bracket
+    starts as (1e-12, inf); its upper end stays open until an iterate prices
+    above the mid, and while it is open a step that leaves it doubles the
+    lower end instead of bisecting. A quote whose vol lies above 1e6 is
+    refused. Iterates until the volatility step stabilizes (well past the
+    pricing tolerance of 1e-10 * spot), so round trips are accurate even
+    deep out of the money where vega is tiny. A Newton step under 1e-12 from
+    an iterate that prices the mid within 1e-10 * spot ends the solve at
+    once: the stepped vol is returned without pricing it, and an iterate
+    that reprices the mid exactly (a zero step) is the root. The quote's
+    vol-free terms are computed once, for the bounds, the start and the
+    iteration alike, and each iterate's price and vega come from one d1.
     """
     c, lower, upper = _bounds(quote)
     if quote.mid_price <= lower:
@@ -163,14 +183,9 @@ def implied_vol(quote: OptionQuote) -> float:
         )
 
     price_tol = 1e-10 * quote.spot
-    lo, hi = 1e-12, 4.0
-    while _price_vega(c, hi, quote.is_call)[0] < quote.mid_price:
-        hi *= 2.0
-        if hi > 1e6:
-            raise VolToolsError("implied volatility bracket expansion failed")
-
+    lo, hi = 1e-12, math.inf
     max_iter = 200
-    sigma = min(max(0.3, lo), hi)  # Newton starts at 30 % vol
+    sigma = _start_vol(c, quote.mid_price, quote.is_call)
     price, vega = _price_vega(c, sigma, quote.is_call)
     diff = price - quote.mid_price
     for _ in range(max_iter):
@@ -178,15 +193,19 @@ def implied_vol(quote: OptionQuote) -> float:
             hi = min(hi, sigma)
         else:
             lo = max(lo, sigma)
+        new = math.nan  # no Newton step: bisect, or double while hi is open
         if vega > 1e-14:
             step = diff / vega
             if abs(step) < 1e-12 and abs(diff) < price_tol:
                 return float(sigma - step)
             new = sigma - step
-            if not lo < new < hi:
+        if not lo < new < min(hi, _MAX_VOL):
+            if hi < math.inf:
                 new = 0.5 * (lo + hi)
-        else:
-            new = 0.5 * (lo + hi)
+            elif 2.0 * lo <= _MAX_VOL:
+                new = 2.0 * lo
+            else:
+                raise VolToolsError("implied volatility bracket expansion failed")
         moved = abs(new - sigma)
         sigma = new
         price, vega = _price_vega(c, sigma, quote.is_call)
@@ -286,12 +305,13 @@ def implied_curve(quotes) -> ImpliedCurve:
 
 def load_quotes(path, spot: float, rate: float = 0.0,
                 yield_rate: float = 0.0) -> list[OptionQuote]:
-    """Read quote CSV rows `strike,expiry_years,mid,flag` (flag C or P).
+    """Read quote CSV rows `strike,expiry_years,mid,flag` (flag C or P); a
+    UTF-8 byte-order mark is skipped.
     A bad ``spot``, ``rate`` or ``yield_rate`` is refused by name before any
     row is read, so that no line takes the blame for it."""
     OptionQuote(1.0, 1.0, 1.0, True, spot, rate, yield_rate)  # the other fields are valid
     quotes = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if lineno == 1 and row and row[0].strip().lower() == "strike":

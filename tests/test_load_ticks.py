@@ -1,9 +1,11 @@
 """load_ticks parses its rows in bulk: the values must be those of ``float``
 on each field's text, whichever path the file takes."""
 
+import codecs
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlvs import ingest
@@ -69,3 +71,16 @@ def test_carriage_return_line_ends(tmp_path):
     s = load_ticks(path)
     assert s.times.tolist() == [0.5, 1.0]
     assert s.prices.tolist() == [3.0, 2.0]
+
+
+@pytest.mark.parametrize("body", [b"time_s,price\n1.0,2.0\n0.5,3.0\n",
+                                  b'time_s,price\r\n1.0,2.0\r\n"0.5",3.0\r\n'])
+def test_byte_order_mark_skipped(tmp_path, body):
+    # Excel's "CSV UTF-8" export starts the file with one; the second file
+    # is read row by row.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(body)
+    marked.write_bytes(codecs.BOM_UTF8 + body)
+    a, b = load_ticks(plain), load_ticks(marked)
+    assert _bits(b.times) == _bits(a.times) == _bits([0.5, 1.0])
+    assert _bits(b.prices) == _bits(a.prices) == _bits([3.0, 2.0])

@@ -1,3 +1,4 @@
+import codecs
 import json
 import re
 import tracemalloc
@@ -179,6 +180,28 @@ class TestCredibleInterval:
         for i in range(3):
             for j in range(2):
                 assert (lo[i, j], hi[i, j]) == credible_interval(x[:, i, j], 0.9)
+
+    def test_equals_np_quantile(self):
+        # One sort and the linear method's arithmetic: the same floats as
+        # np.quantile, on stacks with ties and two samples.
+        rng = np.random.default_rng(23)
+        for _ in range(3000):
+            n = int(rng.integers(2, 300))
+            x = rng.normal(size=(n, int(rng.integers(1, 4))))
+            if rng.random() < 0.5:
+                x = np.round(x, 1)  # ties
+            level = rng.uniform(0.01, 0.99)
+            tail = (1.0 - level) / 2.0
+            want = np.quantile(x, [tail, 1.0 - tail], axis=0)
+            assert np.array_equal(credible_interval(x, level), want)
+
+    def test_nan_slice_gives_nan_bounds(self):
+        x = np.array([[1.0, 1.0], [np.nan, 2.0], [3.0, 3.0]])
+        lo, hi = credible_interval(x, 0.9)
+        want = np.quantile(x, [0.05, 0.95], axis=0)
+        np.testing.assert_array_equal(lo, want[0])
+        np.testing.assert_array_equal(hi, want[1])
+        assert np.isnan(lo[0]) and np.isnan(hi[0]) and np.isfinite(lo[1])
 
 
 class TestBuildSurface:
@@ -582,6 +605,82 @@ def test_two_by_two_surface_loads_from_both_formats(tmp_path):
     with open(path, "a") as fh:
         fh.write("\n\n")
     assert_same_surface(load_surface(path), TWO_BY_TWO)
+
+
+def _outcomes(path):
+    """(load_surface's result, the csv.reader path's result) on ``path``:
+    each the surface's dict or the refusal's message."""
+    def outcome():
+        try:
+            return load_surface(path).to_dict()
+        except SurfaceError as exc:
+            return str(exc)
+    first = outcome()
+    with mock.patch.object(surface, "_loadtxt_columns", return_value=None):
+        return first, outcome()
+
+
+@settings(max_examples=150, deadline=None)
+@given(surf=surfaces(), data=st.data())
+@example(surf=TWO_BY_TWO, data=None)
+def test_loadtxt_and_csv_reader_paths_agree(tmp_path_factory, surf, data):
+    path = tmp_path_factory.mktemp("parity") / "surf.csv"
+    export_surface(surf, path, "csv")
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    if data is not None:
+        order = data.draw(st.permutations(range(len(rows[0]))), label="column order")
+        rows = [[r[k] for k in order] for r in rows]
+        for name, value in data.draw(st.lists(st.tuples(st.sampled_from(["x", "i", ""]),
+                                                        st.sampled_from(["0.5", "7", "a"])),
+                                              max_size=2), label="extra columns"):
+            rows = [r + [name if n == 0 else value] for n, r in enumerate(rows)]
+        header = rows[0]
+        for _ in range(data.draw(st.integers(0, 3), label="edited fields")):
+            n = data.draw(st.integers(1, len(rows) - 1))
+            k = data.draw(st.integers(0, len(header) - 1))
+            edit = data.draw(st.sampled_from(["+{}", "0{}", " {} ", "{}.0", '"{}"',
+                                              str(2 ** 62), "-{}", "{}_0", ""]))
+            rows[n][k] = edit.replace("{}", rows[n][k])
+        for _ in range(data.draw(st.integers(0, 2), label="blank lines")):
+            n = data.draw(st.integers(1, len(rows)))
+            rows.insert(n, [data.draw(st.sampled_from(["", " "]))])
+        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
+        bom = data.draw(st.sampled_from(["", "\ufeff"]), label="byte-order mark")
+        path.write_text(bom + "".join(",".join(r) + end for r in rows), newline="")
+    fast, slow = _outcomes(path)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text,
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: text.replace("\n", "\n\n"),
+    lambda text: "\ufeff" + text,
+    lambda text: "".join(",".join([*reversed(line.split(",")), "7"]) + "\n"
+                         for line in text.splitlines()),
+    lambda text: text.replace("\n1,", "\n+1,"),
+    lambda text: text.replace("\n1,1,", f"\n{2 ** 62},1,"),
+])
+def test_loadtxt_path_reads_plain_files(tmp_path, edit):
+    # Files that loadtxt takes whole; the csv.reader path gives the same.
+    path = tmp_path / "surf.csv"
+    export_surface(TWO_BY_TWO, path, "csv")
+    path.write_text(edit(path.read_text()), newline="")
+    assert surface._loadtxt_columns(path) is not None
+    fast, slow = _outcomes(path)
+    assert fast == slow
+
+
+def test_byte_order_mark_skipped_in_csv(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with one; a quoted field
+    # sends the CSV to the csv.reader path.
+    path = tmp_path / "surf.csv"
+    export_surface(TWO_BY_TWO, path, "csv")
+    text = path.read_text()
+    for body in (text, text.replace("\n0,0,", '\n"0",0,')):
+        path.write_text("\ufeff" + body, encoding="utf-8")
+        assert path.read_bytes().startswith(codecs.BOM_UTF8)
+        assert_same_surface(load_surface(path), TWO_BY_TWO)
 
 
 def test_config_validation():
