@@ -106,7 +106,7 @@ def load_config(path=None) -> dict:
     cfg = default_config()
     if path:
         parser = configparser.ConfigParser()
-        with open(path) as fh:
+        with ingest._open_text(path) as fh:
             try:
                 parser.read_file(fh)
             except configparser.Error as exc:
@@ -191,7 +191,10 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
 
     norm = ingest.normalize_time(series)
     spec = grid_mod.GridSpec(g["n_time"], g["n_price"], pmin, pmax)
-    gdata, scale = grid_mod.standardize_returns(grid_mod.build_grid(norm, spec))
+    try:
+        gdata, scale = grid_mod.standardize_returns(grid_mod.build_grid(norm, spec))
+    except grid_mod.GridError as exc:
+        raise grid_mod.GridError(f"{ticks_path}: {exc}") from None
     # The tick path only: a resampled fit's series holds the resampled prices.
     signals = ingest.tick_signals(series) if interval == 0 else None
     if signals is not None and signals.noisy:
@@ -295,11 +298,10 @@ def load_checkpoint(path) -> dict:
     """The fit checkpoint at ``path``, refused with its path and the field at
     fault where a value ``run_surface`` reads is missing or out of range;
     ``run_surface`` checks the grid and the draws as it parses them."""
-    with open(path) as fh:
-        try:
-            ckpt = json.load(fh)
-        except ValueError as exc:  # also an integer of more digits than int() reads
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        ckpt = ingest._read_json(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(ckpt, dict) or ckpt.get("kind") != "rlvs-checkpoint":
         raise ValueError(f"{path}: not a fit checkpoint")
     if ckpt.get("component_scale", model.COMPONENT_SCALE) != model.COMPONENT_SCALE:

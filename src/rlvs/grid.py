@@ -261,7 +261,7 @@ def standardize_returns(grid: GridData) -> tuple[GridData, float]:
     """Divide every stored return by the pooled standard deviation.
 
     Returns the rescaled grid and the scale, so volatilities can be mapped
-    back to raw return units later. Constant-price sessions (zero pooled
+    back to raw return units later. Returns that are all equal (zero pooled
     spread) are rejected: there is no volatility to model.
     """
     flat, counts = _flatten(_cells(grid))
@@ -271,8 +271,8 @@ def standardize_returns(grid: GridData) -> tuple[GridData, float]:
     scale = float(np.std(xs))
     if scale <= 0.0:
         raise GridError(
-            "pooled return standard deviation is zero (constant prices); "
-            "volatility is degenerate and cannot be standardized"
+            f"the {xs.size} stored return(s) all equal {float(xs[0])!r}, so their pooled "
+            "standard deviation is zero; volatility is degenerate and cannot be standardized"
         )
     scaled = _nest(flat / scale, counts, grid.spec)
     out = GridData(

@@ -1,4 +1,8 @@
-"""Tick-data loading, synthesis, normalization and resampling.
+"""Tick-data loading, synthesis, normalization and resampling, and the one
+reader layer of every input file: ``_open_text`` opens it (UTF-8, a
+byte-order mark skipped), ``_loadtxt_body`` parses a CSV body in bulk,
+``_csv_rows`` gives a CSV's non-blank rows with their file lines, and
+``_read_json`` reads JSON.
 
 All times are seconds since session open; a regular US cash session is
 23,400 seconds (09:30 to 16:00). Prices are plain currency units.
@@ -7,6 +11,7 @@ All times are seconds since session open; a regular US cash session is
 from __future__ import annotations
 
 import csv
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -55,9 +60,46 @@ class TickSeries:
         return int(self.times.size)
 
 
+def _open_text(path):
+    """The file at ``path`` open for reading as UTF-8 text, a byte-order mark
+    skipped and line ends left to the reader (``newline=""``)."""
+    return open(path, newline="", encoding="utf-8-sig")
+
+
+def _csv_rows(path):
+    """The ``(file line, fields)`` of each row of the CSV at ``path`` that
+    holds a non-blank field; a row's line is the one it ends on."""
+    with _open_text(path) as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if any(field.strip() for field in row):
+                yield reader.line_num, row
+
+
+def _loadtxt_body(fh, **kw):
+    """The rest of the open CSV ``fh`` parsed by one ``np.loadtxt`` call, or
+    None where loadtxt refuses it. An empty body parses to an empty array."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: the callers refuse them
+            return np.loadtxt(fh, delimiter=",", comments=None, **kw)
+    except ValueError:  # also undecodable text, which the row reader names
+        return None
+
+
+def _read_json(path):
+    """The JSON value in the file at ``path``; any ``ValueError``, undecodable
+    text or an over-long integer included, is refused as ``not valid JSON``."""
+    with _open_text(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"not valid JSON: {exc}") from None
+
+
 def load_ticks(path, session_length: float = SESSION_SECONDS) -> TickSeries:
-    """Read a tick CSV (header ``time_s,price``; a UTF-8 byte-order mark is
-    skipped) and return a sorted TickSeries.
+    """Read a tick CSV (header ``time_s,price`` on line 1) and return a
+    sorted TickSeries.
 
     Rows are sorted ascending by time with a stable sort, so duplicate
     timestamps keep their file order. Errors name the offending file line.
@@ -66,7 +108,7 @@ def load_ticks(path, session_length: float = SESSION_SECONDS) -> TickSeries:
     accepts what ``float`` accepts and names the first bad line.
     """
     table = None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_text(path) as fh:
         header = fh.readline()
         if header:
             row = next(csv.reader([header]))
@@ -74,15 +116,9 @@ def load_ticks(path, session_length: float = SESSION_SECONDS) -> TickSeries:
                 raise TickDataError(
                     f"{path}: line 1: expected header 'time_s,price', got {','.join(row)!r}"
                 )
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # no rows: handled below
-                    table = np.loadtxt(fh, delimiter=",", comments=None,
-                                       usecols=(0, 1), ndmin=2)
-            except ValueError:
-                pass
+            table = _loadtxt_body(fh, usecols=(0, 1), ndmin=2)
     if (table is not None and table.size and np.isfinite(table).all()
-            and np.all(table[:, 1] > 0)):
+            and np.all(table[:, 0] >= 0) and np.all(table[:, 1] > 0)):
         times, prices = table[:, 0], table[:, 1]
     else:
         times, prices = _parse_rows(path)
@@ -92,28 +128,28 @@ def load_ticks(path, session_length: float = SESSION_SECONDS) -> TickSeries:
 
 def _parse_rows(path):
     """(times, prices) of a tick CSV whose header was checked, row by row:
-    blank rows are skipped and the first bad row raises an error naming its
-    file line."""
+    the first bad row raises an error naming its file line."""
     times, prices = [], []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if lineno == 1 or not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 2:
-                raise TickDataError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
-            try:
-                t = float(row[0])
-                p = float(row[1])
-            except ValueError as exc:
-                raise TickDataError(f"{path}: line {lineno}: cannot parse row: {exc}") from exc
-            if not math.isfinite(t):
-                raise TickDataError(f"{path}: line {lineno}: non-finite time_s {t}")
-            if not math.isfinite(p):
-                raise TickDataError(f"{path}: line {lineno}: non-finite price {p}")
-            if p <= 0:
-                raise TickDataError(f"{path}: line {lineno}: non-positive price {p}")
-            times.append(t)
-            prices.append(p)
+    for lineno, row in _csv_rows(path):
+        if lineno == 1:
+            continue
+        if len(row) < 2:
+            raise TickDataError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
+        try:
+            t = float(row[0])
+            p = float(row[1])
+        except ValueError as exc:
+            raise TickDataError(f"{path}: line {lineno}: cannot parse row: {exc}") from exc
+        if not math.isfinite(t):
+            raise TickDataError(f"{path}: line {lineno}: non-finite time_s {t}")
+        if t < 0:
+            raise TickDataError(f"{path}: line {lineno}: negative time_s {t}")
+        if not math.isfinite(p):
+            raise TickDataError(f"{path}: line {lineno}: non-finite price {p}")
+        if p <= 0:
+            raise TickDataError(f"{path}: line {lineno}: non-positive price {p}")
+        times.append(t)
+        prices.append(p)
     if not times:
         raise TickDataError(f"{path}: file contains no tick rows")
     return np.asarray(times), np.asarray(prices)

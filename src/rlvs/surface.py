@@ -11,15 +11,14 @@ function of the draws and its interval shows only their spread.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .grid import GridData, GridSpec, _require_fields, float_array, mask_array
+from .ingest import _csv_rows, _loadtxt_body, _open_text, _read_json
 from .model import (COMPONENT_SCALE, component_means, mixture_mean_var, stick_break,
                     stick_weights_from_raw)
 
@@ -243,12 +242,7 @@ def load_surface(path) -> VolSurface:
     refused with its path and the field at fault."""
     try:
         if str(path).endswith(".json"):
-            with open(path) as fh:
-                try:
-                    d = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise SurfaceError(f"not valid JSON: {exc}") from None
-            return VolSurface.from_dict(d)
+            return VolSurface.from_dict(_read_json(path))
         return _read_csv(path)
     except (ValueError, OverflowError, csv.Error) as exc:  # also undecodable text
         raise SurfaceError(f"{path}: {exc}") from None
@@ -273,33 +267,31 @@ def _write_csv(surface: VolSurface, path) -> None:
 
 
 def _read_csv(path) -> VolSurface:
-    """The surface of a CSV export. The body is parsed in one ``np.loadtxt``
-    call; a file it refuses, or whose values fail a check, is read again row
-    by row with ``csv.reader``, which accepts what ``int`` and ``float``
-    accept and names the fault. So both paths accept the same files."""
-    columns = _loadtxt_columns(path)
-    if columns is not None:
-        try:
-            return _surface_from_columns(len(columns["i"]), columns.__getitem__)
-        except (ValueError, OverflowError):
-            pass
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header, *rows = list(csv.reader(fh)) or [[]]
-    rows = [r for r in rows if r]  # a blank line holds no cell
+    """The surface of a CSV export, its header on line 1. The body is parsed
+    in one ``np.loadtxt`` call; a body it refuses is read row by row, which
+    accepts what ``int`` and ``float`` accept and names the file line or the
+    column at fault."""
+    with _open_text(path) as fh:
+        header = next(csv.reader([fh.readline()]))
+        table = _loadtxt_body(fh, ndmin=1, dtype=[(f"c{k}", _column_kind(name))
+                                                  for k, name in enumerate(header)])
+    missing = [c for c in _CSV_COLUMNS if c not in header]
+    if table is not None and table.size and not missing:
+        return _surface_from_columns(table.size, lambda name: table[f"c{header.index(name)}"])
+    rows = [(line, row) for line, row in _csv_rows(path) if line > 1]
     if not rows:
         raise SurfaceError("empty surface file")
-    missing = [c for c in _CSV_COLUMNS if c not in header]
     if missing:
         raise SurfaceError(f"surface CSV has no column {', '.join(missing)}")
-    ragged = [(n, len(r)) for n, r in enumerate(rows, start=2) if len(r) != len(header)]
-    if ragged:
-        raise SurfaceError(f"surface CSV line {ragged[0][0]} holds {ragged[0][1]} values "
-                           f"for {len(header)} columns")
+    for line, row in rows:
+        if len(row) != len(header):
+            raise SurfaceError(f"surface CSV line {line} holds {len(row)} values "
+                               f"for {len(header)} columns")
 
     def column(name):
         k = header.index(name)
         try:
-            return np.array([r[k] for r in rows], dtype=_column_kind(name))
+            return np.array([row[k] for _, row in rows], dtype=_column_kind(name))
         except (TypeError, ValueError) as exc:
             raise SurfaceError(f"surface CSV column {name}: {exc}") from None
 
@@ -308,29 +300,6 @@ def _read_csv(path) -> VolSurface:
 
 def _column_kind(name: str) -> type:
     return int if name in _INT_COLUMNS else float
-
-
-def _loadtxt_columns(path) -> dict | None:
-    """The surface columns of a CSV export from one ``np.loadtxt`` call, or
-    None when the header is quoted or lacks a column, a line may hold a
-    field over ``csv``'s size limit, or ``loadtxt`` refuses the body."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            line = fh.readline()
-            body = fh.read()
-        header = next(csv.reader([line]), [])
-        limit = csv.field_size_limit()
-        if ('"' in line or any(c not in header for c in _CSV_COLUMNS)
-                or len(body) > limit and max(map(len, body.split("\n"))) > limit):
-            return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows: refused by csv.reader
-            table = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None,
-                               ndmin=1, dtype=[(f"c{k}", _column_kind(name))
-                                               for k, name in enumerate(header)])
-    except (ValueError, csv.Error):  # also undecodable text
-        return None
-    return {name: table[f"c{header.index(name)}"] for name in _CSV_COLUMNS}
 
 
 def _surface_from_columns(n_rows: int, column) -> VolSurface:

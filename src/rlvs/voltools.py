@@ -4,12 +4,13 @@ decimals; expiries are in years (252 trading days)."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .ingest import _csv_rows
 
 
 class VolToolsError(ValueError):
@@ -133,11 +134,6 @@ def _bounds(quote: OptionQuote) -> tuple[_Terms, float, float]:
     if quote.is_call:
         return c, max(c.df_s - c.df_k, 0.0), c.df_s
     return c, max(c.df_k - c.df_s, 0.0), c.df_k
-
-
-def no_arbitrage_bounds(quote: OptionQuote) -> tuple[float, float]:
-    """(lower, upper) price bounds for a European quote."""
-    return _bounds(quote)[1:]
 
 
 # No implied vol above this is sought: a quote whose mid only a larger vol
@@ -311,27 +307,22 @@ def load_quotes(path, spot: float, rate: float = 0.0,
     row is read, so that no line takes the blame for it."""
     OptionQuote(1.0, 1.0, 1.0, True, spot, rate, yield_rate)  # the other fields are valid
     quotes = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and row and row[0].strip().lower() == "strike":
-                continue
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 4:
-                raise VolToolsError(f"{path}: line {lineno}: expected 4 columns")
-            try:
-                strike, expiry, mid = float(row[0]), float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise VolToolsError(f"{path}: line {lineno}: {exc}") from exc
-            flag = row[3].strip().upper()
-            if flag not in ("C", "P"):
-                raise VolToolsError(f"{path}: line {lineno}: flag must be C or P")
-            try:
-                quotes.append(OptionQuote(strike, expiry, mid, flag == "C",
-                                          spot, rate, yield_rate))
-            except VolToolsError as exc:
-                raise VolToolsError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, row in _csv_rows(path):
+        if lineno == 1 and row[0].strip().lower() == "strike":
+            continue
+        if len(row) < 4:
+            raise VolToolsError(f"{path}: line {lineno}: expected 4 columns")
+        try:
+            strike, expiry, mid = float(row[0]), float(row[1]), float(row[2])
+        except ValueError as exc:
+            raise VolToolsError(f"{path}: line {lineno}: {exc}") from exc
+        flag = row[3].strip().upper()
+        if flag not in ("C", "P"):
+            raise VolToolsError(f"{path}: line {lineno}: flag must be C or P")
+        try:
+            quotes.append(OptionQuote(strike, expiry, mid, flag == "C", spot, rate, yield_rate))
+        except VolToolsError as exc:
+            raise VolToolsError(f"{path}: line {lineno}: {exc}") from exc
     if not quotes:
         raise VolToolsError(f"{path}: no quotes found")
     return quotes

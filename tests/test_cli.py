@@ -1,4 +1,5 @@
 import base64
+import codecs
 import contextlib
 import io
 import json
@@ -391,6 +392,18 @@ class TestFit:
             "price(s) of ticks from time_s 5.0 to 6.0; the fit needs at least 2\n")
         assert not ckpt.exists()
 
+    def test_equal_returns_refused_with_tick_path(self, tmp_path, capsys):
+        # Two ticks at tick level give one return, whose spread is zero.
+        cfg, ticks, ckpt = tmp_path / "tick.ini", tmp_path / "two.csv", tmp_path / "ckpt.json"
+        cfg.write_text("[grid]\nresample_interval = 0\n")
+        ticks.write_text("time_s,price\n0,1.0\n1,1.1\n")
+        assert run(["fit", "--config", str(cfg), "--ticks", str(ticks), "--out", str(ckpt)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ticks}: the 1 stored return(s) all equal {float(np.log(1.1))!r}, so "
+            "their pooled standard deviation is zero; volatility is degenerate and cannot be "
+            "standardized\n")
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("interval", ["-300", "nan"])
     def test_negative_resample_interval_refused_by_name(self, tmp_path, capsys, interval):
         # A silent tick-level fit would pass the degenerate-file property below.
@@ -707,6 +720,17 @@ class TestSurface:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path, out in ((fitted, a), (old, b)):
             assert run(["surface", "--config", str(toy_cfg), "--checkpoint", str(path),
+                        "--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_byte_order_mark_skipped_in_checkpoint_and_config(self, tmp_path, toy_cfg, fitted):
+        marked_cfg, marked_ckpt = tmp_path / "marked.ini", tmp_path / "marked.json"
+        marked_cfg.write_bytes(codecs.BOM_UTF8 + toy_cfg.read_bytes())
+        marked_ckpt.write_bytes(codecs.BOM_UTF8 + fitted.read_bytes())
+        assert load_config(marked_cfg) == load_config(toy_cfg)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for cfg, ckpt, out in ((toy_cfg, fitted, a), (marked_cfg, marked_ckpt, b)):
+            assert run(["surface", "--config", str(cfg), "--checkpoint", str(ckpt),
                         "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 

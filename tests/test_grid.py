@@ -253,7 +253,8 @@ class TestStandardize:
         spec = GridSpec(1, 1, 99.0, 103.0)
         g = GridData(spec, np.ones((1, 1), bool), [[[0.01, 0.01, 0.01]]],
                      np.array([0.5]), np.log([101.0]))
-        with pytest.raises(GridError, match="degenerate"):
+        with pytest.raises(GridError, match=r"^the 3 stored return\(s\) all equal 0\.01, .*"
+                                            "degenerate"):
             standardize_returns(g)
 
     def test_empty_grid_errors(self):

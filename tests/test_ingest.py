@@ -54,6 +54,17 @@ class TestLoadTicks:
         with pytest.raises(TickDataError, match="line 3"):
             load_ticks(p)
 
+    def test_line_after_a_two_line_field_reported(self, tmp_path):
+        # The quoted price of line 2 ends on line 3.
+        p = write(tmp_path, 'time_s,price\n0.0,"100.0\n"\nbogus,1.0\n')
+        with pytest.raises(TickDataError, match="line 4: cannot parse row"):
+            load_ticks(p)
+
+    def test_negative_time_reports_line(self, tmp_path):
+        p = write(tmp_path, "time_s,price\n0.0,100.0\n-5,1.1\n")
+        with pytest.raises(TickDataError, match=f"^{p}: line 3: negative time_s -5.0$"):
+            load_ticks(p)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_time_reports_line(self, tmp_path, bad):
         p = write(tmp_path, f"time_s,price\n0.0,100.0\n{bad},101.0\n2.0,102.0\n")

@@ -1,7 +1,8 @@
-"""Every name the package exports is used by the pipeline, the benchmark or
-the acceptance criteria; a name only other tests use belongs in the tests.
-Every config key is read by the pipeline, and changing it changes an output
-or is refused by name."""
+"""Every name the package exports, and every public function and class of
+its modules, is used by the pipeline, the benchmark or the acceptance
+criteria; a name only other tests use belongs in the tests. Every config key
+is read by the pipeline, and changing it changes an output or is refused by
+name. Every file the package reads is opened by one opener."""
 
 import ast
 import copy
@@ -20,6 +21,13 @@ def _exports():
     tree = ast.parse((SRC / "__init__.py").read_text())
     return [alias.asname or alias.name for node in tree.body
             if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def _public_definitions():
+    """The public top-level functions and classes of the package's modules."""
+    return [node.name for path in sorted(SRC.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
 
 
 def _reads(tree):
@@ -44,7 +52,28 @@ def test_every_export_has_a_caller_outside_the_tests():
         used |= _reads(ast.parse(path.read_text()))
     exports = _exports()
     assert exports
-    assert [name for name in exports if name not in used] == []
+    assert [name for name in exports + _public_definitions() if name not in used] == []
+
+
+def _mode(call):
+    """The mode an ``open`` call passes, "r" when it passes none."""
+    modes = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "mode")]
+    return modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+
+
+def test_every_file_is_read_through_one_opener():
+    # ingest._open_text decodes UTF-8 and skips a byte-order mark for every reader.
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        opener = {id(node) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "_open_text"
+                  for node in ast.walk(f)}
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open" and id(node) not in opener
+                    and not set(_mode(node)) & set("wax")]
+    assert readers == []
 
 
 # The callees that receive a whole config section as keyword arguments.

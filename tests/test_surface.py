@@ -539,6 +539,7 @@ def _drop(field):
     (lambda d: d["spec"].update(n_price="2"), "grid spec n_price must be of type int"),
     (lambda d: json.dumps([d]), "surface must be an object, got list"),
     (lambda d: json.dumps(d)[:20], "not valid JSON: "),
+    (lambda d: json.dumps(d).replace("90.0", "9" * 5000, 1), "not valid JSON: Exceeds the limit"),
 ])
 def test_malformed_json_surface_refused_by_name(tmp_path, edit, message):
     path = tmp_path / "surf.json"
@@ -580,6 +581,9 @@ def _csv_cell(i, j, column, value):
      "surface CSV line 3 holds 3 values for 10 columns"),
     (lambda lines: lines.__setitem__(4, lines[4] + ",0"),
      "surface CSV line 5 holds 11 values for 10 columns"),
+    # Lines are the file's: a blank line counts.
+    (lambda lines: lines.__setitem__(slice(3, 4), ["", "1,0,0.25"]),
+     "surface CSV line 5 holds 3 values for 10 columns"),
     (lambda lines: lines.__setitem__(0, lines[0].replace("vol_hi", "vol_top")),
      "surface CSV has no column vol_hi"),
     (lambda lines: lines.__delitem__(slice(1, None)), "empty surface file"),
@@ -599,25 +603,27 @@ def test_two_by_two_surface_loads_from_both_formats(tmp_path):
     # The unedited files of the two tests above load.
     for fmt in ("csv", "json"):
         assert_same_surface(round_trip(TWO_BY_TWO, tmp_path, fmt), TWO_BY_TWO)
-    # Blank lines hold no cell, so a CSV that ends in one still loads.
+    # Blank and whitespace-only lines hold no cell, so a CSV that ends in them still loads.
     path = tmp_path / "blank.csv"
     export_surface(TWO_BY_TWO, path, "csv")
     with open(path, "a") as fh:
-        fh.write("\n\n")
+        fh.write("\n\n \t\n")
     assert_same_surface(load_surface(path), TWO_BY_TWO)
 
 
+def _outcome(path):
+    """load_surface's result on ``path``: the surface's dict or the refusal's message."""
+    try:
+        return load_surface(path).to_dict()
+    except SurfaceError as exc:
+        return str(exc)
+
+
 def _outcomes(path):
-    """(load_surface's result, the csv.reader path's result) on ``path``:
-    each the surface's dict or the refusal's message."""
-    def outcome():
-        try:
-            return load_surface(path).to_dict()
-        except SurfaceError as exc:
-            return str(exc)
-    first = outcome()
-    with mock.patch.object(surface, "_loadtxt_columns", return_value=None):
-        return first, outcome()
+    """(load_surface's result, the row reader's result) on ``path``."""
+    first = _outcome(path)
+    with mock.patch.object(surface, "_loadtxt_body", return_value=None):
+        return first, _outcome(path)
 
 
 @settings(max_examples=150, deadline=None)
@@ -662,13 +668,15 @@ def test_loadtxt_and_csv_reader_paths_agree(tmp_path_factory, surf, data):
     lambda text: text.replace("\n1,1,", f"\n{2 ** 62},1,"),
 ])
 def test_loadtxt_path_reads_plain_files(tmp_path, edit):
-    # Files that loadtxt takes whole; the csv.reader path gives the same.
+    # Files that loadtxt takes whole, so the row reader is not run; alone, it
+    # gives the same.
     path = tmp_path / "surf.csv"
     export_surface(TWO_BY_TWO, path, "csv")
     path.write_text(edit(path.read_text()), newline="")
-    assert surface._loadtxt_columns(path) is not None
-    fast, slow = _outcomes(path)
-    assert fast == slow
+    with mock.patch.object(surface, "_csv_rows", side_effect=AssertionError("row by row")):
+        fast = _outcome(path)
+    with mock.patch.object(surface, "_loadtxt_body", return_value=None):
+        assert _outcome(path) == fast
 
 
 def test_byte_order_mark_skipped_in_csv(tmp_path):
@@ -681,6 +689,12 @@ def test_byte_order_mark_skipped_in_csv(tmp_path):
         path.write_text("\ufeff" + body, encoding="utf-8")
         assert path.read_bytes().startswith(codecs.BOM_UTF8)
         assert_same_surface(load_surface(path), TWO_BY_TWO)
+
+
+def test_byte_order_mark_skipped_in_json(tmp_path):
+    path = tmp_path / "surf.json"
+    path.write_text("\ufeff" + json.dumps(TWO_BY_TWO.to_dict()), encoding="utf-8")
+    assert_same_surface(load_surface(path), TWO_BY_TWO)
 
 
 def test_config_validation():

@@ -161,6 +161,13 @@ class TestOptionQuote:
         with pytest.raises(VolToolsError, match="line 3: strike must be finite, got nan"):
             load_quotes(path, spot=100.0)
 
+    def test_load_quotes_names_the_line_after_a_two_line_field(self, tmp_path):
+        # The quoted flag of line 2 ends on line 3.
+        path = tmp_path / "quotes.csv"
+        path.write_text('strike,expiry_years,mid,flag\n95,0.004,0.5,"P\n"\nnan,0.004,0.4,C\n')
+        with pytest.raises(VolToolsError, match="line 4: strike must be finite, got nan"):
+            load_quotes(path, spot=100.0)
+
     @pytest.mark.parametrize("field", ["strike", "expiry", "mid_price", "spot"])
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_non_positive_field_named(self, field, bad):
@@ -315,7 +322,7 @@ class TestImpliedVol:
     def test_vol_above_1e6_refused(self, is_call):
         # A mid 1e-12 below the upper bound needs a vol near 4.5e6 at this
         # expiry, past the largest sought.
-        upper = voltools.no_arbitrage_bounds(OptionQuote(1.1, 1e-11, 0.5, is_call, 1.0))[1]
+        upper = voltools._bounds(OptionQuote(1.1, 1e-11, 0.5, is_call, 1.0))[2]
         quote = OptionQuote(1.1, 1e-11, upper * (1.0 - 1e-12), is_call, 1.0)
         with pytest.raises(VolToolsError, match="bracket expansion failed"):
             implied_vol(quote)
