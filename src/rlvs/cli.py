@@ -9,7 +9,6 @@ reproducible. ``implied`` and ``compare`` take only their flags.
 from __future__ import annotations
 
 import argparse
-import base64
 import configparser
 import dataclasses
 import itertools
@@ -239,7 +238,7 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
             "mean_abs_delta_h": _json_number(report.mean_abs_delta_h),
             "n_divergent": report.n_divergent,
         },
-        "draws": _pack_draws(kept.values),
+        "draws": grid_mod._pack_floats(kept.values),
         "grid": gdata.to_dict(),
         "config": cfg,
     }
@@ -252,25 +251,13 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     return checkpoint
 
 
-def _pack_draws(values: np.ndarray) -> str:
-    """The (draws, active coordinates) array ``values`` as the checkpoint's
-    ``draws``: the base64 (RFC 4648, padded, one line) of its row-major
-    little-endian float64 bytes. Each value keeps all its bits, and a JSON
-    parser reads one string where a list of lists took one number a value."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
 def _unpack_draws(draws, n_active: int) -> np.ndarray:
     """The checkpoint's ``draws`` as one flat float array, draw after draw,
     refused by name unless it holds whole draws of ``n_active`` finite
     values. A list of per-draw lists, the form of checkpoints written before
     the packing, is read too."""
     if isinstance(draws, str):
-        try:
-            raw = base64.b64decode(draws, validate=True)
-        except ValueError:  # binascii.Error, or a character beyond ASCII
-            raise ValueError("draws is not strict base64 (RFC 4648, padded, with no line "
-                             "breaks)") from None
+        raw = grid_mod._unpack_floats("draws", draws)
         if len(raw) % (8 * n_active):
             raise ValueError(f"draws holds {len(raw)} bytes, not whole draws of {n_active} "
                              "float64 values, the number of coordinates the dims and the "
@@ -346,16 +333,21 @@ def checkpoint_draws(ckpt: dict) -> list:
 
 
 def run_surface(cfg: dict, ckpt_path, out_path, fmt: str) -> surface_mod.VolSurface:
+    start = time.perf_counter()
     ckpt = load_checkpoint(ckpt_path)
     surf_cfg = surface_mod.SurfaceConfig(**cfg["surface"], bins_per_day=ckpt["bins_per_day"],
                                          trading_days=cfg["synth"]["trading_days"])
     try:
         gdata = grid_mod.GridData.from_dict(ckpt["grid"])
-        surf = surface_mod.build_surface(checkpoint_draws(ckpt), gdata, surf_cfg,
+        draws = checkpoint_draws(ckpt)
+        read_s = time.perf_counter() - start
+        surf = surface_mod.build_surface(draws, gdata, surf_cfg,
                                          destandardize_scale=ckpt["standardize_scale"])
     except ValueError as exc:
         raise ValueError(f"{ckpt_path}: {exc}") from None
     surface_mod.export_surface(surf, out_path, fmt)
+    print(f"read checkpoint ({os.path.getsize(ckpt_path):,} bytes in {read_s:.3f} s) "
+          f"from {ckpt_path}")
     print(f"wrote surface ({fmt}) to {out_path}")
     return surf
 

@@ -9,6 +9,7 @@ falls in. Each consecutive-tick log return is attributed to the cell of its
 
 from __future__ import annotations
 
+import base64
 import itertools
 import math
 from dataclasses import asdict, dataclass, fields
@@ -128,20 +129,39 @@ class GridData:
         return xs, cells, counts
 
     def to_dict(self) -> dict:
+        xs, _, counts = self.observations()  # the mask alone says which cells hold returns
         return {
             "spec": asdict(self.spec),
             "mask": self.mask.astype(int).tolist(),
-            "returns": [[list(map(float, c)) for c in row] for row in self.returns],
+            "returns": {"counts": counts.tolist(), "values": _pack_floats(xs)},
             "cell_time": self.cell_time.tolist(),
             "cell_logprice": self.cell_logprice.tolist(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridData":
-        """The inverse of ``to_dict``; a field missing or unreadable is refused by name."""
+        """The inverse of ``to_dict``, which also reads the nested ``returns`` of older files;
+        a field missing or unreadable is refused by name, a misshapen mask by the constructor."""
         _require_fields("grid", d, cls)
-        return cls(GridSpec.from_dict(d["spec"]), d["mask"], d["returns"], d["cell_time"],
-                   d["cell_logprice"])
+        spec, returns = GridSpec.from_dict(d["spec"]), d["returns"]
+        mask = mask_array("grid mask", d["mask"])
+        if isinstance(returns, dict) and mask.shape == (spec.n_time, spec.n_price):
+            if set(returns) != {"counts", "values"}:
+                raise GridError("grid returns must hold exactly the fields counts and values, "
+                                f"got {', '.join(sorted(returns)) or 'none'}")
+            counts, visited = returns["counts"], np.flatnonzero(mask)
+            if (not isinstance(counts, list) or len(counts) != visited.size
+                    or any(type(c) is not int or c < 1 for c in counts)):
+                raise GridError("grid returns counts must hold one integer >= 1 for each of "
+                                f"the {visited.size} cells the grid's mask visits")
+            raw, n = _unpack_floats("grid returns values", returns["values"]), sum(counts)
+            if len(raw) != 8 * n:
+                raise GridError(f"grid returns values holds {len(raw)} bytes, not {8 * n}: "
+                                f"8 for each of the {n} returns its counts give")
+            full = np.zeros(mask.size, dtype=np.intp)
+            full[visited] = counts
+            returns = _nest(np.frombuffer(raw, "<f8"), full, spec)
+        return cls(spec, mask, returns, d["cell_time"], d["cell_logprice"])
 
 
 def _require_fields(what: str, d, cls) -> None:
@@ -183,6 +203,23 @@ def float_array(what: str, values: list) -> np.ndarray:
         return np.asarray(values, dtype=float)
     except OverflowError:  # an integer too large for a float
         return np.array([as_float(v) for v in values])
+
+
+def _pack_floats(values) -> str:
+    """The array ``values`` as the base64 (RFC 4648, padded, one line) of its
+    row-major little-endian float64 bytes. Each value keeps all its bits, and
+    a JSON parser reads one string where a list took one number a value."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unpack_floats(what: str, text) -> bytes:
+    """The bytes ``_pack_floats`` packed into ``text``, refused by name unless
+    it is strict base64; the caller checks that they hold its floats."""
+    try:
+        return base64.b64decode(text, validate=True)
+    except (TypeError, ValueError):  # not a string, binascii.Error, or beyond ASCII
+        raise GridError(f"{what} is not strict base64 (RFC 4648, padded, with no line "
+                        "breaks)") from None
 
 
 def mask_array(what: str, values) -> np.ndarray:

@@ -22,7 +22,6 @@ the sampler integrates.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -193,35 +192,26 @@ def stick_break(gamma) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
     if np.any((g <= 0.0) | (g >= 1.0)):
         raise ModelError("stick fractions must lie strictly inside (0, 1)")
-    return np.exp(_log_stick_break(np.log(g), np.log1p(-g))[..., :-1])
-
-
-@functools.lru_cache(maxsize=None)
-def _stick_matrices(k: int) -> np.ndarray:
-    """The read-only (2, k, k + 1) 0/1 matrices of ``_log_stick_break``: a
-    row of log(gamma) times the first selects its first k - 1 entries; a row
-    of log(1 - gamma) times the second gives its k exclusive prefix sums,
-    then, in the last column, its total."""
-    m = np.stack([np.eye(k, k + 1), np.triu(np.ones((k, k + 1)), 1)])
-    m[0, k - 1, k - 1] = 0.0
-    m.flags.writeable = False
-    return m
+    g = np.moveaxis(g, -1, 0)
+    return np.exp(np.moveaxis(_log_stick_break(np.log(g), np.log1p(-g))[:-1], 0, -1),
+                  order="C")
 
 
 def _log_stick_break(log_g: np.ndarray, log_1mg: np.ndarray) -> np.ndarray:
-    """log stick-break weights from (..., K) log(gamma) and log(1 - gamma),
-    with the sum of log(1 - gamma) over all K fractions in a last column:
-    a (..., K + 1) array.
+    """log stick-break weights from (K, ...) log(gamma) and log(1 - gamma),
+    component-major, with the sum of log(1 - gamma) over all K fractions in
+    a last row: a (K + 1, ...) array.
 
     Weight k < K - 1 is log gamma_k plus the prefix sum of log(1 - gamma)
-    before it; the last is that prefix sum alone. Both terms come from
-    products with ``_stick_matrices``, whose zeros add nothing to a finite
-    input. Sums past the float range are -inf, as a running sum's would be:
-    every log(1 - gamma) is at most about 0.
+    before it; the last is that prefix sum alone. The prefix sums are one
+    running sum down the component axis, so each weight is the same float
+    whatever the number of rows beside it. Sums past the float range are
+    -inf: every log(1 - gamma) is at most about 0.
     """
-    select, prefix = _stick_matrices(log_g.shape[-1])
-    out = log_1mg @ prefix
-    out += log_g @ select
+    k = log_g.shape[0]
+    out = np.zeros((k + 1,) + log_g.shape[1:])
+    np.add.accumulate(log_1mg, axis=0, out=out[1:])
+    out[:k - 1] += log_g[:k - 1]
     return out
 
 
@@ -236,7 +226,9 @@ def stick_weights_from_raw(stick_raw: np.ndarray) -> np.ndarray:
     """
     stick_raw = np.asarray(stick_raw, dtype=float)
     with np.errstate(over="ignore"):
-        return np.exp(_log_stick_break(_log_expit(stick_raw), _log_expit(-stick_raw))[..., :-1])
+        raw = np.moveaxis(stick_raw, -1, 0)
+        log_w = _log_stick_break(_log_expit(raw), _log_expit(-raw))[:-1]
+        return np.exp(np.moveaxis(log_w, 0, -1), order="C")
 
 
 def component_means(time_effect, price_effect, alpha, grid: GridData) -> np.ndarray:
@@ -289,9 +281,9 @@ def _prior(vec: np.ndarray, n_shared: int, k_n: int):
     # error of about ulp(cells), which is all the sums below need.
     log_1mx = log_x - cells
     x = np.exp(log_x)
-    sticks = _log_stick_break(log_x[:n_sticks].reshape(-1, k_n),
-                              log_1mx[:n_sticks].reshape(-1, k_n))
-    sum_log_1mg = sticks[:, k_n]
+    sticks = _log_stick_break(log_x[:n_sticks].reshape(-1, k_n).T,
+                              log_1mx[:n_sticks].reshape(-1, k_n).T)
+    sum_log_1mg = sticks[k_n]
     gamma = x[:n_sticks].reshape(-1, k_n)
     a = x[n_sticks:]
     value = (
@@ -315,7 +307,7 @@ def _prior(vec: np.ndarray, n_shared: int, k_n: int):
     # d/d conc of [Jacobian + K log a + (a - 1) sum log(1 - gamma)]
     # = (1 - 2a) + K (1 - a) + a (1 - a) sum log(1 - gamma)
     np.add(a * ((1.0 - a) * sum_log_1mg - (2.0 + k_n)), 1.0 + k_n, out=grad[n_shared + n_sticks:])
-    return value, grad, sticks[:, :k_n], gamma
+    return value, grad, sticks[:k_n].T, gamma
 
 
 # The least column sum of exponentials that _log_sum_exp takes unshifted:

@@ -3,6 +3,7 @@ import codecs
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -60,6 +61,8 @@ DRAW_LENGTH = ("a draw is not of length {n}, the number of coordinates the dims 
 WHOLE_DRAWS = ("not whole draws of {n} float64 values, the number of coordinates the dims and "
                "the grid's mask leave the sampler")
 NOT_BASE64 = "draws is not strict base64 (RFC 4648, padded, with no line breaks)"
+RETURN_COUNTS = ("grid returns counts must hold one integer >= 1 for each of the {visited} "
+                 "cells the grid's mask visits")
 
 
 @pytest.fixture
@@ -93,6 +96,25 @@ def list_draws(ckpt: dict) -> dict:
     per-draw lists, the form fits wrote before the packing; returns ``ckpt``."""
     ckpt["draws"] = packed_values(ckpt).tolist()
     return ckpt
+
+
+def list_returns(ckpt: dict) -> dict:
+    """``ckpt`` with its packed grid ``returns`` rewritten in place as nested
+    per-cell lists, the form fits wrote before the packing; returns ``ckpt``."""
+    grid = ckpt["grid"]
+    values = np.frombuffer(base64.b64decode(grid["returns"]["values"]), "<f8").tolist()
+    ends = np.cumsum(grid["returns"]["counts"]).tolist()
+    runs = iter([values[a:b] for a, b in zip([0] + ends[:-1], ends)])
+    grid["returns"] = [[next(runs) if m else [] for m in row] for row in grid["mask"]]
+    return ckpt
+
+
+def set_packed_return(ckpt: dict, value: float) -> None:
+    """Set the first return in ``ckpt``'s packed grid ``returns``."""
+    packed = ckpt["grid"]["returns"]
+    values = np.frombuffer(base64.b64decode(packed["values"]), "<f8").copy()
+    values[0] = value
+    packed["values"] = base64.b64encode(values.astype("<f8").tobytes()).decode()
 
 
 def set_packed_value(ckpt: dict, value: float) -> None:
@@ -271,6 +293,16 @@ class TestFit:
         assert int(found[1].replace(",", "")) == ckpt_path.stat().st_size
         assert found[3] == str(ckpt_path)
 
+    def test_checkpoint_packs_each_return_once(self, tmp_path):
+        # The toy fit is tick level: 2,000 returns of 2,001 ticks, in one
+        # string of 4 base64 characters for each 3 bytes, and nowhere else.
+        ckpt = json.loads(toy_checkpoint(tmp_path).read_text())
+        returns = ckpt["grid"]["returns"]
+        assert set(returns) == {"counts", "values"}
+        assert sum(returns["counts"]) == 2000
+        assert len(returns["values"]) == 4 * math.ceil(8 * 2000 / 3)
+        assert len(json.dumps(ckpt["grid"])) < len(returns["values"]) + 1000
+
     @pytest.mark.parametrize("edit", [
         {},
         {"n_components = 2": "n_components = 1"},
@@ -308,7 +340,7 @@ class TestFit:
     @given(data=st.data(), n_kept=st.integers(0, 5), n_active=st.integers(1, 20))
     def test_packed_draws_round_trip_bit_for_bit(self, data, n_kept, n_active):
         values = data.draw(hnp.arrays(np.float64, (n_kept, n_active), elements=EDGE_FLOATS))
-        packed = json.loads(json.dumps(cli._pack_draws(values)))
+        packed = json.loads(json.dumps(cli.grid_mod._pack_floats(values)))
         back = cli._unpack_draws(packed, n_active).reshape(n_kept, n_active)
         np.testing.assert_array_equal(back.view(np.uint64), values.view(np.uint64))
 
@@ -322,7 +354,7 @@ class TestFit:
         active = dims.active(mask)
         values = data.draw(hnp.arrays(np.float64, (n_kept, active.size), elements=EDGE_FLOATS))
         ckpt = {"dims": {"n_time": n_time, "n_price": n_price, "n_components": k},
-                "grid": {"mask": mask.tolist()}, "draws": cli._pack_draws(values)}
+                "grid": {"mask": mask.tolist()}, "draws": cli.grid_mod._pack_floats(values)}
         full = np.array([p.to_vector() for p in cli.checkpoint_draws(ckpt)])
         np.testing.assert_array_equal(full[:, active].view(np.uint64), values.view(np.uint64))
         assert not np.delete(full, active, axis=1).view(np.uint64).any()  # +0.0 elsewhere
@@ -560,11 +592,12 @@ def test_degenerate_tick_files_fit_or_are_refused_by_rlvs(ticks, k, n_time, n_pr
 
 DELETE = object()
 # Every field of a checkpoint's dims and grid, the two objects themselves,
-# and the packed draws.
+# the packed returns' two fields and the packed draws.
 CHECKPOINT_FIELDS = [("dims",), ("grid",), ("draws",),
                      *[("dims", key) for key in ("n_time", "n_price", "n_components")],
                      *[("grid", key) for key in ("spec", "mask", "returns", "cell_time",
                                                  "cell_logprice")],
+                     *[("grid", "returns", key) for key in ("counts", "values")],
                      *[("grid", "spec", key) for key in ("n_time", "n_price", "price_min",
                                                          "price_max")]]
 
@@ -573,7 +606,8 @@ CHECKPOINT_FIELDS = [("dims",), ("grid",), ("draws",),
 # first number of the field's nested lists.
 FIRST = object()
 ELEMENTS = [("grid", "mask", FIRST), ("grid", "cell_time", FIRST),
-            ("grid", "cell_logprice", FIRST), ("grid", "returns", FIRST), ("draws", FIRST)]
+            ("grid", "cell_logprice", FIRST), ("grid", "returns", FIRST),
+            ("grid", "returns", "counts", FIRST), ("draws", FIRST)]
 
 
 def _first_number_list(values):
@@ -683,16 +717,31 @@ class TestSurface:
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_list_form_draws_give_the_same_surface(self, tmp_path, toy_cfg, fitted, fmt):
-        # Checkpoints written before the packing hold each draw as a list of numbers.
+    @pytest.mark.parametrize("to_list", [list_draws, list_returns], ids=["draws", "returns"])
+    def test_list_forms_give_the_same_surface(self, tmp_path, toy_cfg, fitted, to_list, fmt):
+        # Checkpoints written before the packing hold each draw, and each
+        # cell's returns, as a list of numbers.
         old = tmp_path / "old.json"
-        old.write_text(json.dumps(list_draws(json.loads(fitted.read_text()))))
+        old.write_text(json.dumps(to_list(json.loads(fitted.read_text()))))
         assert old.stat().st_size > fitted.stat().st_size
         a, b = tmp_path / f"packed.{fmt}", tmp_path / f"list.{fmt}"
         for path, out in ((fitted, a), (old, b)):
             assert run(["surface", "--config", str(toy_cfg), "--checkpoint", str(path),
                         "--format", fmt, "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_read_line_reports_checkpoint_size_and_read_time(self, tmp_path, toy_cfg, fitted,
+                                                             capsys):
+        out = tmp_path / "s.csv"
+        assert run(["surface", "--config", str(toy_cfg), "--checkpoint", str(fitted),
+                    "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        found = re.fullmatch(r"read checkpoint \(([\d,]+) bytes in (\d+\.\d{3}) s\) from (.+)",
+                             lines[-2])
+        assert found, lines[-2:]
+        assert int(found[1].replace(",", "")) == fitted.stat().st_size
+        assert found[3] == str(fitted)
+        assert lines[-1] == f"wrote surface (csv) to {out}"
 
     def test_checkpoint_at_other_component_scale_refused_by_name(self, tmp_path, toy_cfg,
                                                                  fitted, capsys):
@@ -772,8 +821,36 @@ class TestSurface:
          "grid mask must hold only 0, 1, true or false"),
         (lambda c: _retype_first(c["grid"]["cell_time"], None, str),
          "grid cell_time must hold numbers, not str"),
-        (lambda c: _retype_first(c["grid"]["returns"], None, str),
+        (lambda c: _retype_first(list_returns(c)["grid"]["returns"], None, str),
          "grid returns must hold numbers, not str"),
+        # Packed returns: the object, its counts, the strictness and length of its values.
+        (lambda c: c["grid"].update(returns=5),
+         "grid returns is malformed: object of type 'int' has no len()"),
+        (lambda c: c["grid"]["returns"].update(cells=[]),
+         "grid returns must hold exactly the fields counts and values, got cells, counts, values"),
+        (lambda c: c["grid"]["returns"].__delitem__("values"),
+         "grid returns must hold exactly the fields counts and values, got counts"),
+        (lambda c: c["grid"]["returns"]["counts"].pop(), RETURN_COUNTS),
+        (lambda c: c["grid"]["returns"]["counts"].append(1), RETURN_COUNTS),
+        (lambda c: c["grid"]["returns"]["counts"].__setitem__(0, 0), RETURN_COUNTS),
+        (lambda c: c["grid"]["returns"]["counts"].__setitem__(0, True), RETURN_COUNTS),
+        (lambda c: c["grid"]["returns"]["counts"].__setitem__(0, 1.0), RETURN_COUNTS),
+        (lambda c: c["grid"]["returns"].update(counts=5), RETURN_COUNTS),
+        (lambda c: c["grid"]["returns"].update(values=[0.1]),
+         "grid returns values is not strict base64 (RFC 4648, padded, with no line breaks)"),
+        (lambda c: c["grid"]["returns"].update(values=c["grid"]["returns"]["values"][:-4] + "*"
+                                               + c["grid"]["returns"]["values"][-3:]),
+         "grid returns values is not strict base64 (RFC 4648, padded, with no line breaks)"),
+        (lambda c: c["grid"]["returns"].update(values=c["grid"]["returns"]["values"][:76] + "\n"
+                                               + c["grid"]["returns"]["values"][76:]),
+         "grid returns values is not strict base64 (RFC 4648, padded, with no line breaks)"),
+        (lambda c: c["grid"]["returns"].update(values=base64.b64encode(
+            base64.b64decode(c["grid"]["returns"]["values"])[8:]).decode()),
+         "grid returns values holds {short} bytes, not {full}: 8 for each of the {n_returns} "
+         "returns its counts give"),
+        # The constructor refuses a non-finite return by its cell, packed or not.
+        (lambda c: set_packed_return(c, np.nan), "non-finite return in cell {cell}"),
+        (lambda c: set_packed_return(c, -np.inf), "non-finite return in cell {cell}"),
         (lambda c: _retype_first(list_draws(c)["draws"], None, lambda x: "x"),
          "draws must hold numbers, not str"),
         (lambda c: _retype_first(list_draws(c)["draws"], None, True),
@@ -803,14 +880,17 @@ class TestSurface:
                                                   edit, message):
         ckpt = json.loads(fitted.read_text())
         n = ModelDims(**ckpt["dims"]).active(ckpt["grid"]["mask"]).size
+        visited = np.flatnonzero(ckpt["grid"]["mask"])
+        n_returns = sum(ckpt["grid"]["returns"]["counts"])
         text = edit(ckpt)  # a string is the file's new text
         bad = tmp_path / "bad.json"
         bad.write_text(text if isinstance(text, str) else json.dumps(ckpt))
         rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(bad),
                   "--out", str(tmp_path / "s.csv")])
         assert rc != 0
-        assert capsys.readouterr().err == (
-            f"error: {bad}: {message.format(n=n, bytes=(20 * n - 1) * 8)}\n")
+        assert capsys.readouterr().err == f"error: {bad}: " + message.format(
+            n=n, bytes=(20 * n - 1) * 8, visited=visited.size, n_returns=n_returns,
+            full=8 * n_returns, short=8 * n_returns - 8, cell=divmod(int(visited[0]), 3)) + "\n"
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("field, message", [
@@ -822,8 +902,11 @@ class TestSurface:
     def test_element_no_float_holds_refused_by_name(self, tmp_path, toy_cfg, fitted, capsys,
                                                     field, message, sign):
         ckpt = json.loads(fitted.read_text())
-        _retype_first(list_draws(ckpt)[field] if field == "draws" else ckpt["grid"][field],
-                      None, sign * 10 ** 400)
+        if field == "draws":
+            values = list_draws(ckpt)["draws"]
+        else:  # an integer no float holds fits only the list form of the returns
+            values = (list_returns(ckpt) if field == "returns" else ckpt)["grid"][field]
+        _retype_first(values, None, sign * 10 ** 400)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(ckpt))
         rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(bad),
@@ -858,8 +941,11 @@ class TestSurface:
     @example(path=("draws",), replacement=None)
     def test_malformed_dims_or_grid_refused_by_name(self, fitted, path, replacement):
         ckpt = json.loads(fitted.read_text())
+        # A number of the list forms fits wrote before the packing.
         if path == ("draws", FIRST):
-            list_draws(ckpt)  # a number of the list form fits wrote before the packing
+            list_draws(ckpt)
+        elif path == ("grid", "returns", FIRST):
+            list_returns(ckpt)
         *parents, name = path
         holder = ckpt
         for key in parents:
@@ -874,9 +960,11 @@ class TestSurface:
             del holder[key]
         else:
             # A retyping gives a value of another JSON type; an integer is a
-            # valid float, and a boolean a valid mask flag. Packed draws take
-            # strings that are not a packing: "6" is not base64, "AAAA" 3 bytes.
-            assume((type(replacement) is not type(original) or path == ("draws",))
+            # valid float, and a boolean a valid mask flag. Packed draws and
+            # returns take strings that are not a packing: "6" is not base64,
+            # "AAAA" 3 bytes.
+            assume((type(replacement) is not type(original)
+                    or path in {("draws",), ("grid", "returns", "values")})
                    and not (type(original) is float and type(replacement) is int)
                    and not (key != name and name == "mask" and type(replacement) is bool))
             holder[key] = replacement

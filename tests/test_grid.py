@@ -287,6 +287,15 @@ class TestSerialization:
         np.testing.assert_array_equal(back.cell_logprice, g.cell_logprice)
         assert back.returns == g.returns
 
+    def test_packed_returns_and_nested_lists_read_alike(self):
+        # Files written before the packing hold every cell's list of returns.
+        g, _ = gbm_grid(seed=43)
+        d = g.to_dict()
+        assert set(d["returns"]) == {"counts", "values"}
+        assert d["returns"]["counts"] == [len(c) for row in g.returns for c in row if c]
+        nested = dict(d, returns=g.returns)
+        assert GridData.from_dict(nested).returns == GridData.from_dict(d).returns == g.returns
+
     def test_unknown_spec_field_named(self):
         # Files written before GridSpec dropped session_length carry it.
         d = gbm_grid(seed=41)[0].to_dict()
@@ -297,6 +306,33 @@ class TestSerialization:
     def test_dict_is_json_serializable(self):
         g, _ = gbm_grid(seed=37)
         json.dumps(g.to_dict())
+
+
+# Floats whose bits a decimal or narrower round trip could lose: signed
+# zeros, subnormals and the edges of the float range.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308,
+                     np.finfo(float).max, -np.finfo(float).max]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_time=st.integers(1, 4), n_price=st.integers(1, 4))
+def test_json_round_trip_keeps_every_return_bit_for_bit(data, n_time, n_price):
+    # Cells of no return, of one, and of several, each return any finite float.
+    cells = st.lists(EDGE_FLOATS, max_size=4)
+    returns = data.draw(st.lists(st.lists(cells, min_size=n_price, max_size=n_price),
+                                 min_size=n_time, max_size=n_time))
+    mask = np.array([[len(c) > 0 for c in row] for row in returns])
+    spec = GridSpec(n_time, n_price, 1.0, 2.0)
+    g = GridData(spec, mask, returns, spec.cell_time, np.log(spec.price_mid))
+    back = GridData.from_dict(json.loads(json.dumps(g.to_dict())))
+    np.testing.assert_array_equal(back.mask, mask)
+    for row, back_row in zip(returns, back.returns):
+        for c, back_c in zip(row, back_row):
+            assert len(back_c) == len(c)
+            np.testing.assert_array_equal(np.array(back_c, float).view(np.int64),
+                                          np.array(c, float).view(np.int64))
 
 
 def test_spec_validation():

@@ -344,8 +344,9 @@ def mask_fits(draw, components=st.integers(1, 7)):
 @example(fit=mask_fit([[True, False], [False, False]], 3, 9, 9, 50.0, True), block=2)
 def test_blocked_surface_equals_draw_by_draw_loop(fit, block):
     # With K < 8 numpy sums a per-draw (I, J, K) array's K terms in order, as
-    # the component-major blocks do, so every float is the same. ``block``
-    # draws per block, where given, make small grids' blocks partial too.
+    # the component-major blocks do, and the stick weights are a running sum
+    # whatever the number of rows beside them, so every float is the same.
+    # ``block`` draws per block, where given, make small grids' blocks partial too.
     draws, grid, cfg = fit
     budget = surface._BLOCK_BYTES if block is None else block * 8 * draws[0].stick_raw.size
     with mock.patch.object(surface, "_BLOCK_BYTES", budget):
