@@ -68,8 +68,13 @@ class GridSpec:
 class GridData:
     """Presence mask plus per-cell observation sets and cell coordinates.
 
-    ``returns[i][j]`` holds the log returns observed in cell (i, j);
-    ``mask[i, j]`` is True exactly when that list is non-empty.
+    The returns are held as one flat record, the one ``observations()``
+    gives: the visited cells' returns end to end in row-major order, and how
+    many each holds. ``returns[i][j]``, the log returns observed in cell
+    (i, j) as nested lists, is built from that record the first time it is
+    read; from then on the lists are the record, so an edit made to them in
+    place is seen. A grid constructed from nested lists keeps them as its
+    record. ``mask[i, j]`` is True exactly when cell (i, j) holds returns.
     ``cell_time`` is the normalized midpoint of each time bin and
     ``cell_logprice`` the log of each price bin's midpoint relative to the
     session's first price, so it does not depend on the currency unit.
@@ -97,14 +102,16 @@ class GridData:
         coords = (self.cell_time, (i,)), (self.cell_logprice, (j,))
         if any(c.shape != n or not np.isfinite(c).all() for c, n in coords):
             raise GridError("cell_time and cell_logprice must hold one finite value per bin")
-        try:
-            if len(self.returns) != i or any(len(row) != j for row in self.returns):
-                raise TypeError(f"expected {i} lists of {j} lists of returns")
-            cells = _cells(self)
-            values = float_array("grid returns", list(itertools.chain.from_iterable(cells)))
-            counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-        except TypeError as exc:
-            raise GridError(f"grid returns is malformed: {exc}") from None
+        if "returns" in vars(self):  # nested lists, which stay the record
+            try:
+                if len(self.returns) != i or any(len(row) != j for row in self.returns):
+                    raise TypeError(f"expected {i} lists of {j} lists of returns")
+                values, counts = _flatten([c for row in self.returns for c in row])
+            except TypeError as exc:
+                raise GridError(f"grid returns is malformed: {exc}") from None
+        else:
+            values, counts = self._values, np.zeros(i * j, dtype=np.intp)
+            counts[self.mask.ravel()] = self._counts
         bad = (counts > 0) != self.mask.ravel()
         bad[np.repeat(np.arange(i * j), counts)[~np.isfinite(values)]] = True
         if bad.any():
@@ -113,8 +120,29 @@ class GridData:
                 raise GridError(f"mask/returns mismatch at cell ({ii}, {jj})")
             raise GridError(f"non-finite return in cell ({ii}, {jj})")
 
+    @classmethod
+    def _from_flat(cls, spec, mask, values, counts, cell_time, cell_logprice) -> "GridData":
+        """A grid whose record is ``values`` and ``counts``, laid out as
+        ``observations()`` gives them, checked as the constructor checks
+        nested lists; the lists are built only if ``returns`` is read."""
+        grid = cls.__new__(cls)
+        vars(grid).update(spec=spec, mask=mask, cell_time=cell_time, cell_logprice=cell_logprice,
+                          _values=values, _counts=counts)
+        values.flags.writeable = counts.flags.writeable = False  # observations() hands them out
+        grid.__post_init__()
+        return grid
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set: ``returns`` of a grid
+        # built from the flat record. The lists replace the record.
+        if name != "returns" or "_values" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.returns = _nest(vars(self).pop("_values"), vars(self).pop("_counts"), self.mask)
+        return self.returns
+
     def n_observations(self) -> int:
-        return sum(len(c) for row in self.returns for c in row)
+        """How many returns ``observations()`` gives: those of the visited cells."""
+        return len(self.observations()[0])
 
     def observations(self):
         """The visited cells' returns end to end, their row-major flat indices,
@@ -123,8 +151,10 @@ class GridData:
         The mask is the authoritative filter: cells with a False mask bit
         contribute nothing even if their lists hold data.
         """
-        j_n = self.spec.n_price
         cells = np.flatnonzero(self.mask)
+        if "returns" not in vars(self):
+            return self._values, cells, self._counts
+        j_n = self.spec.n_price
         xs, counts = _flatten([self.returns[c // j_n][c % j_n] for c in cells])
         return xs, cells, counts
 
@@ -158,9 +188,9 @@ class GridData:
             if len(raw) != 8 * n:
                 raise GridError(f"grid returns values holds {len(raw)} bytes, not {8 * n}: "
                                 f"8 for each of the {n} returns its counts give")
-            full = np.zeros(mask.size, dtype=np.intp)
-            full[visited] = counts
-            returns = _nest(np.frombuffer(raw, "<f8"), full, spec)
+            return cls._from_flat(spec, mask, np.frombuffer(raw, "<f8"),
+                                  np.array(counts, dtype=np.intp), d["cell_time"],
+                                  d["cell_logprice"])
         return cls(spec, mask, returns, d["cell_time"], d["cell_logprice"])
 
 
@@ -247,26 +277,20 @@ def assign_cell(time_norm, price, spec: GridSpec):
     return i.astype(int), j.astype(int)
 
 
-def _cells(grid: GridData) -> list:
-    """Every cell's list of returns, in row-major (time, price) order."""
-    return [grid.returns[i][j] for i in range(grid.spec.n_time) for j in range(grid.spec.n_price)]
-
-
 def _flatten(cells: list):
-    """(values, counts): the cells' returns end to end, and how many each holds."""
+    """(values, counts): the lists ``cells``' returns end to end, and how many
+    each holds; an element that is not a number is refused by name."""
     counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-    values = np.fromiter(itertools.chain.from_iterable(cells), dtype=float,
-                         count=int(counts.sum()))
-    return values, counts
+    return float_array("grid returns", list(itertools.chain.from_iterable(cells))), counts
 
 
-def _nest(values: np.ndarray, counts: np.ndarray, spec: GridSpec) -> list:
-    """Nested ``returns[i][j]`` lists from values laid out cell by cell in
-    row-major order, ``counts`` of them per cell."""
-    flat = values.tolist()
-    ends = np.cumsum(counts).tolist()
-    cells = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    return [cells[i * spec.n_price:(i + 1) * spec.n_price] for i in range(spec.n_time)]
+def _nest(values: np.ndarray, counts: np.ndarray, mask: np.ndarray) -> list:
+    """Nested ``returns[i][j]`` lists from the visited cells' values laid out
+    end to end in row-major order, ``counts`` of them per visited cell."""
+    full = np.zeros(mask.size, dtype=np.intp)
+    full[mask.ravel()] = counts
+    cells = [c.tolist() for c in np.split(values, np.cumsum(full)[:-1])]
+    return [cells[a:a + mask.shape[1]] for a in range(0, mask.size, mask.shape[1])]
 
 
 def build_grid(series: TickSeries, spec: GridSpec) -> GridData:
@@ -284,25 +308,27 @@ def build_grid(series: TickSeries, spec: GridSpec) -> GridData:
     # A stable sort by cell keeps each cell's returns in tick order.
     cell = i_all[1:] * spec.n_price + j_all[1:]
     counts = np.bincount(cell, minlength=spec.n_time * spec.n_price)
-    returns = _nest(log_ret[np.argsort(cell, kind="stable")], counts, spec)
-    return GridData(
-        spec=spec,
+    return GridData._from_flat(
+        spec,
         mask=counts.reshape(spec.n_time, spec.n_price) > 0,
-        returns=returns,
+        values=log_ret[np.argsort(cell, kind="stable")],
+        counts=counts[counts > 0],
         cell_time=spec.cell_time,
         cell_logprice=np.log(spec.price_mid / series.prices[0]),
     )
 
 
 def standardize_returns(grid: GridData) -> tuple[GridData, float]:
-    """Divide every stored return by the pooled standard deviation.
+    """Divide every observation, the returns ``observations()`` gives, by
+    their pooled standard deviation.
 
     Returns the rescaled grid and the scale, so volatilities can be mapped
-    back to raw return units later. Returns that are all equal (zero pooled
-    spread) are rejected: there is no volatility to model.
+    back to raw return units later. The mask decides what is stored: returns
+    placed in a cell the mask leaves unvisited are neither pooled nor kept.
+    Returns that are all equal (zero pooled spread) are rejected: there is no
+    volatility to model.
     """
-    flat, counts = _flatten(_cells(grid))
-    xs = flat[np.repeat(grid.mask.ravel(), counts)]  # the observations
+    xs, _, counts = grid.observations()
     if xs.size == 0:
         raise GridError("standardize_returns needs at least one stored return")
     scale = float(np.std(xs))
@@ -311,13 +337,6 @@ def standardize_returns(grid: GridData) -> tuple[GridData, float]:
             f"the {xs.size} stored return(s) all equal {float(xs[0])!r}, so their pooled "
             "standard deviation is zero; volatility is degenerate and cannot be standardized"
         )
-    scaled = _nest(flat / scale, counts, grid.spec)
-    out = GridData(
-        spec=grid.spec,
-        mask=grid.mask.copy(),
-        returns=scaled,
-        cell_time=grid.cell_time.copy(),
-        cell_logprice=grid.cell_logprice.copy(),
-    )
+    out = GridData._from_flat(grid.spec, grid.mask.copy(), xs / scale, counts,
+                              grid.cell_time.copy(), grid.cell_logprice.copy())
     return out, scale
-

@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import rlvs
-from rlvs import cli, model
+from rlvs import cli, grid as grid_mod, model
 from rlvs.cli import apply_master_seed, load_checkpoint, load_config, main
 from rlvs.grid import GridData
 from rlvs.ingest import TickSeries, save_ticks, synth_gbm_ticks
@@ -302,6 +302,24 @@ class TestFit:
         assert sum(returns["counts"]) == 2000
         assert len(returns["values"]) == 4 * math.ceil(8 * 2000 / 3)
         assert len(json.dumps(ckpt["grid"])) < len(returns["values"]) + 1000
+
+    def test_tick_fit_and_surface_build_no_lists_of_returns(self, tmp_path, monkeypatch):
+        # fit -> checkpoint -> surface reads the grid's flat record only: with
+        # the nested lists' builder and flattener refusing, the files are the same.
+        def outputs(d):
+            d.mkdir()
+            ckpt, surf = toy_checkpoint(d), d / "surf.csv"
+            assert run(["surface", "--config", str(d / "toy.ini"), "--checkpoint", str(ckpt),
+                        "--out", str(surf)]) == 0
+            return ckpt.read_bytes(), surf.read_bytes()
+
+        def refuse(*args):
+            raise AssertionError("the grid built or flattened lists of returns")
+
+        expected = outputs(tmp_path / "lists")
+        monkeypatch.setattr(grid_mod, "_nest", refuse)
+        monkeypatch.setattr(grid_mod, "_flatten", refuse)
+        assert outputs(tmp_path / "flat") == expected
 
     @pytest.mark.parametrize("edit", [
         {},

@@ -1,4 +1,6 @@
+import base64
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from rlvs.grid import (
     standardize_returns,
 )
 from rlvs.ingest import TickSeries, normalize_time, synth_gbm_ticks
+from rlvs.model import ModelDims, Posterior
 
 
 def gbm_grid(n_ticks=500, seed=7, n_time=4, n_price=3, s0=100.0, sigma=0.5):
@@ -352,3 +355,124 @@ def test_spec_validation():
 def test_spec_refusal_names_field_and_value(args, message):
     with pytest.raises(GridError, match=f"^{message}$"):
         GridSpec(*args)
+
+
+def _tampered_criterion_6_grid():
+    """Criterion 6's standardized grid, and a copy in nested lists with three
+    stray returns added to each cell its mask leaves unvisited."""
+    series = synth_gbm_ticks(100.0, 0.0, 0.5, 300, seed=29)
+    spec = GridSpec(4, 4, float(series.prices.min()), float(series.prices.max()))
+    grid, _ = standardize_returns(build_grid(normalize_time(series), spec))
+    tampered = GridData(grid.spec, grid.mask.copy(),
+                        [[list(c) for c in row] for row in grid.returns],
+                        grid.cell_time.copy(), grid.cell_logprice.copy())
+    for i, j in zip(*np.nonzero(~grid.mask)):
+        tampered.returns[i][j].extend([1.0, -2.0, 0.5])
+    return grid, tampered
+
+
+class TestStrayReturnsInMaskedCells:
+    def test_n_observations_counts_the_visited_cells_only(self):
+        grid, tampered = _tampered_criterion_6_grid()
+        assert (~grid.mask).any()
+        assert tampered.n_observations() == len(tampered.observations()[0]) == 299
+        assert grid.n_observations() == 299
+
+    def test_standardize_keeps_the_visited_cells_only(self):
+        grid, tampered = _tampered_criterion_6_grid()
+        out, scale = standardize_returns(tampered)
+        ref, ref_scale = standardize_returns(grid)
+        assert scale == ref_scale
+        assert out.to_dict() == ref.to_dict()
+        assert not any(out.returns[i][j] for i, j in zip(*np.nonzero(~grid.mask)))
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _assert_same_grid(a: GridData, b: GridData) -> None:
+    """``a`` and ``b`` give the same observations, dict and posterior, bit for bit."""
+    for x, y in zip(a.observations(), b.observations()):
+        assert _bits(x) == _bits(y)
+    assert a.to_dict() == b.to_dict()
+    dims = ModelDims(a.spec.n_time, a.spec.n_price, 2)
+    vec = np.random.default_rng(3).normal(size=dims.n_active(a.mask))
+    pa, pb = Posterior(a, dims), Posterior(b, dims)
+    assert _bits([pa.logp(vec)]) == _bits([pb.logp(vec)])
+    assert _bits(pa.grad(vec)) == _bits(pb.grad(vec))
+
+
+def _packed_dict(spec: GridSpec, mask: np.ndarray, returns: list) -> dict:
+    """A grid dict whose returns are packed by hand, without ``to_dict``."""
+    values = np.array([r for row in returns for c in row for r in c], dtype="<f8")
+    return {"spec": asdict(spec), "mask": mask.astype(int).tolist(),
+            "returns": {"counts": [len(c) for row in returns for c in row if c],
+                        "values": base64.b64encode(values.tobytes()).decode()},
+            "cell_time": spec.cell_time.tolist(),
+            "cell_logprice": np.log(spec.price_mid).tolist()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_time=st.integers(1, 4), n_price=st.integers(1, 4))
+def test_flat_record_and_nested_lists_build_the_same_grid(data, n_time, n_price):
+    # The same returns read from a packed dict, whose flat record is kept, and
+    # from nested lists: cells of no return, of one and of several.
+    cells = st.lists(EDGE_FLOATS, max_size=4)
+    returns = data.draw(st.lists(st.lists(cells, min_size=n_price, max_size=n_price),
+                                 min_size=n_time, max_size=n_time))
+    mask = np.array([[len(c) > 0 for c in row] for row in returns])
+    spec = GridSpec(n_time, n_price, 1.0, 2.0)
+    coords = spec.cell_time, np.log(spec.price_mid)
+    nested = GridData(spec, mask, returns, *coords)
+    packed = GridData.from_dict(_packed_dict(spec, mask, returns))
+    _assert_same_grid(packed, nested)
+
+    # A non-finite return, an empty cell marked visited, or both: each build
+    # refuses by the same message.
+    visited, unvisited = list(zip(*np.nonzero(mask))), list(zip(*np.nonzero(~mask)))
+    bad = data.draw(st.sampled_from([None, np.nan, np.inf, -np.inf])) if visited else None
+    flip = data.draw(st.sampled_from([None, *unvisited])) if unvisited else None
+    if bad is not None or flip is not None:
+        tampered, bad_mask = [[list(c) for c in row] for row in returns], mask.copy()
+        if bad is not None:
+            i, j = data.draw(st.sampled_from(visited))
+            tampered[i][j][data.draw(st.integers(0, len(tampered[i][j]) - 1))] = bad
+        if flip is not None:
+            bad_mask[flip] = True
+        with pytest.raises(GridError) as nested_error:
+            GridData(spec, bad_mask, tampered, *coords)
+        values = np.array([r for row in tampered for c in row for r in c])
+        counts = np.array([len(c) for row in tampered for c in row], dtype=np.intp)
+        with pytest.raises(GridError) as flat_error:
+            GridData._from_flat(spec, bad_mask, values, counts[bad_mask.ravel()], *coords)
+        assert str(flat_error.value) == str(nested_error.value)
+        if flip is None:
+            with pytest.raises(GridError) as packed_error:
+                GridData.from_dict(_packed_dict(spec, mask, tampered))
+            assert str(packed_error.value) == str(nested_error.value)
+
+    # The hand-off: once read, the lists are the record, edits included.
+    assert [[_bits(c) for c in row] for row in packed.returns] == \
+        [[_bits(c) for c in row] for row in returns]
+    if visited:
+        i, j = data.draw(st.sampled_from(visited))
+        packed.returns[i][j].append(0.25)
+        returns[i][j].append(0.25)
+        _assert_same_grid(packed, GridData(spec, mask, returns, *coords))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(st.floats(-0.05, 0.05), min_size=1, max_size=60),
+    n_time=st.integers(1, 4),
+    n_price=st.integers(1, 4),
+)
+def test_build_grid_record_matches_the_loop_lists(steps, n_time, n_price):
+    # build_grid's flat record against the tick-by-tick loop's nested lists.
+    prices = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
+    series = TickSeries(np.linspace(0.0, 1.0, prices.size), prices, session_length=1.0)
+    spec = GridSpec(n_time, n_price, 100.0 * np.exp(-0.5), 100.0 * np.exp(0.5))
+    returns, mask = _loop_grid(series, spec)
+    g = build_grid(series, spec)
+    _assert_same_grid(g, GridData(spec, mask, returns, g.cell_time, g.cell_logprice))
