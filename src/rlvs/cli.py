@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -64,6 +63,9 @@ DEFAULTS = {
 
 # Keys that may be left unset and resolved from data at run time.
 _OPTIONAL = {("grid", "price_min"), ("grid", "price_max")}
+# The layout of the checkpoints rlvs fit writes and rlvs surface reads:
+# format 2 stores of each draw the coordinates ModelDims.stored gives.
+CHECKPOINT_FORMAT = 2
 # The largest length numpy can index, a bound on each checkpoint dimension.
 _MAX_LENGTH = int(np.iinfo(np.intp).max)
 # The seeds numpy reads, which it refuses when negative; [surface] seed has no reader.
@@ -220,12 +222,14 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
           f"step size {chain.step_size_used:.4g}, chain {chain_s:.3f} s, "
           f"{chain_s / chain.n_grad * 1e6:.1f} us per gradient evaluation")
 
-    # The surface reads only the sampled coordinates: the others hold their
-    # initial values in every draw.
+    # Of each kept draw, the coordinates the surface reads: all are sampled,
+    # so they are columns of the chain's array.
     kept = chain.draws[-h["keep_last"]:]
     start = time.perf_counter()
+    columns = np.searchsorted(kept.active, dims.stored(gdata.mask))
     checkpoint = {
         "kind": "rlvs-checkpoint",
+        "format": CHECKPOINT_FORMAT,
         "dims": {"n_time": dims.n_time, "n_price": dims.n_price,
                  "n_components": dims.n_components},
         "standardize_scale": scale,
@@ -238,7 +242,7 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
             "mean_abs_delta_h": _json_number(report.mean_abs_delta_h),
             "n_divergent": report.n_divergent,
         },
-        "draws": grid_mod._pack_floats(kept.values),
+        "draws": grid_mod._pack_floats(kept.values[:, columns]),
         "grid": gdata.to_dict(),
         "config": cfg,
     }
@@ -251,26 +255,16 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
     return checkpoint
 
 
-def _unpack_draws(draws, n_active: int) -> np.ndarray:
-    """The checkpoint's ``draws`` as one flat float array, draw after draw,
-    refused by name unless it holds whole draws of ``n_active`` finite
-    values. A list of per-draw lists, the form of checkpoints written before
-    the packing, is read too."""
-    if isinstance(draws, str):
-        raw = grid_mod._unpack_floats("draws", draws)
-        if len(raw) % (8 * n_active):
-            raise ValueError(f"draws holds {len(raw)} bytes, not whole draws of {n_active} "
-                             "float64 values, the number of coordinates the dims and the "
-                             "grid's mask leave the sampler")
-        values = np.frombuffer(raw, "<f8")
-    elif isinstance(draws, list):
-        if any(not isinstance(d, list) or len(d) != n_active for d in draws):
-            raise ValueError(f"a draw is not of length {n_active}, the number of coordinates "
-                             "the dims and the grid's mask leave the sampler")
-        values = grid_mod.float_array("draws", list(itertools.chain.from_iterable(draws)))
-    else:
-        raise ValueError("draws must be a base64 string or a list of draws, not "
-                         f"{type(draws).__name__}")
+def _unpack_draws(draws, n_stored: int) -> np.ndarray:
+    """The checkpoint's packed ``draws`` as one flat float array, draw after
+    draw, refused by name unless it holds whole draws of ``n_stored`` finite
+    values."""
+    raw = grid_mod._unpack_floats("draws", draws)
+    if len(raw) % (8 * n_stored):
+        raise ValueError(f"draws holds {len(raw)} bytes, not whole draws of {n_stored} float64 "
+                         "values, the number of coordinates a checkpoint stores for the dims "
+                         "and the grid's mask")
+    values = np.frombuffer(raw, "<f8")
     if not np.isfinite(values).all():
         raise ValueError("a draw holds a value that is not finite")
     return values
@@ -291,9 +285,10 @@ def load_checkpoint(path) -> dict:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(ckpt, dict) or ckpt.get("kind") != "rlvs-checkpoint":
         raise ValueError(f"{path}: not a fit checkpoint")
-    if ckpt.get("component_scale", model.COMPONENT_SCALE) != model.COMPONENT_SCALE:
-        raise ValueError(f"{path}: an older rlvs checkpoint fitted at component_scale "
-                         f"{ckpt['component_scale']}: re-run rlvs fit")
+    if ckpt.get("format") != CHECKPOINT_FORMAT:
+        found = f"format {json.dumps(ckpt['format'])}" if "format" in ckpt else "no format"
+        raise ValueError(f"{path}: a checkpoint of {found}, where rlvs reads format "
+                         f"{CHECKPOINT_FORMAT} only: re-run rlvs fit")
     missing = [k for k in ("dims", "standardize_scale", "bins_per_day", "draws", "grid")
                if k not in ckpt]
     if missing:
@@ -320,15 +315,15 @@ def load_checkpoint(path) -> dict:
 
 def checkpoint_draws(ckpt: dict) -> list:
     """The checkpoint's draws as full ``ModelParams``. A draw holds the
-    coordinates ``ModelDims.active`` derives from the dims and the grid's
+    coordinates ``ModelDims.stored`` derives from the dims and the grid's
     mask; the others, which ``build_surface`` never reads, are zero."""
     dims = model.ModelDims(**ckpt["dims"])
-    values = _unpack_draws(ckpt["draws"], dims.n_active(ckpt["grid"]["mask"]))
+    values = _unpack_draws(ckpt["draws"], dims.n_stored(ckpt["grid"]["mask"]))
     if not values.size:  # build_surface names the shortfall; the dims may be too large to index
         return []
-    active = dims.active(ckpt["grid"]["mask"])
-    values = values.reshape(-1, active.size)
-    full = np.asarray(sampler.Draws(np.zeros(dims.n_coords), active, values))
+    stored = dims.stored(ckpt["grid"]["mask"])
+    values = values.reshape(-1, stored.size)
+    full = np.asarray(sampler.Draws(np.zeros(dims.n_coords), stored, values))
     return [model.ModelParams.from_vector(dims, v) for v in full]
 
 

@@ -140,6 +140,17 @@ class GridData:
         self.returns = _nest(vars(self).pop("_values"), vars(self).pop("_counts"), self.mask)
         return self.returns
 
+    def __eq__(self, other):
+        """Equal spec, mask, cell coordinates and returns, the last compared
+        as ``observations()`` gives them, so no nested lists are built."""
+        if not isinstance(other, GridData):
+            return NotImplemented
+        (xs, _, counts), (other_xs, _, other_counts) = self.observations(), other.observations()
+        return (self.spec == other.spec and np.array_equal(self.mask, other.mask)
+                and np.array_equal(counts, other_counts) and np.array_equal(xs, other_xs)
+                and np.array_equal(self.cell_time, other.cell_time)
+                and np.array_equal(self.cell_logprice, other.cell_logprice))
+
     def n_observations(self) -> int:
         """How many returns ``observations()`` gives: those of the visited cells."""
         return len(self.observations()[0])

@@ -77,9 +77,20 @@ class ModelDims:
         return np.flatnonzero(np.concatenate([np.ones(self.n_shared, dtype=bool),
                                               np.repeat(visited, self.n_components), visited]))
 
-    def n_active(self, mask) -> int:
-        """The length of ``active(mask)``, counted without building it."""
-        return self.n_shared + int(self._visited(mask).sum()) * (self.n_components + 1)
+    def stored(self, mask) -> np.ndarray:
+        """The sorted ``to_vector()`` indices of the coordinates a checkpoint
+        keeps of each draw on a grid with visited-cell ``mask``: the mean
+        coefficients, then each visited cell's stick coordinates 0 ... K - 2.
+        They are all the surface reads: the last weight is what is left of
+        the stick, so the last stick coordinate enters no weight, and the
+        concentrations enter none either."""
+        visited = self._visited(mask)
+        sticks = np.outer(visited, np.arange(self.n_components) < self.n_components - 1)
+        return np.flatnonzero(np.concatenate([np.ones(self.n_shared, dtype=bool), sticks.ravel()]))
+
+    def n_stored(self, mask) -> int:
+        """The length of ``stored(mask)``, counted without building it."""
+        return self.n_shared + int(self._visited(mask).sum()) * (self.n_components - 1)
 
     def _visited(self, mask) -> np.ndarray:
         mask = np.asarray(mask, dtype=bool)

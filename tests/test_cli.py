@@ -23,7 +23,7 @@ from rlvs.cli import apply_master_seed, load_checkpoint, load_config, main
 from rlvs.grid import GridData
 from rlvs.ingest import TickSeries, save_ticks, synth_gbm_ticks
 from rlvs.model import ModelDims, Posterior
-from rlvs.surface import export_surface, load_surface
+from rlvs.surface import SurfaceConfig, build_surface, export_surface, load_surface
 from rlvs.voltools import bs_price
 
 
@@ -56,10 +56,8 @@ seed = 7
 """
 
 
-DRAW_LENGTH = ("a draw is not of length {n}, the number of coordinates the dims and the "
-               "grid's mask leave the sampler")
-WHOLE_DRAWS = ("not whole draws of {n} float64 values, the number of coordinates the dims and "
-               "the grid's mask leave the sampler")
+WHOLE_DRAWS = ("not whole draws of {n} float64 values, the number of coordinates a checkpoint "
+               "stores for the dims and the grid's mask")
 NOT_BASE64 = "draws is not strict base64 (RFC 4648, padded, with no line breaks)"
 RETURN_COUNTS = ("grid returns counts must hold one integer >= 1 for each of the {visited} "
                  "cells the grid's mask visits")
@@ -85,17 +83,15 @@ EDGE_FLOATS = st.one_of(
 
 
 def packed_values(ckpt: dict) -> np.ndarray:
-    """``ckpt``'s packed ``draws`` as a writable (draws, active coordinates)
+    """``ckpt``'s packed ``draws`` as a writable (draws, stored coordinates)
     array, decoded without ``cli``."""
-    n = ModelDims(**ckpt["dims"]).n_active(ckpt["grid"]["mask"])
+    n = ModelDims(**ckpt["dims"]).n_stored(ckpt["grid"]["mask"])
     return np.frombuffer(base64.b64decode(ckpt["draws"]), "<f8").reshape(-1, n).copy()
 
 
-def list_draws(ckpt: dict) -> dict:
-    """``ckpt`` with its packed ``draws`` rewritten in place as a list of
-    per-draw lists, the form fits wrote before the packing; returns ``ckpt``."""
-    ckpt["draws"] = packed_values(ckpt).tolist()
-    return ckpt
+def pack_values(ckpt: dict, values: np.ndarray) -> None:
+    """Set ``ckpt``'s packed ``draws`` to the (draws, coordinates) array ``values``."""
+    ckpt["draws"] = base64.b64encode(values.astype("<f8").tobytes()).decode()
 
 
 def list_returns(ckpt: dict) -> dict:
@@ -121,7 +117,7 @@ def set_packed_value(ckpt: dict, value: float) -> None:
     """Set the first value of the third draw in ``ckpt``'s packed ``draws``."""
     values = packed_values(ckpt)
     values[2, 0] = value
-    ckpt["draws"] = base64.b64encode(values.astype("<f8").tobytes()).decode()
+    pack_values(ckpt, values)
 
 
 def toy_checkpoint(d, config=TOY_CONFIG):
@@ -176,7 +172,7 @@ class TestFit:
         assert len(summary) == 1, summary
         assert re.match(r"acceptance \d\.\d{4} \(post-burn \d\.\d{4}\), ", summary[0])
         loaded = load_checkpoint(ckpt)
-        assert len(list_draws(loaded)["draws"]) == 20
+        assert len(packed_values(loaded)) == 20
         assert loaded["dims"] == {"n_time": 3, "n_price": 3, "n_components": 2}
         # The config block and the draws hold these; the checkpoint holds each value once.
         assert not {"component_scale", "seed", "n_kept"} & set(loaded)
@@ -280,7 +276,7 @@ class TestFit:
         n_grad = int(re.search(r"gradient evaluations ([\d,]+)", line)[1].replace(",", ""))
         chain_s, us = float(found[2]), float(found[3])
         assert us == pytest.approx(chain_s / n_grad * 1e6, abs=0.05 + 5e-4 / n_grad * 1e6)
-        assert set(ckpt) == {"kind", "dims", "standardize_scale", "bins_per_day",
+        assert set(ckpt) == {"kind", "format", "dims", "standardize_scale", "bins_per_day",
                              "step_size_used", "acceptance", "draws", "grid", "config"}
 
     def test_checkpoint_line_reports_size_and_write_time(self, tmp_path, capsys):
@@ -328,7 +324,7 @@ class TestFit:
         # One time bin, and every price (near s0 = 1) clamped into the lowest price bin.
         {"n_time = 3": "n_time = 1\nprice_min = 1000\nprice_max = 2000"},
     ], ids=["toy", "one_component", "one_price_bin", "one_visited_cell"])
-    def test_checkpoint_draws_are_the_chain_on_its_active_coordinates(
+    def test_checkpoint_draws_are_the_chain_on_its_stored_coordinates(
             self, tmp_path, monkeypatch, edit):
         chains = []
         run_chain = cli.sampler.run_chain
@@ -340,26 +336,32 @@ class TestFit:
         ckpt = load_checkpoint(toy_checkpoint(tmp_path, config))
         grid = GridData.from_dict(ckpt["grid"])
         dims = ModelDims(**ckpt["dims"])
-        assert "active" not in ckpt
-        active = dims.active(ckpt["grid"]["mask"])
-        np.testing.assert_array_equal(active, Posterior(grid, dims).active)
+        assert "active" not in ckpt and ckpt["format"] == 2
+        np.testing.assert_array_equal(dims.active(grid.mask), Posterior(grid, dims).active)
+        # The mean coefficients and each visited cell's first K - 1 stick coordinates.
+        stored = dims.stored(grid.mask)
+        k = dims.n_components
+        sticks = dims.n_shared + np.flatnonzero(grid.mask)[:, None] * k + np.arange(k - 1)
+        np.testing.assert_array_equal(stored, np.r_[np.arange(dims.n_shared), sticks.ravel()])
+        assert stored.size == dims.n_stored(grid.mask)
         if "n_time = 1" in config:
             assert grid.mask.sum() == 1 and grid.mask.size == 3
         kept = chains[0].draws[-20:]
         expanded = cli.checkpoint_draws(ckpt)
         assert len(expanded) == len(kept) == 20
-        rest = np.setdiff1d(np.arange(dims.n_coords), active)
+        rest = np.setdiff1d(np.arange(dims.n_coords), stored)
         for params, draw in zip(expanded, kept):
             vec = params.to_vector()
-            np.testing.assert_array_equal(vec[active], draw[active])
-            assert np.all(vec[rest] == 0.0)
+            np.testing.assert_array_equal(vec[stored].view(np.uint64),
+                                          draw[stored].view(np.uint64))
+            assert not vec[rest].view(np.uint64).any()  # +0.0 elsewhere
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), n_kept=st.integers(0, 5), n_active=st.integers(1, 20))
-    def test_packed_draws_round_trip_bit_for_bit(self, data, n_kept, n_active):
-        values = data.draw(hnp.arrays(np.float64, (n_kept, n_active), elements=EDGE_FLOATS))
+    @given(data=st.data(), n_kept=st.integers(0, 5), n_stored=st.integers(1, 20))
+    def test_packed_draws_round_trip_bit_for_bit(self, data, n_kept, n_stored):
+        values = data.draw(hnp.arrays(np.float64, (n_kept, n_stored), elements=EDGE_FLOATS))
         packed = json.loads(json.dumps(cli.grid_mod._pack_floats(values)))
-        back = cli._unpack_draws(packed, n_active).reshape(n_kept, n_active)
+        back = cli._unpack_draws(packed, n_stored).reshape(n_kept, n_stored)
         np.testing.assert_array_equal(back.view(np.uint64), values.view(np.uint64))
 
     @settings(max_examples=50, deadline=None)
@@ -369,13 +371,33 @@ class TestFit:
                                                                n_kept):
         mask = data.draw(hnp.arrays(bool, (n_time, n_price)))
         dims = ModelDims(n_time, n_price, k)
-        active = dims.active(mask)
-        values = data.draw(hnp.arrays(np.float64, (n_kept, active.size), elements=EDGE_FLOATS))
+        stored = dims.stored(mask)
+        values = data.draw(hnp.arrays(np.float64, (n_kept, stored.size), elements=EDGE_FLOATS))
         ckpt = {"dims": {"n_time": n_time, "n_price": n_price, "n_components": k},
                 "grid": {"mask": mask.tolist()}, "draws": cli.grid_mod._pack_floats(values)}
         full = np.array([p.to_vector() for p in cli.checkpoint_draws(ckpt)])
-        np.testing.assert_array_equal(full[:, active].view(np.uint64), values.view(np.uint64))
-        assert not np.delete(full, active, axis=1).view(np.uint64).any()  # +0.0 elsewhere
+        np.testing.assert_array_equal(full[:, stored].view(np.uint64), values.view(np.uint64))
+        assert not np.delete(full, stored, axis=1).view(np.uint64).any()  # +0.0 elsewhere
+
+    def test_surface_is_build_surface_on_the_chains_last_draws(self, tmp_path, monkeypatch):
+        # fit -> checkpoint -> surface gives, bit for bit, the surface of the
+        # chain's own last keep_last draws, which hold every coordinate.
+        runs = []
+        run_chain = cli.sampler.run_chain
+        monkeypatch.setattr(cli.sampler, "run_chain",
+                            lambda *a: runs.append((a[2], run_chain(*a))) or runs[-1][1])
+        ckpt_path, out, ref = toy_checkpoint(tmp_path), tmp_path / "s.json", tmp_path / "ref.json"
+        assert run(["surface", "--config", str(tmp_path / "toy.ini"), "--checkpoint",
+                    str(ckpt_path), "--format", "json", "--out", str(out)]) == 0
+        [(post, chain)] = runs
+        cfg, ckpt = load_config(tmp_path / "toy.ini"), load_checkpoint(ckpt_path)
+        kept = chain.draws[-cfg["hmc"]["keep_last"]:]
+        draws = [model.ModelParams.from_vector(post.dims, vec) for vec in kept]
+        surf_cfg = SurfaceConfig(**cfg["surface"], bins_per_day=ckpt["bins_per_day"],
+                                 trading_days=cfg["synth"]["trading_days"])
+        export_surface(build_surface(draws, post.grid, surf_cfg,
+                                     destandardize_scale=ckpt["standardize_scale"]), ref, "json")
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_surface_level_does_not_depend_on_price_unit(self, tmp_path):
         # The acceptance protocol's session and fit at three price units. The
@@ -605,7 +627,7 @@ def test_degenerate_tick_files_fit_or_are_refused_by_rlvs(ticks, k, n_time, n_pr
             assert Path(last.filename).resolve().parent == RLVS_DIR, (last, exc)
             assert last.line.startswith("raise"), (last, exc)
         else:
-            assert len(list_draws(load_checkpoint(ckpt))["draws"]) == 2
+            assert len(packed_values(load_checkpoint(ckpt))) == 2
 
 
 DELETE = object()
@@ -625,7 +647,7 @@ CHECKPOINT_FIELDS = [("dims",), ("grid",), ("draws",),
 FIRST = object()
 ELEMENTS = [("grid", "mask", FIRST), ("grid", "cell_time", FIRST),
             ("grid", "cell_logprice", FIRST), ("grid", "returns", FIRST),
-            ("grid", "returns", "counts", FIRST), ("draws", FIRST)]
+            ("grid", "returns", "counts", FIRST)]
 
 
 def _first_number_list(values):
@@ -679,8 +701,8 @@ class TestSurface:
     @pytest.mark.parametrize("draws, param_draws", [(0, "10"), (20, "21")])
     def test_draw_shortfall_refused_with_checkpoint_path(self, tmp_path, toy_cfg, fitted,
                                                          capsys, draws, param_draws):
-        ckpt = list_draws(json.loads(fitted.read_text()))
-        ckpt["draws"] = ckpt["draws"][:draws]
+        ckpt = json.loads(fitted.read_text())
+        pack_values(ckpt, packed_values(ckpt)[:draws])
         short = tmp_path / "short.json"
         short.write_text(json.dumps(ckpt))
         rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(short),
@@ -720,27 +742,34 @@ class TestSurface:
             vols.append(load_surface(out).vol_mean)
         np.testing.assert_allclose(vols[1], 2.0 * vols[0], rtol=1e-12)
 
-    def test_older_checkpoint_refused_by_name(self, tmp_path, toy_cfg, fitted, capsys):
-        # The layout before the sampler left unvisited cells out: full-length draws.
+    @pytest.mark.parametrize("edit, found", [
+        # Every checkpoint written before format 2, such as one holding the
+        # sampled coordinates of each draw, has no format field.
+        (lambda c: c.pop("format"), "no format"),
+        (lambda c: c.update(format=1), "format 1"),
+        (lambda c: c.update(format=3), "format 3"),
+        (lambda c: c.update(format="2"), 'format "2"'),
+        (lambda c: c.update(format=None), "format null"),
+    ])
+    def test_checkpoint_of_other_format_refused_by_name(self, tmp_path, toy_cfg, fitted,
+                                                        capsys, edit, found):
         ckpt = json.loads(fitted.read_text())
-        ckpt["draws"] = [p.to_vector().tolist() for p in cli.checkpoint_draws(ckpt)]
-        n = ModelDims(**ckpt["dims"]).active(ckpt["grid"]["mask"]).size
-        assert n < 41
+        edit(ckpt)
         old = tmp_path / "old.json"
         old.write_text(json.dumps(ckpt))
         rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(old),
                   "--out", str(tmp_path / "s.csv")])
-        assert rc != 0
-        assert capsys.readouterr().err == f"error: {old}: {DRAW_LENGTH.format(n=n)}\n"
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {old}: a checkpoint of {found}, where rlvs reads format 2 only: "
+            "re-run rlvs fit\n")
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("to_list", [list_draws, list_returns], ids=["draws", "returns"])
-    def test_list_forms_give_the_same_surface(self, tmp_path, toy_cfg, fitted, to_list, fmt):
-        # Checkpoints written before the packing hold each draw, and each
-        # cell's returns, as a list of numbers.
+    def test_listed_returns_give_the_same_surface(self, tmp_path, toy_cfg, fitted, fmt):
+        # GridData.from_dict also reads each cell's returns as a list of numbers.
         old = tmp_path / "old.json"
-        old.write_text(json.dumps(to_list(json.loads(fitted.read_text()))))
+        old.write_text(json.dumps(list_returns(json.loads(fitted.read_text()))))
         assert old.stat().st_size > fitted.stat().st_size
         a, b = tmp_path / f"packed.{fmt}", tmp_path / f"list.{fmt}"
         for path, out in ((fitted, a), (old, b)):
@@ -760,20 +789,6 @@ class TestSurface:
         assert int(found[1].replace(",", "")) == fitted.stat().st_size
         assert found[3] == str(fitted)
         assert lines[-1] == f"wrote surface (csv) to {out}"
-
-    def test_checkpoint_at_other_component_scale_refused_by_name(self, tmp_path, toy_cfg,
-                                                                 fitted, capsys):
-        ckpt = json.loads(fitted.read_text())
-        ckpt["component_scale"] = 0.5
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps(ckpt))
-        rc = run(["surface", "--config", str(toy_cfg), "--checkpoint", str(old),
-                  "--out", str(tmp_path / "s.csv")])
-        assert rc != 0
-        assert capsys.readouterr().err == (
-            f"error: {old}: an older rlvs checkpoint fitted at component_scale 0.5: "
-            "re-run rlvs fit\n")
-        assert not (tmp_path / "s.csv").exists()
 
     def test_checkpoint_with_repeated_fields_gives_the_same_surface(self, tmp_path, toy_cfg,
                                                                     fitted):
@@ -814,21 +829,20 @@ class TestSurface:
         np.testing.assert_allclose(vols[1], 0.5 * vols[0], rtol=1e-12)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda c: list_draws(c)["draws"][3].pop(), DRAW_LENGTH),
-        # Draws whose total size a regrouping could hide.
-        (lambda c: list_draws(c)["draws"][0].append(c["draws"][1].pop()), DRAW_LENGTH),
-        (lambda c: list_draws(c)["draws"][2].__setitem__(0, float("nan")),
-         "a draw holds a value that is not finite"),
-        (lambda c: c.update(draws=5), "draws must be a base64 string or a list of draws, not int"),
-        (lambda c: c.update(draws={}), "draws must be a base64 string or a list of draws, not dict"),
-        # Packed draws: a character outside the alphabet, a line break, lost padding.
+        # Packed draws: not a string, a character outside the alphabet, a line
+        # break, lost padding.
+        (lambda c: c.update(draws=5), NOT_BASE64),
+        (lambda c: c.update(draws=[[0.5]]), NOT_BASE64),
         (lambda c: c.update(draws=c["draws"][:-4] + "*" + c["draws"][-3:]), NOT_BASE64),
         (lambda c: c.update(draws=c["draws"][:76] + "\n" + c["draws"][76:]), NOT_BASE64),
         (lambda c: c.update(draws=c["draws"].rstrip("=")[:-1]), NOT_BASE64),
-        # 3 bytes, then one float64 fewer than 20 draws hold.
+        # 3 bytes, one float64 fewer than 20 draws hold, and one draw of every
+        # sampled coordinate, as the fit wrote a draw before format 2.
         (lambda c: c.update(draws="AAAA"), "draws holds 3 bytes, " + WHOLE_DRAWS),
         (lambda c: c.update(draws=base64.b64encode(base64.b64decode(c["draws"])[8:]).decode()),
          "draws holds {bytes} bytes, " + WHOLE_DRAWS),
+        (lambda c: pack_values(c, np.ones((1, ModelDims(**c["dims"]).active(
+            c["grid"]["mask"]).size))), "draws holds {sampled_bytes} bytes, " + WHOLE_DRAWS),
         (lambda c: set_packed_value(c, np.nan), "a draw holds a value that is not finite"),
         (lambda c: set_packed_value(c, -np.inf), "a draw holds a value that is not finite"),
         # A JSON null reads as NaN.
@@ -869,10 +883,6 @@ class TestSurface:
         # The constructor refuses a non-finite return by its cell, packed or not.
         (lambda c: set_packed_return(c, np.nan), "non-finite return in cell {cell}"),
         (lambda c: set_packed_return(c, -np.inf), "non-finite return in cell {cell}"),
-        (lambda c: _retype_first(list_draws(c)["draws"], None, lambda x: "x"),
-         "draws must hold numbers, not str"),
-        (lambda c: _retype_first(list_draws(c)["draws"], None, True),
-         "draws must hold numbers, not bool"),
         (lambda c: c["dims"].update(n_time=4),
          "dims n_time = 4, n_price = 3 do not match the grid's 3 x 3 cells"),
         (lambda c: c.pop("dims"), "missing field 'dims'"),
@@ -897,7 +907,8 @@ class TestSurface:
     def test_corrupted_checkpoint_refused_by_name(self, tmp_path, toy_cfg, fitted, capsys,
                                                   edit, message):
         ckpt = json.loads(fitted.read_text())
-        n = ModelDims(**ckpt["dims"]).active(ckpt["grid"]["mask"]).size
+        dims = ModelDims(**ckpt["dims"])
+        n, n_sampled = dims.n_stored(ckpt["grid"]["mask"]), dims.active(ckpt["grid"]["mask"]).size
         visited = np.flatnonzero(ckpt["grid"]["mask"])
         n_returns = sum(ckpt["grid"]["returns"]["counts"])
         text = edit(ckpt)  # a string is the file's new text
@@ -907,23 +918,21 @@ class TestSurface:
                   "--out", str(tmp_path / "s.csv")])
         assert rc != 0
         assert capsys.readouterr().err == f"error: {bad}: " + message.format(
-            n=n, bytes=(20 * n - 1) * 8, visited=visited.size, n_returns=n_returns,
+            n=n, bytes=(20 * n - 1) * 8, sampled_bytes=8 * n_sampled,
+            visited=visited.size, n_returns=n_returns,
             full=8 * n_returns, short=8 * n_returns - 8, cell=divmod(int(visited[0]), 3)) + "\n"
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("field, message", [
         ("cell_time", "cell_time and cell_logprice must hold one finite value per bin"),
         ("returns", "non-finite return in cell"),
-        ("draws", "a draw holds a value that is not finite"),
     ])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_element_no_float_holds_refused_by_name(self, tmp_path, toy_cfg, fitted, capsys,
                                                     field, message, sign):
         ckpt = json.loads(fitted.read_text())
-        if field == "draws":
-            values = list_draws(ckpt)["draws"]
-        else:  # an integer no float holds fits only the list form of the returns
-            values = (list_returns(ckpt) if field == "returns" else ckpt)["grid"][field]
+        # An integer no float holds fits only the list form of the returns.
+        values = (list_returns(ckpt) if field == "returns" else ckpt)["grid"][field]
         _retype_first(values, None, sign * 10 ** 400)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(ckpt))
@@ -952,17 +961,13 @@ class TestSurface:
     @example(path=("grid", "mask", FIRST), replacement="6")
     @example(path=("grid", "cell_time", FIRST), replacement="6")
     @example(path=("grid", "returns", FIRST), replacement="6")
-    @example(path=("draws", FIRST), replacement="6")
-    @example(path=("draws", FIRST), replacement=True)
     @example(path=("draws",), replacement="6")
     @example(path=("draws",), replacement="AAAA")
     @example(path=("draws",), replacement=None)
     def test_malformed_dims_or_grid_refused_by_name(self, fitted, path, replacement):
         ckpt = json.loads(fitted.read_text())
-        # A number of the list forms fits wrote before the packing.
-        if path == ("draws", FIRST):
-            list_draws(ckpt)
-        elif path == ("grid", "returns", FIRST):
+        # A number of the list form of the returns, which GridData.from_dict also reads.
+        if path == ("grid", "returns", FIRST):
             list_returns(ckpt)
         *parents, name = path
         holder = ckpt

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rlvs import grid as grid_mod
 from rlvs.grid import (
     GridData,
     GridError,
@@ -278,6 +279,30 @@ class TestGridData:
             GridData(spec, np.ones((2, 2), bool), returns,
                      (np.arange(2) + 0.5) / 2, np.log([99.5, 100.5]))
 
+    def test_equality_compares_every_field_and_builds_no_lists(self, monkeypatch):
+        spec = GridSpec(2, 2, 99.0, 101.0)
+        mask = np.array([[True, False], [True, True]])
+        coords = (np.arange(2) + 0.5) / 2, np.log([99.5, 100.5])
+
+        def grid(returns=((0.1,), (-0.2, 0.3), (0.4,)), spec=spec, mask=mask, coords=coords):
+            runs = iter(returns)
+            nested = [[list(next(runs)) if m else [] for m in row] for row in mask]
+            return GridData(spec, mask.copy(), nested, *(c.copy() for c in coords))
+
+        a, b = grid(), grid()
+        assert a is not b and a == b and not a != b
+        packed = GridData.from_dict(json.loads(json.dumps(a.to_dict())))
+        monkeypatch.setattr(grid_mod, "_nest", lambda *args: pytest.fail("built nested lists"))
+        assert packed == a and a == packed
+        others = [grid(returns=((0.1,), (-0.2, 0.5), (0.4,))),  # one return differs
+                  grid(returns=((0.1, -0.2), (0.3,), (0.4,))),  # a return in another cell
+                  grid(spec=GridSpec(2, 2, 99.0, 102.0)),
+                  grid(mask=np.ones((2, 2), bool), returns=((0.1,), (-0.2,), (0.3,), (0.4,))),
+                  grid(coords=(coords[0], coords[1] + 1.0))]
+        for other in others:
+            assert a != other and packed != other and not a == other
+        assert a != "a grid"
+
 
 class TestSerialization:
     def test_json_round_trip(self):
@@ -397,7 +422,7 @@ def _assert_same_grid(a: GridData, b: GridData) -> None:
         assert _bits(x) == _bits(y)
     assert a.to_dict() == b.to_dict()
     dims = ModelDims(a.spec.n_time, a.spec.n_price, 2)
-    vec = np.random.default_rng(3).normal(size=dims.n_active(a.mask))
+    vec = np.random.default_rng(3).normal(size=dims.active(a.mask).size)
     pa, pb = Posterior(a, dims), Posterior(b, dims)
     assert _bits([pa.logp(vec)]) == _bits([pb.logp(vec)])
     assert _bits(pa.grad(vec)) == _bits(pb.grad(vec))

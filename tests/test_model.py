@@ -900,6 +900,20 @@ class TestActiveCoordinates:
                                p.conc[g.mask]]).astype(int)
         np.testing.assert_array_equal(post.active, want)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stored_index_layout(self, k):
+        g = few_cells_grid()
+        dims = ModelDims(3, 3, k)
+        stored = dims.stored(g.mask)
+        # The first K - 1 stick coordinates of each visited cell: at K = 1,
+        # the mean coefficients alone.
+        p = ModelParams.from_vector(dims, np.arange(dims.n_coords, dtype=float))
+        want = np.concatenate([np.arange(dims.n_shared),
+                               p.stick_raw[g.mask][:, :k - 1].ravel()]).astype(int)
+        np.testing.assert_array_equal(stored, want)
+        assert stored.size == dims.n_stored(g.mask)
+        assert np.isin(stored, Posterior(g, dims).active).all()
+
     def test_dims_that_disagree_with_the_grid_named(self):
         g = few_cells_grid()
         with pytest.raises(ModelError, match="dims n_time = 3, n_price = 4 do not match "

@@ -366,6 +366,32 @@ def test_blocked_surface_near_draw_by_draw_loop_for_eight_or_more_components(fit
         np.testing.assert_allclose(getattr(ours, name), getattr(ref, name), rtol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(fit=mask_fits(components=st.integers(1, 8)), seed=st.integers(0, 2 ** 32 - 1))
+# One visited cell and one price bin, at K = 1 and at K = 8.
+@example(fit=mask_fit([[False], [True]], 1, 2, 2), seed=0)
+@example(fit=mask_fit([[True], [False], [False]], 8, 3, 2), seed=0)
+def test_surface_reads_only_the_coordinates_a_checkpoint_stores(fit, seed):
+    # A checkpoint keeps ModelDims.stored of each draw. Whatever the other
+    # coordinates hold, here half at the float's edges and half spread
+    # wide, every float of the surface is the same.
+    draws, grid, cfg = fit
+    dims = draws[0].dims
+    rest = np.setdiff1d(np.arange(dims.n_coords), dims.stored(grid.mask))
+    rng = np.random.default_rng(seed)
+    other = []
+    for p in draws:
+        vec = p.to_vector()
+        vec[rest] = np.where(rng.random(rest.size) < 0.5,
+                             rng.choice([1e308, -1e308, 5e-324, -0.0], rest.size),
+                             1e3 * rng.standard_normal(rest.size))
+        other.append(ModelParams.from_vector(dims, vec))
+    ours = build_surface(draws, grid, cfg, destandardize_scale=0.002)
+    theirs = build_surface(other, grid, cfg, destandardize_scale=0.002)
+    for name in ("vol_mean", "vol_lo", "vol_hi"):
+        assert (getattr(ours, name).view(np.uint64) == getattr(theirs, name).view(np.uint64)).all()
+
+
 def test_blocked_surface_peak_memory():
     # 500 draws on the paper's 78 x 10 x 5 grid, every cell visited. The
     # draw-by-draw loop peaked at 9.49 MB under tracemalloc (its (draws, I, J)
