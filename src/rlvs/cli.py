@@ -207,10 +207,10 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
 
     post = model.Posterior(gdata, dims)
     init_rng = np.random.default_rng([h["seed"], 1])  # init stream, distinct from chain
-    init = model.ModelParams.random_init(dims, init_rng)
+    init = init_rng.standard_normal(dims.n_coords)  # ModelParams.random_init's vector
 
     start = time.perf_counter()
-    chain = sampler.run_chain(init.to_vector(), hmc_cfg, post)
+    chain = sampler.run_chain(init, hmc_cfg, post)
     chain_s = time.perf_counter() - start
     report = sampler.diagnostics(chain)
     # Timings go to stdout alone: the checkpoint of a fixed seed is the same on every run.
@@ -256,9 +256,8 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
 
 
 def _unpack_draws(draws, n_stored: int) -> np.ndarray:
-    """The checkpoint's packed ``draws`` as one flat float array, draw after
-    draw, refused by name unless it holds whole draws of ``n_stored`` finite
-    values."""
+    """The checkpoint's packed ``draws`` as one (draws, ``n_stored``) array,
+    refused by name unless it holds whole draws of ``n_stored`` finite values."""
     raw = grid_mod._unpack_floats("draws", draws)
     if len(raw) % (8 * n_stored):
         raise ValueError(f"draws holds {len(raw)} bytes, not whole draws of {n_stored} float64 "
@@ -267,7 +266,7 @@ def _unpack_draws(draws, n_stored: int) -> np.ndarray:
     values = np.frombuffer(raw, "<f8")
     if not np.isfinite(values).all():
         raise ValueError("a draw holds a value that is not finite")
-    return values
+    return values.reshape(-1, n_stored)
 
 
 def _json_number(x: float) -> float | None:
@@ -304,27 +303,27 @@ def load_checkpoint(path) -> dict:
             raise ValueError(f"{path}: dims {key} = {dims[key]} exceeds the longest array, "
                              f"{_MAX_LENGTH}")
     scale, bins = ckpt["standardize_scale"], ckpt["bins_per_day"]
-    if not isinstance(scale, (int, float)) or not 0 < grid_mod.as_float(scale) < np.inf:
+    if type(scale) not in (int, float) or not 0 < grid_mod.as_float(scale) < np.inf:
         raise ValueError(f"{path}: standardize_scale must be positive and finite, got {scale}")
-    if not isinstance(bins, int) or bins < 1:
+    if type(bins) is not int or bins < 1:  # a JSON number, not a bool, as for dims
         raise ValueError(f"{path}: bins_per_day must be an integer >= 1, got {bins}")
     if grid_mod.as_float(bins) == np.inf:
         raise ValueError(f"{path}: bins_per_day must be an integer a float holds, got {bins}")
     return ckpt
 
 
-def checkpoint_draws(ckpt: dict) -> list:
-    """The checkpoint's draws as full ``ModelParams``. A draw holds the
-    coordinates ``ModelDims.stored`` derives from the dims and the grid's
-    mask; the others, which ``build_surface`` never reads, are zero."""
+def checkpoint_draws(ckpt: dict) -> surface_mod.DrawStack:
+    """The checkpoint's draws as a ``surface.DrawStack``: views of its
+    (draws, ``ModelDims.n_stored``) array, and the visited cells' sticks with
+    the last coordinate, not stored as it enters no weight, at 0."""
     dims = model.ModelDims(**ckpt["dims"])
-    values = _unpack_draws(ckpt["draws"], dims.n_stored(ckpt["grid"]["mask"]))
-    if not values.size:  # build_surface names the shortfall; the dims may be too large to index
-        return []
-    stored = dims.stored(ckpt["grid"]["mask"])
-    values = values.reshape(-1, stored.size)
-    full = np.asarray(sampler.Draws(np.zeros(dims.n_coords), stored, values))
-    return [model.ModelParams.from_vector(dims, v) for v in full]
+    mask = np.asarray(ckpt["grid"]["mask"], dtype=bool)
+    values = _unpack_draws(ckpt["draws"], dims.n_stored(mask))
+    i, k, n = dims.n_time, dims.n_components, dims.n_shared
+    coefs = values[:, :n].reshape(len(values), n // k, k)  # I time, J price rows, intercepts
+    sticks = np.zeros((len(values), np.count_nonzero(mask), k))
+    sticks[..., :-1] = values[:, n:].reshape(sticks[..., :-1].shape)
+    return surface_mod.DrawStack(coefs[:, :i], coefs[:, i:-1], coefs[:, -1], sticks)
 
 
 def run_surface(cfg: dict, ckpt_path, out_path, fmt: str) -> surface_mod.VolSurface:

@@ -126,10 +126,8 @@ class ModelParams:
             raise ModelError("inconsistent coefficient shapes")
         if self.stick_raw.shape != (i, j, k) or self.conc.shape != (i, j):
             raise ModelError("inconsistent stick/concentration shapes")
-        # count_nonzero, not np.all, whose Python wrapper costs more than the
-        # check on a draw of the paper's grid.
         for a in (self.time_effect, self.price_effect, self.alpha, self.stick_raw, self.conc):
-            if np.count_nonzero(np.isfinite(a)) != a.size:
+            if not np.isfinite(a).all():
                 raise ModelError("parameters must be finite")
 
     @property
@@ -152,17 +150,13 @@ class ModelParams:
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (dims.n_coords,):
             raise ModelError(f"expected vector of length {dims.n_coords}, got {vec.shape}")
-        # The parts are views of vec, cut at the offsets to_vector writes them at.
-        a = i * k
-        b = a + j * k
-        c = b + k
-        d = c + i * j * k
+        parts = np.split(vec, np.cumsum([i * k, j * k, k, i * j * k]))
         return cls(
-            time_effect=vec[:a].reshape(i, k),
-            price_effect=vec[a:b].reshape(j, k),
-            alpha=vec[b:c],
-            stick_raw=vec[c:d].reshape(i, j, k),
-            conc=vec[d:].reshape(i, j),
+            time_effect=parts[0].reshape(i, k),
+            price_effect=parts[1].reshape(j, k),
+            alpha=parts[2],
+            stick_raw=parts[3].reshape(i, j, k),
+            conc=parts[4].reshape(i, j),
         )
 
     @classmethod

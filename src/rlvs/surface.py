@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -161,9 +161,29 @@ def credible_interval(samples, level: float):
     return tuple(bounds)
 
 
+@dataclass(frozen=True)
+class DrawStack:
+    """What the surface reads of D posterior draws, stacked along a first
+    axis: time effects (D, I, K), price effects (D, J, K), intercepts (D, K)
+    and the visited cells' stick coordinates (D, V, K) in the mask's C order.
+    An index or a slice of a stack takes the same of each array."""
+
+    time_effect: np.ndarray
+    price_effect: np.ndarray
+    alpha: np.ndarray
+    sticks: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+    def __getitem__(self, key) -> "DrawStack":
+        return DrawStack(*(getattr(self, f.name)[key] for f in fields(self)))
+
+
 def build_surface(draws, grid: GridData, config: SurfaceConfig,
                   destandardize_scale: float = 1.0) -> VolSurface:
-    """Posterior-predictive volatility surface from retained parameter draws.
+    """Posterior-predictive volatility surface from retained parameter draws,
+    a ``DrawStack`` or a sequence of ``ModelParams``.
 
     Uses the last ``n_param_draws`` draws. For each draw, every cell's
     per-bin std is the exact std of the cell's mixture under that draw,
@@ -172,7 +192,8 @@ def build_surface(draws, grid: GridData, config: SurfaceConfig,
     The draws are taken a block at a time, and sticks are broken only in
     the visited cells; every other cell takes the counterfactual weights.
     """
-    draws = list(draws)
+    if not isinstance(draws, DrawStack):
+        draws = list(draws)
     if len(draws) < config.n_param_draws:
         raise SurfaceError(f"draws holds {len(draws)} draws, fewer than the "
                            f"{config.n_param_draws} of [surface] n_param_draws")
@@ -198,7 +219,7 @@ def build_surface(draws, grid: GridData, config: SurfaceConfig,
 _BLOCK_BYTES = 256 * 1024
 
 
-def _draw_stds(use: list, grid: GridData) -> np.ndarray:
+def _draw_stds(draws, grid: GridData) -> np.ndarray:
     """(draws, I, J) per-bin std of each cell's mixture under each draw.
 
     ``component_means`` stores a block's means component-major, so each sum
@@ -207,17 +228,19 @@ def _draw_stds(use: list, grid: GridData) -> np.ndarray:
     same float as a draw-by-draw loop's.
     """
     visited = grid.mask
-    w_cf = stick_break(np.full(use[0].dims.n_components, COUNTERFACTUAL_STICK))
-    time_effect = np.stack([p.time_effect for p in use])
-    price_effect = np.stack([p.price_effect for p in use])
-    alpha = np.stack([p.alpha for p in use])
-    stds = np.empty((len(use), *visited.shape))
+    w_cf = stick_break(np.full(draws[0].alpha.size, COUNTERFACTUAL_STICK))
+    stds = np.empty((len(draws), *visited.shape))
     n_block = max(1, _BLOCK_BYTES // (8 * w_cf.size * visited.size))
-    for start in range(0, len(use), n_block):
+    for start in range(0, len(draws), n_block):
         block = slice(start, start + n_block)
-        means = component_means(time_effect[block], price_effect[block], alpha[block], grid)
+        use = draws[block]
+        if not isinstance(use, DrawStack):  # ModelParams, stacked a block at a time
+            use = DrawStack(*(np.stack([getattr(p, name) for p in use])
+                              for name in ("time_effect", "price_effect", "alpha")),
+                            np.stack([p.stick_raw[visited] for p in use]))
+        means = component_means(use.time_effect, use.price_effect, use.alpha, grid)
         _, var = mixture_mean_var(w_cf, means, COMPONENT_SCALE)
-        weights = stick_weights_from_raw(np.stack([p.stick_raw for p in use[block]])[:, visited])
+        weights = stick_weights_from_raw(use.sticks)
         var[:, visited] = mixture_mean_var(weights, means[:, visited], COMPONENT_SCALE)[1]
         np.sqrt(var, out=stds[block])
     return stds

@@ -164,7 +164,7 @@ def implied_vol(quote: OptionQuote) -> float:
     deep out of the money where vega is tiny. A Newton step under 1e-12 from
     an iterate that prices the mid within 1e-10 * spot ends the solve at
     once: the stepped vol is returned without pricing it, and an iterate
-    that reprices the mid exactly (a zero step) is the root. The quote's
+    that reprices the mid exactly is the root, whatever its vega. The quote's
     vol-free terms are computed once, for the bounds, the start and the
     iteration alike, and each iterate's price and vega come from one d1.
     """
@@ -185,6 +185,8 @@ def implied_vol(quote: OptionQuote) -> float:
     price, vega = _price_vega(c, sigma, quote.is_call)
     diff = price - quote.mid_price
     for _ in range(max_iter):
+        if diff == 0:  # the root, also where vega is below the Newton floor
+            return float(sigma)
         if diff > 0:
             hi = min(hi, sigma)
         else:

@@ -1,5 +1,6 @@
-"""The benchmark's workload configs still load, and the functions its traced
-spans name still exist: retiring or renaming a config key that
+"""The benchmark's workload configs still load, the functions its traced
+spans name still exist, and the surface stage still enters each span the
+metrics read of it: retiring or renaming a config key that
 ``perfbench/workloads.py`` sets, or a function it reads a span of, fails here,
 not in a benchmark run. Nothing here edits ``perfbench/``."""
 
@@ -75,3 +76,50 @@ def test_benchmark_span_names_resolve(workloads):
         fn = getattr(mod, path[0], None)
         assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, name
         assert not path[0].startswith("_"), name
+
+
+TOY_CONFIG = """
+[synth]
+n_ticks = 401
+seed = 5
+
+[grid]
+n_time = 3
+n_price = 3
+resample_interval = 0
+
+[model]
+n_components = 2
+
+[hmc]
+n_burn = 5
+n_draws = 5
+keep_last = 3
+
+[surface]
+n_param_draws = 3
+"""
+
+
+def test_surface_path_spans_are_entered(workloads, tmp_path):
+    # The metrics read these spans of the surface stage; one that
+    # run_surface no longer enters would read 0 rather than fail. The
+    # surface stage is traced on a toy fit's checkpoint, as perfbench traces it.
+    tracer_mod = importlib.import_module("tracer")
+    names = _span_names(PERFBENCH / "workloads.py") | set(tracer_mod.KEEP)
+    stage = {"cli.run_surface", "cli.load_checkpoint", "grid.GridData.from_dict",
+             *(name for name in names if name.startswith("surface."))}
+    assert {"surface.build_surface", "surface.export_surface"} <= stage <= names
+    (tmp_path / "toy.ini").write_text(TOY_CONFIG)
+    cfg = cli.load_config(tmp_path / "toy.ini")
+    cli.run_synth(cfg, tmp_path / "ticks.csv")
+    cli.run_fit(cfg, tmp_path / "ticks.csv", tmp_path / "ckpt.json")
+    tracer = tracer_mod.Tracer()
+    tracer.install({m: importlib.import_module(f"rlvs.{m}") for m in workloads.MODULES})
+    try:
+        cli.run_surface(cfg, tmp_path / "ckpt.json", tmp_path / "surface.csv", "csv")
+    finally:
+        tracer.uninstall()
+    entered, _ = tracer.summary()
+    assert sorted(stage - set(entered)) == []
+    assert "grid.GridData.from_dict" in tracer.kept

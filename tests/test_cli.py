@@ -120,6 +120,18 @@ def set_packed_value(ckpt: dict, value: float) -> None:
     pack_values(ckpt, values)
 
 
+def stack_vectors(stack, dims: ModelDims, mask) -> np.ndarray:
+    """The (draws, ``to_vector()``) array of a ``surface.DrawStack``'s draws,
+    +0.0 at every coordinate it does not hold."""
+    n, k, visited = len(stack), dims.n_components, np.flatnonzero(mask)
+    full = np.zeros((n, dims.n_coords))
+    full[:, :dims.n_shared] = np.hstack([stack.time_effect.reshape(n, -1),
+                                         stack.price_effect.reshape(n, -1), stack.alpha])
+    columns = dims.n_shared + visited[:, None] * k + np.arange(k)
+    full[:, columns] = stack.sticks
+    return full
+
+
 def toy_checkpoint(d, config=TOY_CONFIG):
     """Synth and fit the toy config in directory d; returns the checkpoint path."""
     cfg = d / "toy.ini"
@@ -317,6 +329,25 @@ class TestFit:
         monkeypatch.setattr(grid_mod, "_flatten", refuse)
         assert outputs(tmp_path / "flat") == expected
 
+    def test_fit_and_surface_build_no_model_params_and_no_full_draws(self, tmp_path, monkeypatch):
+        # fit -> checkpoint -> surface cuts the surface's arrays from the stored
+        # coordinates: with ModelParams and the chain's full-length draw array
+        # refusing, the files are the same.
+        def outputs(d):
+            d.mkdir()
+            ckpt, surf = toy_checkpoint(d), d / "surf.csv"
+            assert run(["surface", "--config", str(d / "toy.ini"), "--checkpoint", str(ckpt),
+                        "--out", str(surf)]) == 0
+            return ckpt.read_bytes(), surf.read_bytes()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a ModelParams or a full-length draw array")
+
+        expected = outputs(tmp_path / "plain")
+        monkeypatch.setattr(model.ModelParams, "__init__", refuse)
+        monkeypatch.setattr(cli.sampler.Draws, "__array__", refuse)
+        assert outputs(tmp_path / "stacked") == expected
+
     @pytest.mark.parametrize("edit", [
         {},
         {"n_components = 2": "n_components = 1"},
@@ -347,11 +378,10 @@ class TestFit:
         if "n_time = 1" in config:
             assert grid.mask.sum() == 1 and grid.mask.size == 3
         kept = chains[0].draws[-20:]
-        expanded = cli.checkpoint_draws(ckpt)
-        assert len(expanded) == len(kept) == 20
+        stack = cli.checkpoint_draws(ckpt)
+        assert len(stack) == len(kept) == 20
         rest = np.setdiff1d(np.arange(dims.n_coords), stored)
-        for params, draw in zip(expanded, kept):
-            vec = params.to_vector()
+        for vec, draw in zip(stack_vectors(stack, dims, grid.mask), kept):
             np.testing.assert_array_equal(vec[stored].view(np.uint64),
                                           draw[stored].view(np.uint64))
             assert not vec[rest].view(np.uint64).any()  # +0.0 elsewhere
@@ -375,7 +405,9 @@ class TestFit:
         values = data.draw(hnp.arrays(np.float64, (n_kept, stored.size), elements=EDGE_FLOATS))
         ckpt = {"dims": {"n_time": n_time, "n_price": n_price, "n_components": k},
                 "grid": {"mask": mask.tolist()}, "draws": cli.grid_mod._pack_floats(values)}
-        full = np.array([p.to_vector() for p in cli.checkpoint_draws(ckpt)])
+        stack = cli.checkpoint_draws(ckpt)
+        assert len(stack) == n_kept
+        full = stack_vectors(stack, dims, mask)
         np.testing.assert_array_equal(full[:, stored].view(np.uint64), values.view(np.uint64))
         assert not np.delete(full, stored, axis=1).view(np.uint64).any()  # +0.0 elsewhere
 
@@ -890,6 +922,10 @@ class TestSurface:
         (lambda c: c.update(bins_per_day=0), "bins_per_day must be an integer >= 1, got 0"),
         (lambda c: c.update(standardize_scale=-1),
          "standardize_scale must be positive and finite, got -1"),
+        # JSON true, which Python reads as a bool and a bool as the number 1.
+        (lambda c: c.update(bins_per_day=True), "bins_per_day must be an integer >= 1, got True"),
+        (lambda c: c.update(standardize_scale=True),
+         "standardize_scale must be positive and finite, got True"),
         (lambda c: json.dumps([c]), "not a fit checkpoint"),
         # Integers no float holds.
         (lambda c: c["grid"]["spec"].update(price_max=10 ** 400),

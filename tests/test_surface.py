@@ -31,7 +31,7 @@ from rlvs.surface import (
     load_surface,
     render_svg,
 )
-from rlvs import surface
+from rlvs import cli, grid as grid_mod, surface
 from rlvs.surface import VolSurface
 from model_reference import cell_mixture, surface_by_draw
 
@@ -390,6 +390,40 @@ def test_surface_reads_only_the_coordinates_a_checkpoint_stores(fit, seed):
     theirs = build_surface(other, grid, cfg, destandardize_scale=0.002)
     for name in ("vol_mean", "vol_lo", "vol_hi"):
         assert (getattr(ours, name).view(np.uint64) == getattr(theirs, name).view(np.uint64)).all()
+
+
+def checkpoint_stack(draws, grid):
+    """The ``DrawStack`` that ``cli.checkpoint_draws`` cuts from a checkpoint
+    holding the stored coordinates of ``draws``."""
+    dims = draws[0].dims
+    stored = dims.stored(grid.mask)
+    ckpt = {"dims": {"n_time": dims.n_time, "n_price": dims.n_price,
+                     "n_components": dims.n_components},
+            "grid": {"mask": grid.mask.tolist()},
+            "draws": grid_mod._pack_floats(np.array([p.to_vector()[stored] for p in draws]))}
+    return cli.checkpoint_draws(ckpt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fit=mask_fits(components=st.integers(1, 9)), block=st.one_of(st.none(), st.integers(1, 8)))
+# One visited cell and one price bin at K = 1; K = 9 in blocks of 2 draws, 3
+# kept of 5, so the last block is partial; the paper's grid with every cell
+# visited, 11 kept of 13 in its own blocks of 8.
+@example(fit=mask_fit([[False], [True]], 1, 2, 2), block=None)
+@example(fit=mask_fit([[True, False], [False, True], [True, True]], 9, 5, 3, 50.0, True), block=2)
+@example(fit=mask_fit(np.ones((78, 10)), 5, 13, 11), block=None)
+def test_stacked_draws_give_the_surface_of_their_model_params(fit, block):
+    # A checkpoint's stack, cut from the stored coordinates with the last
+    # stick coordinate zero, and the same draws as ModelParams, stacked a
+    # block at a time, give the same floats at every K, K >= 8 included.
+    draws, grid, cfg = fit
+    budget = surface._BLOCK_BYTES if block is None else block * 8 * draws[0].stick_raw.size
+    with mock.patch.object(surface, "_BLOCK_BYTES", budget):
+        ours = build_surface(checkpoint_stack(draws, grid), grid, cfg, destandardize_scale=0.002)
+        theirs = build_surface(draws, grid, cfg, destandardize_scale=0.002)
+    for name in ("vol_mean", "vol_lo", "vol_hi"):
+        assert (getattr(ours, name).view(np.uint64) == getattr(theirs, name).view(np.uint64)).all()
+    assert (ours.masked == theirs.masked).all()
 
 
 def test_blocked_surface_peak_memory():

@@ -441,6 +441,26 @@ class TestEvaluationBudget:
             implied_vol(quote)
         assert len(calls) / len(quotes) <= 4.0
 
+    def test_near_the_upper_bound_at_most_51(self, monkeypatch):
+        # Mids (1 - eps) x the upper bound at spot 100, where vega falls below
+        # the Newton floor of 1e-14 before an iterate reaches the mid: one that
+        # reprices it exactly is the root. Measured worst 51, mean 31.5; the
+        # solver that bisected on from such an iterate took up to 87, mean 38.6.
+        calls = count_evaluations(monkeypatch)
+        worst = 0
+        for strike in np.linspace(50.0, 130.0, 5):
+            for expiry in np.logspace(-9, 1, 21):
+                for is_call in (True, False):
+                    upper = voltools._bounds(OptionQuote(strike, expiry, 1.0, is_call, 100.0))[2]
+                    for eps in np.logspace(-15, -9, 7):
+                        quote = OptionQuote(strike, expiry, upper * (1.0 - eps), is_call, 100.0)
+                        calls.clear()
+                        vol = implied_vol(quote)
+                        worst = max(worst, len(calls))
+                        price = bs_price(100.0, strike, 0.0, 0.0, expiry, vol, is_call)
+                        assert abs(price - quote.mid_price) < 1e-8
+        assert worst <= 51
+
 
 class TestDupire:
     def test_flat_surface_recovery(self):
