@@ -64,7 +64,7 @@ DEFAULTS = {
 # Keys that may be left unset and resolved from data at run time.
 _OPTIONAL = {("grid", "price_min"), ("grid", "price_max")}
 # The layout of the checkpoints rlvs fit writes and rlvs surface reads:
-# format 2 stores of each draw the coordinates ModelDims.stored gives.
+# format 2 stores of each draw the first ModelDims.n_stored sampled coordinates.
 CHECKPOINT_FORMAT = 2
 # The largest length numpy can index, a bound on each checkpoint dimension.
 _MAX_LENGTH = int(np.iinfo(np.intp).max)
@@ -222,11 +222,10 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
           f"step size {chain.step_size_used:.4g}, chain {chain_s:.3f} s, "
           f"{chain_s / chain.n_grad * 1e6:.1f} us per gradient evaluation")
 
-    # Of each kept draw, the coordinates the surface reads: all are sampled,
-    # so they are columns of the chain's array.
+    # Of each kept draw, the coordinates the surface reads: the sampled ones
+    # before the concentrations.
     kept = chain.draws[-h["keep_last"]:]
     start = time.perf_counter()
-    columns = np.searchsorted(kept.active, dims.stored(gdata.mask))
     checkpoint = {
         "kind": "rlvs-checkpoint",
         "format": CHECKPOINT_FORMAT,
@@ -242,7 +241,7 @@ def run_fit(cfg: dict, ticks_path, out_path) -> dict:
             "mean_abs_delta_h": _json_number(report.mean_abs_delta_h),
             "n_divergent": report.n_divergent,
         },
-        "draws": grid_mod._pack_floats(kept.values[:, columns]),
+        "draws": grid_mod._pack_floats(kept.values[:, :dims.n_stored(gdata.mask)]),
         "grid": gdata.to_dict(),
         "config": cfg,
     }
@@ -313,16 +312,14 @@ def load_checkpoint(path) -> dict:
 
 
 def checkpoint_draws(ckpt: dict) -> surface_mod.DrawStack:
-    """The checkpoint's draws as a ``surface.DrawStack``: views of its
-    (draws, ``ModelDims.n_stored``) array, and the visited cells' sticks with
-    the last coordinate, not stored as it enters no weight, at 0."""
+    """The checkpoint's draws as a ``surface.DrawStack`` of views of its
+    (draws, ``ModelDims.n_stored``) array."""
     dims = model.ModelDims(**ckpt["dims"])
     mask = np.asarray(ckpt["grid"]["mask"], dtype=bool)
     values = _unpack_draws(ckpt["draws"], dims.n_stored(mask))
     i, k, n = dims.n_time, dims.n_components, dims.n_shared
     coefs = values[:, :n].reshape(len(values), n // k, k)  # I time, J price rows, intercepts
-    sticks = np.zeros((len(values), np.count_nonzero(mask), k))
-    sticks[..., :-1] = values[:, n:].reshape(sticks[..., :-1].shape)
+    sticks = values[:, n:].reshape(len(values), np.count_nonzero(mask), k - 1)
     return surface_mod.DrawStack(coefs[:, :i], coefs[:, i:-1], coefs[:, -1], sticks)
 
 

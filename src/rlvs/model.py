@@ -6,11 +6,13 @@ means are affine in the cell's time and log-price coordinates,
     mean[i, j, k] = time_effect[i, k] * t_i + price_effect[j, k] * logS_j + alpha[k],
 
 where logS_j is the grid's ``cell_logprice`` (the log of the price bin's
-midpoint over the session's first price), and whose weights come from truncated stick-breaking fractions
-gamma[i, j, k] in (0, 1), with the leftover mass absorbed into the last
-weight so the weights always sum to one. Priors: standard normal on the
-mean coefficients, Beta(1, 1) on each cell concentration a[i, j], and
-Beta(1, a[i, j]) on each stick fraction.
+midpoint over the session's first price), and whose weights come from
+truncated stick-breaking: K - 1 fractions gamma[i, j, k] in (0, 1), k < K - 1,
+with the leftover mass the last weight, so the weights always sum to one.
+Priors: standard normal on the mean coefficients, Beta(1, 1) on each cell
+concentration a[i, j], and Beta(1, a[i, j]) on each stick fraction. (A K-th
+fraction, fixed at 1 in the truncation, would enter no weight: its Beta(1, a)
+density integrates to 1, so leaving it out of the model changes no marginal.)
 
 HMC needs an unconstrained space, so the (0, 1) parameters are stored in
 logistic coordinates and every density below includes the log-Jacobian of
@@ -67,29 +69,20 @@ class ModelDims:
 
     @property
     def n_coords(self) -> int:
-        return self.n_shared + self.n_time * self.n_price * (self.n_components + 1)
+        return self.n_shared + self.n_time * self.n_price * self.n_components
 
     def active(self, mask) -> np.ndarray:
         """The sorted ``to_vector()`` indices of the coordinates the data reach
         on a grid with visited-cell ``mask``: the mean coefficients, then each
-        visited cell's K stick coordinates, then their concentrations."""
+        visited cell's K - 1 stick coordinates, then their concentrations."""
         visited = self._visited(mask)
         return np.flatnonzero(np.concatenate([np.ones(self.n_shared, dtype=bool),
-                                              np.repeat(visited, self.n_components), visited]))
-
-    def stored(self, mask) -> np.ndarray:
-        """The sorted ``to_vector()`` indices of the coordinates a checkpoint
-        keeps of each draw on a grid with visited-cell ``mask``: the mean
-        coefficients, then each visited cell's stick coordinates 0 ... K - 2.
-        They are all the surface reads: the last weight is what is left of
-        the stick, so the last stick coordinate enters no weight, and the
-        concentrations enter none either."""
-        visited = self._visited(mask)
-        sticks = np.outer(visited, np.arange(self.n_components) < self.n_components - 1)
-        return np.flatnonzero(np.concatenate([np.ones(self.n_shared, dtype=bool), sticks.ravel()]))
+                                              np.repeat(visited, self.n_components - 1), visited]))
 
     def n_stored(self, mask) -> int:
-        """The length of ``stored(mask)``, counted without building it."""
+        """How many leading ``active(mask)`` coordinates a checkpoint keeps of
+        each draw: the mean coefficients and the visited cells' sticks, all the
+        surface reads (the concentrations enter no weight)."""
         return self.n_shared + int(self._visited(mask).sum()) * (self.n_components - 1)
 
     def _visited(self, mask) -> np.ndarray:
@@ -111,7 +104,7 @@ class ModelParams:
     time_effect: np.ndarray   # (I, K)
     price_effect: np.ndarray  # (J, K)
     alpha: np.ndarray         # (K,)
-    stick_raw: np.ndarray     # (I, J, K)
+    stick_raw: np.ndarray     # (I, J, K - 1)
     conc: np.ndarray          # (I, J)
 
     def __post_init__(self):
@@ -124,7 +117,7 @@ class ModelParams:
         j = self.price_effect.shape[0]
         if self.price_effect.shape != (j, k) or self.alpha.shape != (k,):
             raise ModelError("inconsistent coefficient shapes")
-        if self.stick_raw.shape != (i, j, k) or self.conc.shape != (i, j):
+        if self.stick_raw.shape != (i, j, k - 1) or self.conc.shape != (i, j):
             raise ModelError("inconsistent stick/concentration shapes")
         for a in (self.time_effect, self.price_effect, self.alpha, self.stick_raw, self.conc):
             if not np.isfinite(a).all():
@@ -150,12 +143,12 @@ class ModelParams:
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (dims.n_coords,):
             raise ModelError(f"expected vector of length {dims.n_coords}, got {vec.shape}")
-        parts = np.split(vec, np.cumsum([i * k, j * k, k, i * j * k]))
+        parts = np.split(vec, np.cumsum([i * k, j * k, k, i * j * (k - 1)]))
         return cls(
             time_effect=parts[0].reshape(i, k),
             price_effect=parts[1].reshape(j, k),
             alpha=parts[2],
-            stick_raw=parts[3].reshape(i, j, k),
+            stick_raw=parts[3].reshape(i, j, k - 1),
             conc=parts[4].reshape(i, j),
         )
 
@@ -191,48 +184,49 @@ def stick_break(gamma) -> np.ndarray:
 
     w_k = gamma_k * prod_{l<k}(1 - gamma_l) for k < K and
     w_K = prod_{l<K}(1 - gamma_l), so the weights sum to one up to rounding
-    and the result is a genuine probability vector. Works on any (..., K)
-    array, through the same log-space weights the likelihood uses.
+    and the result is a genuine probability vector; the last fraction enters
+    no weight. Works on any (..., K) array, through the same log-space
+    weights the likelihood uses.
     """
     g = np.asarray(gamma, dtype=float)
     if np.any((g <= 0.0) | (g >= 1.0)):
         raise ModelError("stick fractions must lie strictly inside (0, 1)")
-    g = np.moveaxis(g, -1, 0)
-    return np.exp(np.moveaxis(_log_stick_break(np.log(g), np.log1p(-g))[:-1], 0, -1),
-                  order="C")
+    g = np.moveaxis(g, -1, 0)[:-1]
+    return np.exp(np.moveaxis(_log_stick_break(np.log(g), np.log1p(-g)), 0, -1), order="C")
 
 
 def _log_stick_break(log_g: np.ndarray, log_1mg: np.ndarray) -> np.ndarray:
-    """log stick-break weights from (K, ...) log(gamma) and log(1 - gamma),
-    component-major, with the sum of log(1 - gamma) over all K fractions in
-    a last row: a (K + 1, ...) array.
+    """The K log stick-break weights from (K - 1, ...) log(gamma) and
+    log(1 - gamma), component-major: a (K, ...) array.
 
     Weight k < K - 1 is log gamma_k plus the prefix sum of log(1 - gamma)
-    before it; the last is that prefix sum alone. The prefix sums are one
-    running sum down the component axis, so each weight is the same float
-    whatever the number of rows beside it. Sums past the float range are
-    -inf: every log(1 - gamma) is at most about 0.
+    before it; the last, what is left of the stick, is the sum of all
+    K - 1, which the Beta prior reads too. The prefix sums are one running
+    sum down the component axis, so each weight is the same float whatever
+    the number of rows beside it. Sums past the float range are -inf: every
+    log(1 - gamma) is at most about 0.
     """
-    k = log_g.shape[0]
-    out = np.zeros((k + 1,) + log_g.shape[1:])
+    out = np.zeros((log_g.shape[0] + 1,) + log_g.shape[1:])
     np.add.accumulate(log_1mg, axis=0, out=out[1:])
-    out[:k - 1] += log_g[:k - 1]
+    out[:-1] += log_g
     return out
 
 
 def stick_weights_from_raw(stick_raw: np.ndarray) -> np.ndarray:
-    """Stick-break weights from unconstrained coordinates.
+    """The (..., K) stick-break weights of (..., K - 1) unconstrained
+    coordinates.
 
-    Equivalent to ``stick_break(expit(stick_raw))`` but computed in log
-    space, so fractions driven against 0 or 1 by the sampler (where expit
-    saturates in floating point) still yield a valid weight vector. Raw
-    coordinates near the float limit overflow a log weight to -inf, whose
-    exp is the exact weight 0, so that overflow is not warned about.
+    Those of ``stick_break`` at the fractions ``expit(stick_raw)`` and any
+    last one, but computed in log space, so fractions driven against 0 or 1
+    by the sampler (where expit saturates in floating point) still yield a
+    valid weight vector. Raw coordinates near the float limit overflow a log
+    weight to -inf, whose exp is the exact weight 0, so that overflow is not
+    warned about.
     """
     stick_raw = np.asarray(stick_raw, dtype=float)
     with np.errstate(over="ignore"):
         raw = np.moveaxis(stick_raw, -1, 0)
-        log_w = _log_stick_break(_log_expit(raw), _log_expit(-raw))[:-1]
+        log_w = _log_stick_break(_log_expit(raw), _log_expit(-raw))
         return np.exp(np.moveaxis(log_w, 0, -1), order="C")
 
 
@@ -270,49 +264,51 @@ def mixture_moments(mix: MixtureSpec) -> tuple[float, float]:
 
 def _prior(vec: np.ndarray, n_shared: int, k_n: int):
     """Log prior and its gradient at a vector laid out as ``n_shared`` mean
-    coefficients, then the K stick coordinates of each of n cells, then the
-    n concentrations; also the cells' log stick weights and stick fractions.
+    coefficients, then the K - 1 stick coordinates of each of n cells, then
+    the n concentrations; also the cells' (n, K) log stick weights and
+    (n, K - 1) stick fractions.
 
     The coefficients are standard normal, each concentration Beta(1, 1) and
     each stick fraction Beta(1, a) given its cell's concentration a, with
-    their logistic Jacobians. Any set of cells can be passed, so the sampled
-    cells and the prior-only ones share this one function.
+    their logistic Jacobians. Every term is <= 0, so a sum passes the float
+    range, to -inf, only where the value does. Any set of cells can be
+    passed, so the sampled cells and the prior-only ones share this one
+    function.
     """
     shared = vec[:n_shared]
     cells = vec[n_shared:]  # the stick coordinates, then the concentrations
-    n_sticks = cells.size // (k_n + 1) * k_n
+    n = cells.size // k_n
+    n_sticks = n * (k_n - 1)
     log_x = _log_expit(cells)
     # log(1 - x) = log x - logit x: one logaddexp pass fewer, with an absolute
     # error of about ulp(cells), which is all the sums below need.
     log_1mx = log_x - cells
     x = np.exp(log_x)
-    sticks = _log_stick_break(log_x[:n_sticks].reshape(-1, k_n).T,
-                              log_1mx[:n_sticks].reshape(-1, k_n).T)
-    sum_log_1mg = sticks[k_n]
-    gamma = x[:n_sticks].reshape(-1, k_n)
+    log_g = log_x[:n_sticks].reshape(n, k_n - 1)
+    log_1mg = log_1mx[:n_sticks].reshape(n, k_n - 1)
+    sticks = _log_stick_break(log_g.T, log_1mg.T)
+    gamma = x[:n_sticks].reshape(n, k_n - 1)
     a = x[n_sticks:]
     value = (
         -0.5 * float(shared @ shared) - 0.5 * n_shared * LOG_2PI
-        # Every logistic Jacobian, log x + log(1 - x); Beta(1, 1) is flat.
-        + float(np.add.reduce(log_x + log_1mx))
-        # Beta(1, a) on each stick fraction: K log a + (a - 1) sum log(1 - gamma).
-        + float(k_n * np.add.reduce(log_x[n_sticks:]) + (a - 1.0) @ sum_log_1mg)
+        # Each concentration's Jacobian, log a + log(1 - a) (Beta(1, 1) is
+        # flat), and its sticks' Beta(1, a) normalizers, (K - 1) log a.
+        + float(np.add.reduce(k_n * log_x[n_sticks:] + log_1mx[n_sticks:]))
+        # Each stick's Beta(1, a) density, (a - 1) log(1 - gamma), and
+        # Jacobian, log gamma + log(1 - gamma).
+        + float(np.add.reduce((log_g + a[:, None] * log_1mg).ravel()))
     )
-    if math.isnan(value):
-        # The one term >= 0, (a - 1) sum log(1 - gamma), is inf (or NaN at a = 1)
-        # only where a log(1 - gamma) sum passes the float range, and then the
-        # Jacobian sum, which holds those terms, is -inf: so is the value.
-        value = -math.inf
     grad = np.empty(vec.size)
     np.negative(shared, out=grad[:n_shared])
     # d/d stick_raw of [log Beta(gamma; 1, a) + log Jacobian] = 1 - gamma - a gamma
-    g_stick = grad[n_shared:n_shared + n_sticks].reshape(-1, k_n)
+    g_stick = grad[n_shared:n_shared + n_sticks].reshape(n, k_n - 1)
     np.multiply((1.0 + a)[:, None], gamma, out=g_stick)
     np.subtract(1.0, g_stick, out=g_stick)
-    # d/d conc of [Jacobian + K log a + (a - 1) sum log(1 - gamma)]
-    # = (1 - 2a) + K (1 - a) + a (1 - a) sum log(1 - gamma)
-    np.add(a * ((1.0 - a) * sum_log_1mg - (2.0 + k_n)), 1.0 + k_n, out=grad[n_shared + n_sticks:])
-    return value, grad, sticks[:k_n].T, gamma
+    # d/d conc of [Jacobian + (K - 1) log a + (a - 1) sum log(1 - gamma)]
+    # = (1 - 2a) + (K - 1)(1 - a) + a (1 - a) sum log(1 - gamma); that sum is
+    # the last log weight.
+    np.add(a * ((1.0 - a) * sticks[-1] - (1.0 + k_n)), k_n, out=grad[n_shared + n_sticks:])
+    return value, grad, sticks.T, gamma
 
 
 # The least column sum of exponentials that _log_sum_exp takes unshifted:
@@ -374,9 +370,9 @@ class _Observed(NamedTuple):
     mean coefficients to the cells' means, and one with its transpose the
     cells' mean gradients back to the coefficients. It holds V (I + J + 1)
     floats: 555 KB on the paper's 78 x 10 grid with every cell visited.
-    ``tail`` holds two (K, K) 0/1 matrices: a row of a cell's K
-    responsibilities times the first gives, for each l < K - 1, the l-th;
-    times the second, their sum over k >= l; both give 0 for l = K - 1.
+    ``tail`` is a (K, K - 1) 0/1 matrix: a row of a cell's K
+    responsibilities times it gives, for each l < K - 1, their sum over
+    k >= l.
     ``work`` is (K, N) scratch that every pass overwrites: it holds the
     squared distances, then ``_log_sum_exp``'s exponentials, unshifted
     except in the columns that it redoes shifted. With it the (2, K, N)
@@ -389,7 +385,7 @@ class _Observed(NamedTuple):
     n_components: int
     log_norm: float     # log(s sqrt(2 pi))
     design: np.ndarray  # (V, I + J + 1)
-    tail: np.ndarray    # (2, K, K)
+    tail: np.ndarray    # (K, K - 1)
     xs: np.ndarray      # (N,)
     counts: np.ndarray  # (V,) int, each >= 1
     starts: np.ndarray  # (V,) int
@@ -398,10 +394,10 @@ class _Observed(NamedTuple):
 
 def _value_and_grad(vec: np.ndarray, obs: _Observed):
     """Log posterior and its gradient at a vector in ``Posterior.active``
-    order (the mean coefficients, then each visited cell's stick coordinates,
-    then their concentrations), in one pass over the observations. Run it
-    under ``np.errstate(all="ignore")``: far from the posterior's mass sums
-    overflow, and the value is then -inf or NaN.
+    order (the mean coefficients, then each visited cell's K - 1 stick
+    coordinates, then their concentrations), in one pass over the
+    observations. Run it under ``np.errstate(all="ignore")``: far from the
+    posterior's mass sums overflow, and the value is then -inf or NaN.
     """
     n_shared, k_n = obs.n_shared, obs.n_components
     out, grad, logw, gamma = _prior(vec, n_shared, k_n)
@@ -428,11 +424,10 @@ def _value_and_grad(vec: np.ndarray, obs: _Observed):
         g_coef += 2.0 * (obs.design.T @ sums[0].T)
 
         # d loglik / d stick_raw_l = R_l (1 - gamma_l) - (sum_{k > l} R_k) gamma_l
-        # = R_l - (sum_{k >= l} R_k) gamma_l, and zero for the last index (the
-        # remainder weight has no gamma of its own).
+        # = R_l - (sum_{k >= l} R_k) gamma_l.
         resp_cell = sums[1].T  # (V, K)
-        g_stick = grad[n_shared:n_shared + v_n * k_n].reshape(v_n, k_n)
-        g_stick += resp_cell @ obs.tail[0] - (resp_cell @ obs.tail[1]) * gamma
+        g_stick = grad[n_shared:n_shared + gamma.size].reshape(gamma.shape)
+        g_stick += resp_cell[:, :-1] - (resp_cell @ obs.tail) * gamma
     return out, grad
 
 
@@ -483,14 +478,12 @@ class Posterior:
         design[rows, ci] = grid.cell_time[ci] / unit
         design[rows, i_n + cj] = grid.cell_logprice[cj] / unit
         design[:, -1] = 1.0 / unit
-        tail = np.stack([np.eye(k_n), np.tril(np.ones((k_n, k_n)))])
-        tail[:, :, -1] = 0.0  # the remainder weight has no fraction of its own
         self._obs = _Observed(
             n_shared=dims.n_shared,
             n_components=k_n,
             log_norm=math.log(self.component_scale) + 0.5 * LOG_2PI,
             design=design,
-            tail=tail,
+            tail=np.tril(np.ones((k_n, k_n - 1))),
             xs=xs / unit,
             counts=counts,
             starts=np.cumsum(counts) - counts,

@@ -165,8 +165,8 @@ def credible_interval(samples, level: float):
 class DrawStack:
     """What the surface reads of D posterior draws, stacked along a first
     axis: time effects (D, I, K), price effects (D, J, K), intercepts (D, K)
-    and the visited cells' stick coordinates (D, V, K) in the mask's C order.
-    An index or a slice of a stack takes the same of each array."""
+    and the visited cells' stick coordinates (D, V, K - 1) in the mask's C
+    order. An index or a slice of a stack takes the same of each array."""
 
     time_effect: np.ndarray
     price_effect: np.ndarray

@@ -1,14 +1,20 @@
-"""Cell-by-cell and draw-by-draw references for the model's one-pass kernel
-and the surface.
+"""Cell-by-cell, stick-by-stick and draw-by-draw references for the model's
+one-pass kernel, its prior and the surface.
 
 The package computes a cell's mixture only inside its vectorized passes;
 these functions rebuild it for one cell, and its density with
 ``np.logaddexp`` rather than the kernel's own ``_log_sum_exp``, so the tests
 can compare the two. ``surface_by_draw`` builds the surface one draw at a
 time, as ``build_surface`` did before it took the draws in blocks.
+``log_prior_by_stick`` sums the log prior one term at a time, and
+``k_fraction_log_prior`` is the prior of the layout that sampled a K-th stick
+fraction in each cell, summed as its implementation summed it.
 """
 
+import math
+
 import numpy as np
+from scipy.special import log_expit
 
 from rlvs.grid import GridData
 from rlvs.model import (COMPONENT_SCALE, LOG_2PI, MixtureSpec, ModelParams,
@@ -59,3 +65,45 @@ def surface_by_draw(draws, grid: GridData, config: SurfaceConfig,
     vols = annualize(stds * destandardize_scale, config.bins_per_day, config.trading_days)
     vol_lo, vol_hi = credible_interval(vols, config.ci_level)
     return VolSurface(grid.spec, vols.mean(axis=0), vol_lo, vol_hi, ~grid.mask)
+
+
+def log_prior_by_stick(vec, n_shared: int, n_sticks: int) -> float:
+    """The log prior at a vector laid out as ``n_shared`` mean coefficients,
+    then ``n_sticks`` stick coordinates of each of n cells, then the n
+    concentrations, summed term by term with ``math.fsum``: each coefficient's
+    standard normal density, each concentration's logistic Jacobian (its
+    Beta(1, 1) prior is flat) and each stick's Beta(1, a) density and
+    Jacobian, log a + log gamma + a log(1 - gamma). Each term is <= 0, so a
+    sum past the float range is -inf. With K - 1 sticks a cell it is the
+    model's prior; with K, the K-fraction layout's."""
+    vec = np.asarray(vec, dtype=float)
+    shared, cells = vec[:n_shared], vec[n_shared:]
+    n = cells.size // (n_sticks + 1)
+    raw, conc = cells[:n * n_sticks].reshape(n, n_sticks), cells[n * n_sticks:]
+    log_a = log_expit(conc)
+    terms = [-0.5 * shared * shared - 0.5 * LOG_2PI, log_a + log_expit(-conc),
+             log_a[:, None] + log_expit(raw) + np.exp(log_a)[:, None] * log_expit(-raw)]
+    try:
+        return math.fsum(np.concatenate([t.ravel() for t in terms]).tolist())
+    except OverflowError:
+        return -math.inf
+
+
+def k_fraction_log_prior(vec, n_shared: int, k_n: int) -> float:
+    """The log prior at a vector laid out as ``n_shared`` mean coefficients,
+    then K stick coordinates of each of n cells, then the n concentrations:
+    the model with a K-th stick fraction that enters no weight, Beta(1, a)
+    given its cell's concentration a like the others. Summed as that
+    model's implementation did: the Jacobians of every coordinate in one
+    sum, then K log a + (a - 1) sum log(1 - gamma) for each cell, so a
+    Jacobian sum past the float range reads -inf."""
+    shared, cells = vec[:n_shared], vec[n_shared:]
+    n_sticks = cells.size // (k_n + 1) * k_n
+    log_x = log_expit(cells)
+    log_1mx = log_x - cells
+    a = np.exp(log_x[n_sticks:])
+    sum_log_1mg = np.add.accumulate(log_1mx[:n_sticks].reshape(-1, k_n), axis=1)[:, -1:]
+    value = (-0.5 * float(shared @ shared) - 0.5 * n_shared * LOG_2PI
+             + float(np.add.reduce(log_x + log_1mx))
+             + float(k_n * np.add.reduce(log_x[n_sticks:]) + (a - 1.0) @ sum_log_1mg.ravel()))
+    return -math.inf if math.isnan(value) else value

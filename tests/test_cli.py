@@ -122,8 +122,9 @@ def set_packed_value(ckpt: dict, value: float) -> None:
 
 def stack_vectors(stack, dims: ModelDims, mask) -> np.ndarray:
     """The (draws, ``to_vector()``) array of a ``surface.DrawStack``'s draws,
-    +0.0 at every coordinate it does not hold."""
-    n, k, visited = len(stack), dims.n_components, np.flatnonzero(mask)
+    +0.0 at every coordinate it does not hold (the concentrations, and the
+    unvisited cells' sticks)."""
+    n, k, visited = len(stack), dims.n_components - 1, np.flatnonzero(mask)
     full = np.zeros((n, dims.n_coords))
     full[:, :dims.n_shared] = np.hstack([stack.time_effect.reshape(n, -1),
                                          stack.price_effect.reshape(n, -1), stack.alpha])
@@ -269,8 +270,8 @@ class TestFit:
         out = capsys.readouterr().out
         ckpt = load_checkpoint(ckpt_path)
         n_visited = int(np.sum(ckpt["grid"]["mask"]))
-        n_active = (3 + 3 + 1) * 2 + n_visited * 3
-        assert f"coordinates sampled {n_active} of 41" in out
+        n_active = (3 + 3 + 1) * 2 + n_visited * 2
+        assert f"coordinates sampled {n_active} of 32" in out
         n_grad = int(re.search(r"gradient evaluations ([\d,]+)", out)[1].replace(",", ""))
         full = 1 + 20 * (50 + 60)  # the start point, then n_leapfrog per iteration
         assert n_grad == full if ckpt["acceptance"]["n_divergent"] == 0 else n_grad < full
@@ -369,12 +370,12 @@ class TestFit:
         dims = ModelDims(**ckpt["dims"])
         assert "active" not in ckpt and ckpt["format"] == 2
         np.testing.assert_array_equal(dims.active(grid.mask), Posterior(grid, dims).active)
-        # The mean coefficients and each visited cell's first K - 1 stick coordinates.
-        stored = dims.stored(grid.mask)
-        k = dims.n_components
-        sticks = dims.n_shared + np.flatnonzero(grid.mask)[:, None] * k + np.arange(k - 1)
+        # The mean coefficients and each visited cell's K - 1 stick coordinates,
+        # the first n_stored sampled ones.
+        stored = dims.active(grid.mask)[:dims.n_stored(grid.mask)]
+        k = dims.n_components - 1
+        sticks = dims.n_shared + np.flatnonzero(grid.mask)[:, None] * k + np.arange(k)
         np.testing.assert_array_equal(stored, np.r_[np.arange(dims.n_shared), sticks.ravel()])
-        assert stored.size == dims.n_stored(grid.mask)
         if "n_time = 1" in config:
             assert grid.mask.sum() == 1 and grid.mask.size == 3
         kept = chains[0].draws[-20:]
@@ -401,7 +402,7 @@ class TestFit:
                                                                n_kept):
         mask = data.draw(hnp.arrays(bool, (n_time, n_price)))
         dims = ModelDims(n_time, n_price, k)
-        stored = dims.stored(mask)
+        stored = dims.active(mask)[:dims.n_stored(mask)]
         values = data.draw(hnp.arrays(np.float64, (n_kept, stored.size), elements=EDGE_FLOATS))
         ckpt = {"dims": {"n_time": n_time, "n_price": n_price, "n_components": k},
                 "grid": {"mask": mask.tolist()}, "draws": cli.grid_mod._pack_floats(values)}
@@ -836,6 +837,16 @@ class TestSurface:
             assert run(["surface", "--config", str(toy_cfg), "--checkpoint", str(path),
                         "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_checkpoint_of_the_k_fraction_layout_gives_its_surface(self, tmp_path):
+        # tests/data holds a K = 3 toy fit's format-2 checkpoint and its surface
+        # CSV, written when the model sampled a K-th stick fraction in each
+        # visited cell. That fraction was never stored, so the checkpoint
+        # holds the coordinates the model samples now, and the same bytes come out.
+        data, out = Path(__file__).parent / "data", tmp_path / "surface.csv"
+        assert run(["surface", "--config", str(data / "format2-k3.ini"), "--checkpoint",
+                    str(data / "format2-k3-checkpoint.json"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (data / "format2-k3-surface.csv").read_bytes()
 
     def test_byte_order_mark_skipped_in_checkpoint_and_config(self, tmp_path, toy_cfg, fitted):
         marked_cfg, marked_ckpt = tmp_path / "marked.ini", tmp_path / "marked.json"

@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit, log_expit, logsumexp, softmax
 
 from rlvs import model
-from rlvs.grid import GridData, GridSpec, build_grid, standardize_returns
+from rlvs.cli import checkpoint_draws
+from rlvs.grid import GridData, GridSpec, _pack_floats, build_grid, standardize_returns
 from rlvs.ingest import normalize_time, synth_gbm_ticks
 from rlvs.sampler import HmcConfig, effective_sample_size, run_chain
 from rlvs.model import (
@@ -26,7 +27,7 @@ from rlvs.model import (
     stick_break,
     stick_weights_from_raw,
 )
-from model_reference import cell_mixture, mixture_logpdf
+from model_reference import cell_mixture, k_fraction_log_prior, log_prior_by_stick, mixture_logpdf
 
 
 def log_prior(params):
@@ -98,7 +99,7 @@ class TestStickBreak:
         rng = np.random.default_rng(2)
         raw = rng.normal(size=(10, 4))
         np.testing.assert_allclose(
-            stick_weights_from_raw(raw), stick_break(expit(raw)), rtol=1e-12
+            stick_weights_from_raw(raw[:, :-1]), stick_break(expit(raw)), rtol=1e-12
         )
 
     def test_log_space_survives_saturation(self):
@@ -117,7 +118,7 @@ class TestStickBreak:
         # Log weights overflow to -inf here; exp gives the exact weight 0.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w = stick_weights_from_raw(np.array([1e308, -1e308, 1e308, 0.0]))
+            w = stick_weights_from_raw(np.array([1e308, -1e308, 1e308]))
         np.testing.assert_array_equal(w, [1.0, 0.0, 0.0, 0.0])
 
 
@@ -145,7 +146,7 @@ class TestStickArithmeticAtTheEdges:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
     def test_log_weights_and_weights(self, k):
-        raw = self.raws(k)
+        raw = self.raws(k - 1)
         vec = np.concatenate([raw.ravel(), np.full(len(raw), 0.3)])
         with np.errstate(over="ignore"):
             logw = model._prior(vec, 0, k)[2]
@@ -161,21 +162,25 @@ class TestStickArithmeticAtTheEdges:
         # Every cell's sticks from EDGES at one concentration. Each term of
         # the log prior is <= 0, so a sum past the float range gives -inf; a
         # NaN in any cell would make the whole value NaN.
-        raw = self.raws(k)
+        raw = self.raws(k - 1)
         vec = np.concatenate([raw.ravel(), np.full(len(raw), conc)])
         with np.errstate(all="ignore"):
             value = model._prior(vec, 0, k)[0]
         assert not np.isnan(value) and value < np.inf
 
     def test_log_prior_of_two_sticks_at_the_float_limit(self):
-        # Their log(1 - gamma) sum overflows to -inf, and so does the
-        # Jacobian sum; the Beta(1, a) term is then inf, and the value -inf.
+        # Their log(1 - gamma) sum overflows to -inf, but each stick's term,
+        # log gamma + a log(1 - gamma), is -a 1e308: at a = 0.5 the prior is
+        # about -1e308, as the stick-by-stick sum gives.
         dims = ModelDims(2, 2, 3)
         p = ModelParams.random_init(dims, np.random.default_rng(41))
-        p.stick_raw[0, 1, :2] = [1e308, 1e308]
+        p.stick_raw[0, 1] = [1e308, 1e308]
+        p.conc[0, 1] = 0.0
         with np.errstate(all="ignore"):
             value = model._prior(p.to_vector(), dims.n_shared, dims.n_components)[0]
-        assert value == -np.inf
+        ref = log_prior_by_stick(p.to_vector(), dims.n_shared, dims.n_components - 1)
+        assert -1.1e308 < ref < -0.9e308
+        assert value == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
     def test_gradient_tail(self, k):
@@ -184,7 +189,7 @@ class TestStickArithmeticAtTheEdges:
         post = Posterior(g, ModelDims(2, 2, k))
         n_shared = post.dims.n_shared
         rng = np.random.default_rng(40 + k)
-        raws = self.raws(k)
+        raws = self.raws(k - 1)
         for raw in raws[::max(1, len(raws) // 200)]:
             vec = np.concatenate([rng.normal(scale=0.5, size=n_shared), raw, [0.3]])
             with np.errstate(all="ignore"):
@@ -331,10 +336,10 @@ class TestLogPrior:
         p = ModelParams.from_vector(dims, np.zeros(dims.n_coords))
         n_normal = 2 * 2 + 2 * 2 + 2        # time, price, intercept coords
         n_cells = 2 * 2
-        n_sticks = n_cells * 2
+        n_sticks = n_cells * (2 - 1)
         # At zero coordinates every logistic value is 0.5 with Jacobian 0.25.
-        # Flat prior on the concentrations contributes nothing; each stick
-        # fraction sees Beta(1, 0.5) at 0.5: log(0.5 * 0.5 ** (-.5)).
+        # Flat prior on the concentrations contributes nothing; each of the
+        # K - 1 stick fractions sees Beta(1, 0.5) at 0.5: log(0.5 * 0.5 ** (-.5)).
         expected = (
             -0.5 * n_normal * LOG_2PI
             + n_cells * np.log(0.25)
@@ -446,10 +451,10 @@ class TestGradLogPosterior:
         i, j = next((i, j) for i in range(3) for j in range(3) if not g.mask[i, j])
         k = dims.n_components
         base = 3 * k + 3 * k + k
-        for kk in range(k):
-            idx = base + (i * 3 + j) * k + kk
+        for kk in range(k - 1):
+            idx = base + (i * 3 + j) * (k - 1) + kk
             assert grad[idx] == pytest.approx(prior_only[idx], rel=1e-6, abs=1e-8)
-        idx_c = base + 9 * k + i * 3 + j
+        idx_c = base + 9 * (k - 1) + i * 3 + j
         assert grad[idx_c] == pytest.approx(prior_only[idx_c], rel=1e-6, abs=1e-8)
 
     def test_stationary_point_of_toy_problem(self):
@@ -566,9 +571,17 @@ class TestPosterior:
 
 
 def _reference_log_posterior(params, grid, scale=COMPONENT_SCALE):
-    """log_prior plus each visited cell's mixture density, cell by cell, at
-    component standard deviation ``scale``."""
-    out = log_prior(params)
+    """The log prior, summed stick by stick, plus each visited cell's mixture
+    density, cell by cell, at component standard deviation ``scale``."""
+    dims = params.dims
+    return (log_prior_by_stick(params.to_vector(), dims.n_shared, dims.n_components - 1)
+            + _log_likelihood(params, grid, scale))
+
+
+def _log_likelihood(params, grid, scale=COMPONENT_SCALE):
+    """Each visited cell's mixture density, cell by cell, at component
+    standard deviation ``scale``."""
+    out = 0.0
     for i in range(grid.spec.n_time):
         for j in range(grid.spec.n_price):
             if grid.mask[i, j]:
@@ -606,7 +619,7 @@ def _take_bincount_pass(post, vec):
     if xs.size == 0:
         return out, grad
     v_n = cells.size
-    sticks = vec[n_shared:n_shared + v_n * k_n].reshape(v_n, k_n)
+    sticks = vec[n_shared:n_shared + v_n * (k_n - 1)].reshape(v_n, k_n - 1)
     logw = _cumsum_log_weights(sticks)
     gamma = expit(sticks)
     ci, cj = np.divmod(cells, j_n)
@@ -630,23 +643,19 @@ def _take_bincount_pass(post, vec):
     dmu_cell = dmu_cell / (s * s)
     grad[:n_shared] += np.bincount(coef.ravel(), weights=(cov * dmu_cell).ravel(),
                                    minlength=n_shared)
-    if k_n > 1:
-        tail = np.cumsum(resp_cell[:, ::-1], axis=1)[:, ::-1]
-        g_stick = grad[n_shared:n_shared + v_n * k_n].reshape(v_n, k_n)
-        g_stick[:, :-1] += (resp_cell - tail * gamma)[:, :-1]
+    tail = np.cumsum(resp_cell[:, ::-1], axis=1)[:, ::-1]
+    g_stick = grad[n_shared:n_shared + gamma.size].reshape(gamma.shape)
+    g_stick += resp_cell[:, :-1] - tail[:, :-1] * gamma
     return out, grad
 
 
 def _cumsum_log_weights(stick_raw):
-    """(..., K) log stick-break weights of raw coordinates by a running sum
-    of log(1 - gamma)."""
+    """(..., K) log stick-break weights of (..., K - 1) raw coordinates by a
+    running sum of log(1 - gamma)."""
     log_g, log_1mg = log_expit(stick_raw), log_expit(-stick_raw)
-    logw = np.empty_like(log_g)
-    prefix = np.cumsum(log_1mg, axis=-1)
-    logw[..., 0] = log_g[..., 0]
-    logw[..., 1:] = log_g[..., 1:] + prefix[..., :-1]
-    logw[..., -1] = prefix[..., -2] if log_g.shape[-1] > 1 else 0.0
-    return logw
+    zero = np.zeros(log_g.shape[:-1] + (1,))
+    return (np.concatenate([log_g, zero], axis=-1)
+            + np.concatenate([zero, np.cumsum(log_1mg, axis=-1)], axis=-1))
 
 
 class TestKernel:
@@ -745,16 +754,21 @@ class TestKernel:
 
     def test_log_weight_driven_to_minus_infinity(self):
         # Two stick coordinates this large overflow the prefix sum of
-        # log(1 - gamma): one log weight is -inf, and so is the prior.
+        # log(1 - gamma): one log weight is -inf. The prior's stick terms,
+        # log gamma + a log(1 - gamma), are -a 1e308 and -1e308: at a = 0.5
+        # the posterior is about -1.5e308, as the stick-by-stick sum gives.
         g = one_cell_grid()
         dims = ModelDims(2, 2, 3)
         p = ModelParams.random_init(dims, np.random.default_rng(32))
-        p.stick_raw[0, 1, :2] = [1e308, -1e308]
+        p.stick_raw[0, 1] = [1e308, -1e308]
+        p.conc[0, 1] = 0.0
         with np.errstate(over="ignore"):
             logw = model._prior(p.to_vector(), dims.n_shared, 3)[2]
             assert logw.reshape(2, 2, 3)[0, 1, 1] == -np.inf
             value = Posterior(g, dims).logp(p.to_vector())
-            assert value == _reference_log_posterior(p, g) == -np.inf
+        ref = _reference_log_posterior(p, g)
+        assert -1.6e308 < ref < -1.4e308
+        assert value == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 20])
     def test_log_sum_exp_matches_scipy(self, k):
@@ -833,6 +847,99 @@ class TestKernel:
         assert peak < (2 * k + 3) * n * 8
 
 
+def _logit_beta_density(r, log_a):
+    """log density of the logistic coordinate r of a Beta(1, a) fraction
+    gamma: log a + (a - 1) log(1 - gamma) plus the Jacobian, log gamma +
+    log(1 - gamma), with log(1 - gamma) = log gamma - r."""
+    log_g = log_expit(r)
+    return log_a + log_g + np.exp(log_a) * (log_g - r)
+
+
+class TestMarginalizedStick:
+    """The model leaves out each cell's K-th stick fraction, which enters no
+    weight. With it, the K-fraction layout's log posterior is the model's
+    plus that fraction's logit-Beta(1, a) log density in each cell, and the
+    density integrates to 1, so every other marginal is the same."""
+
+    # Where logistic values saturate (36.8), exps underflow (745) and
+    # Jacobian terms reach 1e300, yet the K-fraction sums stay in range.
+    EDGES = [0.0, 36.8, -36.8, 745.0, -745.0, 1e300, -1e300]
+
+    @pytest.mark.parametrize("points", ["random", "float edge"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_k_fraction_posterior_adds_the_dropped_density(self, k, points):
+        g = toy_grid(seed=48)
+        dims = ModelDims(3, 3, k)
+        post = Posterior(g, dims)
+        rng = np.random.default_rng(48 + k)
+        for _ in range(20):
+            scale = rng.choice([0.3, 1.0, 3.0])
+            v = rng.normal(scale=scale, size=dims.n_coords)
+            last = rng.normal(scale=scale, size=(3, 3))
+            if points == "float edge":
+                v[dims.n_shared:] = rng.choice(self.EDGES, size=v.size - dims.n_shared)
+                last = rng.choice(self.EDGES, size=(3, 3))
+            p = ModelParams.from_vector(dims, v)
+            sticks = np.concatenate([p.stick_raw, last[..., None]], axis=-1)
+            k_fraction = np.concatenate([v[:dims.n_shared], sticks.ravel(), p.conc.ravel()])
+            old = k_fraction_log_prior(k_fraction, dims.n_shared, k) + _log_likelihood(p, g)
+            new = post.logp(v)
+            assert math.isfinite(old) and math.isfinite(new)
+            dropped = math.fsum(_logit_beta_density(last, log_expit(p.conc)).ravel())
+            assert abs(old - new - dropped) <= 1e-12 * abs(new)
+
+    @pytest.mark.parametrize("a", [0.2, 0.5, 0.9])
+    def test_dropped_density_integrates_to_one(self, a):
+        # The trapezoid rule; the density is below exp(-39) outside [-200, 200].
+        r, h = np.linspace(-200.0, 200.0, 400_001, retstep=True)
+        f = np.exp(_logit_beta_density(r, math.log(a)))
+        assert h * (f.sum() - 0.5 * (f[0] + f[-1])) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestLayoutEdges:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 6), n_time=st.integers(1, 4), n_price=st.integers(1, 4),
+           bits=st.lists(st.booleans(), min_size=16, max_size=16),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(k=1, n_time=2, n_price=2, bits=[False, True] + [False] * 14, seed=0)
+    @example(k=3, n_time=2, n_price=2, bits=[False, True] + [False] * 14, seed=1)
+    @example(k=1, n_time=3, n_price=1, bits=[True] * 16, seed=2)
+    @example(k=4, n_time=3, n_price=1, bits=[True, False] * 8, seed=3)
+    def test_vector_checkpoint_and_gradient_layout(self, k, n_time, n_price, bits, seed):
+        rng = np.random.default_rng(seed)
+        g = empty_grid(n_time, n_price)
+        for c in range(n_time * n_price):
+            if bits[c]:
+                g.mask.flat[c] = True
+                g.returns[c // n_price][c % n_price].extend(rng.normal(size=3).tolist())
+        dims = ModelDims(n_time, n_price, k)
+        p = ModelParams.random_init(dims, rng)
+        vec = p.to_vector()
+        assert len(vec) == dims.n_coords
+        q = ModelParams.from_vector(dims, vec)
+        for name in ("time_effect", "price_effect", "alpha", "stick_raw", "conc"):
+            np.testing.assert_array_equal(getattr(q, name), getattr(p, name))
+        assert p.stick_raw.shape == (n_time, n_price, k - 1)
+
+        # A checkpoint's draw is the first n_stored active coordinates, and
+        # they give back every array the surface reads.
+        post = Posterior(g, dims)
+        stored = vec[post.active[:dims.n_stored(g.mask)]]
+        ckpt = {"dims": {"n_time": n_time, "n_price": n_price, "n_components": k},
+                "grid": {"mask": g.mask.tolist()}, "draws": _pack_floats(stored[None])}
+        stack = checkpoint_draws(ckpt)
+        for got, want in zip((stack.time_effect, stack.price_effect, stack.alpha, stack.sticks),
+                             (p.time_effect, p.price_effect, p.alpha, p.stick_raw[g.mask])):
+            np.testing.assert_array_equal(got[0], want)
+
+        # At K = 1 a visited cell keeps only its concentration, which only
+        # its prior reads.
+        active = vec[post.active]
+        gf = fd_grad(post.logp, active)
+        err = np.abs(post.grad(active) - gf) / np.maximum(1.0, np.abs(gf))
+        assert err.max(initial=0.0) < 1e-5
+
+
 class TestParamsSerialization:
     def test_vector_round_trip(self):
         dims = ModelDims(3, 4, 2)
@@ -892,7 +999,7 @@ class TestActiveCoordinates:
         dims = ModelDims(3, 3, k)
         post = Posterior(g, dims)
         n_visited = int(g.mask.sum())
-        assert post.active.size == dims.n_shared + n_visited * (k + 1)
+        assert post.active.size == dims.n_shared + n_visited * k
         assert np.all(np.diff(post.active) > 0)
         # The stick coordinates and the concentration of each visited cell.
         p = ModelParams.from_vector(dims, np.arange(dims.n_coords, dtype=float))
@@ -902,17 +1009,14 @@ class TestActiveCoordinates:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_stored_index_layout(self, k):
+        # A checkpoint stores the first n_stored active coordinates: the mean
+        # coefficients and the K - 1 stick coordinates of each visited cell,
+        # at K = 1 the mean coefficients alone.
         g = few_cells_grid()
         dims = ModelDims(3, 3, k)
-        stored = dims.stored(g.mask)
-        # The first K - 1 stick coordinates of each visited cell: at K = 1,
-        # the mean coefficients alone.
         p = ModelParams.from_vector(dims, np.arange(dims.n_coords, dtype=float))
-        want = np.concatenate([np.arange(dims.n_shared),
-                               p.stick_raw[g.mask][:, :k - 1].ravel()]).astype(int)
-        np.testing.assert_array_equal(stored, want)
-        assert stored.size == dims.n_stored(g.mask)
-        assert np.isin(stored, Posterior(g, dims).active).all()
+        want = np.concatenate([np.arange(dims.n_shared), p.stick_raw[g.mask].ravel()])
+        np.testing.assert_array_equal(Posterior(g, dims).active[:dims.n_stored(g.mask)], want)
 
     def test_dims_that_disagree_with_the_grid_named(self):
         g = few_cells_grid()

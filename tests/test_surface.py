@@ -348,7 +348,8 @@ def test_blocked_surface_equals_draw_by_draw_loop(fit, block):
     # whatever the number of rows beside them, so every float is the same.
     # ``block`` draws per block, where given, make small grids' blocks partial too.
     draws, grid, cfg = fit
-    budget = surface._BLOCK_BYTES if block is None else block * 8 * draws[0].stick_raw.size
+    budget = (surface._BLOCK_BYTES if block is None
+              else block * 8 * draws[0].alpha.size * grid.mask.size)
     with mock.patch.object(surface, "_BLOCK_BYTES", budget):
         ours = build_surface(draws, grid, cfg, destandardize_scale=0.002)
     assert_same_surface(ours, surface_by_draw(draws, grid, cfg, destandardize_scale=0.002))
@@ -372,12 +373,12 @@ def test_blocked_surface_near_draw_by_draw_loop_for_eight_or_more_components(fit
 @example(fit=mask_fit([[False], [True]], 1, 2, 2), seed=0)
 @example(fit=mask_fit([[True], [False], [False]], 8, 3, 2), seed=0)
 def test_surface_reads_only_the_coordinates_a_checkpoint_stores(fit, seed):
-    # A checkpoint keeps ModelDims.stored of each draw. Whatever the other
-    # coordinates hold, here half at the float's edges and half spread
-    # wide, every float of the surface is the same.
+    # A checkpoint keeps the first ModelDims.n_stored sampled coordinates of
+    # each draw. Whatever the other coordinates hold, here half at the
+    # float's edges and half spread wide, every float of the surface is the same.
     draws, grid, cfg = fit
     dims = draws[0].dims
-    rest = np.setdiff1d(np.arange(dims.n_coords), dims.stored(grid.mask))
+    rest = np.delete(np.arange(dims.n_coords), dims.active(grid.mask)[:dims.n_stored(grid.mask)])
     rng = np.random.default_rng(seed)
     other = []
     for p in draws:
@@ -396,7 +397,7 @@ def checkpoint_stack(draws, grid):
     """The ``DrawStack`` that ``cli.checkpoint_draws`` cuts from a checkpoint
     holding the stored coordinates of ``draws``."""
     dims = draws[0].dims
-    stored = dims.stored(grid.mask)
+    stored = dims.active(grid.mask)[:dims.n_stored(grid.mask)]
     ckpt = {"dims": {"n_time": dims.n_time, "n_price": dims.n_price,
                      "n_components": dims.n_components},
             "grid": {"mask": grid.mask.tolist()},
@@ -413,11 +414,12 @@ def checkpoint_stack(draws, grid):
 @example(fit=mask_fit([[True, False], [False, True], [True, True]], 9, 5, 3, 50.0, True), block=2)
 @example(fit=mask_fit(np.ones((78, 10)), 5, 13, 11), block=None)
 def test_stacked_draws_give_the_surface_of_their_model_params(fit, block):
-    # A checkpoint's stack, cut from the stored coordinates with the last
-    # stick coordinate zero, and the same draws as ModelParams, stacked a
+    # A checkpoint's stack, cut from the stored coordinates, and the same
+    # draws as ModelParams, stacked a
     # block at a time, give the same floats at every K, K >= 8 included.
     draws, grid, cfg = fit
-    budget = surface._BLOCK_BYTES if block is None else block * 8 * draws[0].stick_raw.size
+    budget = (surface._BLOCK_BYTES if block is None
+              else block * 8 * draws[0].alpha.size * grid.mask.size)
     with mock.patch.object(surface, "_BLOCK_BYTES", budget):
         ours = build_surface(checkpoint_stack(draws, grid), grid, cfg, destandardize_scale=0.002)
         theirs = build_surface(draws, grid, cfg, destandardize_scale=0.002)
