@@ -24,6 +24,8 @@ the sampler integrates.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -311,34 +313,44 @@ def _prior(vec: np.ndarray, n_shared: int, k_n: int):
     return value, grad, sticks.T, gamma
 
 
-# The least column sum of exponentials that _log_sum_exp takes unshifted:
-# 2^53 times the least normal float, exp(-671.7). Above it, an exponential
-# that rounds into the subnormal range, where it keeps fewer than 53 bits,
-# lies below half an ulp of its column's sum, so its lost bits cannot move
-# the sum and change its responsibility by at most 2^-106. A kernel column
-# sums below it only for a return about 37 component scales from every mean.
-_MIN_TOTAL = 2.0 ** -969
+# The least column sum of exponentials that _log_sum_exp takes unshifted, by
+# the kernel's working dtype: 2^(p + 1) times the least normal float for p
+# mantissa bits, so 2^-969 = exp(-671.7) in float64 and 2^-102 = exp(-70.7)
+# in float32. Above it, an exponential that rounds into the subnormal range,
+# where it keeps fewer bits, lies below half an ulp of its column's sum, so
+# its lost bits cannot move the sum and change its responsibility by at most
+# 2^-(2p + 2). A kernel column sums below it only for a return about 37
+# (float64) or 12 (float32) component scales from every mean.
+_MIN_TOTAL = {np.dtype(np.float64): 2.0 ** -969, np.dtype(np.float32): 2.0 ** -102}
+
+# The fewest returns at which ``Posterior.trajectory`` runs the kernel in
+# float32. A fixed-step chain's time on float32 trajectories over its time
+# on float64 ones read 1.18, 1.20, 1.01, 0.99, 0.97, 0.90 and 0.62 at 78,
+# 390, 1,560, 2,127, 2,340, 4,680 and 23,400 returns: below about 2,000
+# the float64 pass at each trajectory's end costs what float32 saves.
+_F32_MIN_RETURNS = 2048
 
 
 def _log_sum_exp(terms: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """log(sum(exp(terms), axis=0)) for a (K, N) array. On return ``terms``
-    holds each column's softmax, exp(terms - lse) (the mixture's
-    responsibilities), and ``work``, a (K, N) scratch array, the
-    exponentials that were summed.
+    """log(sum(exp(terms), axis=0)) for a (K, N) float64 or float32 array,
+    in its dtype. On return ``terms`` holds each column's softmax,
+    exp(terms - lse) (the mixture's responsibilities), and ``work``, a
+    (K, N) scratch array of the same dtype, the exponentials that were
+    summed.
 
     The kernel's terms, log w - z^2, are all <= 0, so their exps cannot
-    overflow and are summed unshifted. Only a column whose sum is below
-    ``_MIN_TOTAL``, +inf or NaN is redone shifted by its max (Blanchard,
-    Higham & Higham 2021, "Accurately computing the log-sum-exp and softmax
-    functions"), and ``work`` holds its shifted exponentials. A column whose
-    max is not finite is not shifted, so every term -inf gives -inf, a +inf
-    term +inf and a NaN NaN, as ``scipy.special.logsumexp`` does; such a
-    column divides by zero or meets inf - inf, so the caller runs this
-    under ``np.errstate(all="ignore")``.
+    overflow and are summed unshifted. Only a column whose sum is below the
+    dtype's ``_MIN_TOTAL``, +inf or NaN is redone shifted by its max
+    (Blanchard, Higham & Higham 2021, "Accurately computing the log-sum-exp
+    and softmax functions"), and ``work`` holds its shifted exponentials. A
+    column whose max is not finite is not shifted, so every term -inf gives
+    -inf, a +inf term +inf and a NaN NaN, as ``scipy.special.logsumexp``
+    does; such a column divides by zero or meets inf - inf, so the caller
+    runs this under ``np.errstate(all="ignore")``.
     """
     e = np.exp(terms, out=work)
     total = np.add.reduce(e, axis=0)
-    ok = total >= _MIN_TOTAL
+    ok = total >= _MIN_TOTAL[terms.dtype]
     ok &= total < math.inf
     redo = np.flatnonzero(~ok) if np.count_nonzero(ok) < ok.size else None
     if redo is not None:
@@ -370,6 +382,9 @@ class _Observed(NamedTuple):
     mean coefficients to the cells' means, and one with its transpose the
     cells' mean gradients back to the coefficients. It holds V (I + J + 1)
     floats: 555 KB on the paper's 78 x 10 grid with every cell visited.
+    ``xs`` and ``work`` share one working dtype, float64 or float32, in
+    which the kernel's (K, N) arithmetic runs; the design matrix, the prior
+    and the gradient stay float64.
     ``tail`` is a (K, K - 1) 0/1 matrix: a row of a cell's K
     responsibilities times it gives, for each l < K - 1, their sum over
     k >= l.
@@ -386,10 +401,10 @@ class _Observed(NamedTuple):
     log_norm: float     # log(s sqrt(2 pi))
     design: np.ndarray  # (V, I + J + 1)
     tail: np.ndarray    # (K, K - 1)
-    xs: np.ndarray      # (N,)
+    xs: np.ndarray      # (N,), working dtype
     counts: np.ndarray  # (V,) int, each >= 1
     starts: np.ndarray  # (V,) int
-    work: np.ndarray    # (K, N)
+    work: np.ndarray    # (K, N), working dtype
 
 
 def _value_and_grad(vec: np.ndarray, obs: _Observed):
@@ -398,6 +413,12 @@ def _value_and_grad(vec: np.ndarray, obs: _Observed):
     coordinates, then their concentrations), in one pass over the
     observations. Run it under ``np.errstate(all="ignore")``: far from the
     posterior's mass sums overflow, and the value is then -inf or NaN.
+
+    The (K, N) work runs in the dtype of ``obs.xs``. In float32 the cells'
+    means and log weights are rounded once per cell, an error that every
+    return of the cell shares, so its first-order effect on the value is
+    added back from the per-cell sums the gradient takes anyway; the
+    returns' log-sum-exps are summed in float64 in either dtype.
     """
     n_shared, k_n = obs.n_shared, obs.n_components
     out, grad, logw, gamma = _prior(vec, n_shared, k_n)
@@ -407,18 +428,24 @@ def _value_and_grad(vec: np.ndarray, obs: _Observed):
         table = np.empty((2, k_n, v_n))
         np.matmul(vec[:n_shared].reshape(-1, k_n).T, obs.design.T, out=table[0])
         table[1] = logw.T
-        both = table.repeat(obs.counts, axis=2)  # (2, K, N)
+        cast = table.astype(obs.xs.dtype, copy=False)
+        both = cast.repeat(obs.counts, axis=2)  # (2, K, N)
 
         z = np.subtract(obs.xs, both[0], out=both[0])
         terms = both[1]  # log w_k - z^2, built in place
         terms -= np.square(z, out=obs.work)
         # _log_sum_exp turns terms into the responsibilities.
         lse = _log_sum_exp(terms, obs.work)
-        out += float(np.add.reduce(lse)) - obs.xs.size * obs.log_norm
+        out += float(np.add.reduce(lse, dtype=float)) - obs.xs.size * obs.log_norm
         z *= terms
 
         # One reduceat sums resp * z and resp over each cell's run.
         sums = np.add.reduceat(both, obs.starts, axis=2)  # (2, K, V)
+        if cast is not table:
+            # d lse / d mean = 2 resp z and d lse / d log w = resp, summed
+            # over the cell, times what rounding took off its mean and log w.
+            lost = np.where(np.isfinite(cast), table - cast, 0.0)
+            out += 2.0 * float(np.vdot(sums[0], lost[0])) + float(np.vdot(sums[1], lost[1]))
         # d(-z^2)/d mean coefficient = 2 z times its design entry.
         g_coef = grad[:n_shared].reshape(-1, k_n)
         g_coef += 2.0 * (obs.design.T @ sums[0].T)
@@ -526,3 +553,26 @@ class Posterior:
         if self._last_logp is None:
             raise ModelError("last_logp needs a grad call first")
         return self._last_logp
+
+    @functools.cached_property
+    def trajectory(self):
+        """This posterior with its kernel in float32, or None when the grid
+        holds fewer than ``_F32_MIN_RETURNS`` returns.
+
+        It has the same ``active``, and its ``grad`` and ``last_logp`` run
+        the (K, N) work in float32: half a float64 pass's time at tick
+        level, with the value within 2^-24 relative. The sampler
+        integrates trajectories with it and takes the Metropolis test on
+        this posterior's float64 ``logp``, so the chain's target stays the
+        float64 posterior. Built on first read, from float32 copies of the
+        returns and the scratch; the rest is shared.
+        """
+        obs = self._obs
+        if obs.xs.size < _F32_MIN_RETURNS:
+            return None
+        path = copy.copy(self)
+        path._obs = obs._replace(xs=obs.xs.astype(np.float32),
+                                 work=np.empty(obs.work.shape, dtype=np.float32))
+        path._last_logp = None
+        path.trajectory = None
+        return path

@@ -16,6 +16,19 @@ it from the same evaluation; any other is asked for ``logp(q)`` after each
 ``grad(q)``. A target that also exposes ``active``, an index into the
 position vector, is integrated on those coordinates alone; ``logp`` and
 ``grad`` then see vectors of that length.
+
+A target may also expose ``trajectory``: None, or a second target on the
+same coordinates with ``grad`` and ``last_logp()`` that are cheaper and need
+not be exact (``model.Posterior`` gives its float32 kernel at tick level).
+``run_chain`` and ``hmc_step`` then integrate every trajectory with its
+gradient, and the divergence check inside the trajectory reads its
+``last_logp()``. The start point's log density and the Metropolis test read
+the target's own ``logp``: after a trajectory that did not diverge, H - H0
+is recomputed from ``logp`` at its end. Leapfrog with any deterministic
+gradient is reversible and volume-preserving, so the chain still leaves the
+target's density invariant (Neal 2011, "MCMC using Hamiltonian dynamics",
+on using approximations to compute the trajectory); only its acceptance
+rate depends on how close the two gradients are. The target's ``grad`` is then never called.
 """
 
 from __future__ import annotations
@@ -97,7 +110,10 @@ class Chain:
     ``MAX_DELTA_H`` or at a non-finite state, records ``delta_h`` inf.
     ``n_grad`` counts the gradient evaluations of the whole run: the start
     point's, then one per leapfrog step taken, so a stopped trajectory counts
-    its steps up to the stop.
+    its steps up to the stop. With a ``trajectory`` target they are its
+    evaluations, and ``n_end_points`` counts the target's own ``logp``
+    passes: the start point's, then one at the end of each trajectory that
+    did not diverge. It is 0 without one.
     """
 
     draws: Sequence = field(default_factory=list)
@@ -107,6 +123,7 @@ class Chain:
     n_burn: int = 0
     step_size_used: float = float("nan")
     n_grad: int = 0
+    n_end_points: int = 0
 
 
 @dataclass
@@ -119,6 +136,7 @@ class DiagnosticsReport:
     all_rejected_post_burn: bool
     n_grad: int = 0
     n_divergent_post_burn: int = 0
+    n_end_points: int = 0
 
     def __str__(self):
         return (
@@ -126,6 +144,7 @@ class DiagnosticsReport:
             f"mean |dH| {self.mean_abs_delta_h:.4g}, divergences {self.n_divergent} "
             f"({self.n_divergent_post_burn} after burn-in), "
             f"draws {self.n_draws}, gradient evaluations {self.n_grad:,}"
+            + (f" ({self.n_end_points:,} float64 end points)" if self.n_end_points else "")
             + (", WARNING: no post-burn proposal accepted" if self.all_rejected_post_burn else "")
         )
 
@@ -206,14 +225,24 @@ def hmc_step(q, logp_q: float, grad_q, target, rng: np.random.Generator,
     rejected with delta_h = inf. On rejection the position and gradient
     objects are returned untouched. The uniform of the Metropolis test is
     drawn after integration whether or not the trajectory was stopped.
+
+    With a ``trajectory`` target, ``grad_q`` and the returned gradient are
+    its gradients, ``logp_q`` and the returned log density the target's
+    ``logp``, and the Metropolis test reads ``target.logp`` at the end.
     """
     mass = np.asarray(mass_diag, dtype=float)
     p0 = rng.standard_normal(np.shape(q)) * np.sqrt(mass)
     h0 = kinetic(p0, mass) - logp_q
 
-    q_new, _, logp_new, g_new, delta_h = _integrate(
-        np.asarray(q, dtype=float), p0, grad_q, target, step_size, n_leapfrog, mass, h0,
-        MAX_DELTA_H)
+    path = getattr(target, "trajectory", None)
+    q_new, p_new, logp_new, g_new, delta_h = _integrate(
+        np.asarray(q, dtype=float), p0, grad_q, target if path is None else path, step_size,
+        n_leapfrog, mass, h0, MAX_DELTA_H)
+    if path is not None and delta_h < np.inf:
+        logp_new = target.logp(q_new)
+        delta_h = kinetic(p_new, mass) - logp_new - h0
+        if not -np.inf < delta_h <= MAX_DELTA_H:
+            delta_h = np.inf
     u = rng.random()
     if delta_h == np.inf:
         return q, logp_q, grad_q, False, delta_h, True
@@ -253,15 +282,17 @@ class _DualAveraging:
 
 
 class _Counted:
-    """``target`` with its gradient evaluations counted."""
+    """``target`` with its gradient and log density evaluations counted."""
 
     def __init__(self, target):
         self.target = target
         self.n_grad = 0
+        self.n_logp = 0
         if hasattr(target, "last_logp"):
             self.last_logp = target.last_logp
 
     def logp(self, q):
+        self.n_logp += 1
         return self.target.logp(q)
 
     def grad(self, q):
@@ -278,7 +309,8 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
     ``active``, only ``init[active]`` moves (momenta are drawn for those
     coordinates alone, and a vector ``mass_diag`` is sliced to them). The
     draws keep only those coordinates; each reads back full length, holding
-    ``init`` everywhere else.
+    ``init`` everywhere else. A ``trajectory`` target integrates the
+    trajectories (see the module docstring).
     """
     rng = np.random.default_rng(config.seed)
     start = np.array(init, dtype=float)
@@ -289,9 +321,15 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
     mass = np.asarray(config.mass_diag, dtype=float)
     if mass.ndim:
         mass = mass[active]
+    path = getattr(target, "trajectory", None)
     target = _Counted(target)
-    grad_q = target.grad(q)
-    logp_q = _logp_reader(target)(q)
+    if path is None:
+        grad_q = target.grad(q)
+        logp_q = _logp_reader(target)(q)
+    else:
+        target.trajectory = path = _Counted(path)
+        grad_q = path.grad(q)
+        logp_q = target.logp(q)
     if not np.isfinite(logp_q):
         raise SamplerError("initial point has non-finite log density")
 
@@ -328,7 +366,8 @@ def run_chain(init: np.ndarray, config: HmcConfig, target) -> Chain:
         divergent=divergent,
         n_burn=config.n_burn,
         step_size_used=eps,
-        n_grad=target.n_grad,
+        n_grad=target.n_grad if path is None else path.n_grad,
+        n_end_points=0 if path is None else target.n_logp,
     )
 
 
@@ -361,6 +400,7 @@ def diagnostics(chain: Chain) -> DiagnosticsReport:
         all_rejected_post_burn=bool(post.size) and not bool(post.any()),
         n_grad=chain.n_grad,
         n_divergent_post_burn=int(np.sum(chain.divergent[chain.n_burn:])),
+        n_end_points=chain.n_end_points,
     )
 
 

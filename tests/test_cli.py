@@ -595,6 +595,20 @@ class TestTickSignals:
         assert ratio == pytest.approx((r @ r) / (five @ five), abs=5e-4)
         assert "warning" not in err
 
+    def test_summary_counts_the_float64_end_points(self, tmp_path, capsys):
+        # 23,400 returns: the trajectories run in float32 and the Metropolis
+        # test reads a float64 pass at the start and at each trajectory's
+        # end, which the line counts beside the gradient evaluations.
+        cfg, ticks, ckpt = tmp_path / "sig.ini", tmp_path / "ticks.csv", tmp_path / "ckpt.json"
+        cfg.write_text(SIGNALS_CONFIG)
+        save_ticks(TickSeries(np.linspace(0.0, 23_400.0, 23_401), self.session()), ticks)
+        assert run(["fit", "--config", str(cfg), "--ticks", str(ticks), "--out", str(ckpt)]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if "coordinates sampled" in l)
+        n_div = load_checkpoint(ckpt)["acceptance"]["n_divergent"]
+        n_grad = int(re.search(r"gradient evaluations ([\d,]+)", line)[1].replace(",", ""))
+        assert n_grad == 1 + 2 * 2 if n_div == 0 else n_grad < 1 + 2 * 2
+        assert f"gradient evaluations {n_grad} ({1 + 2 - n_div} float64 end points), " in line
+
     def test_log_price_noise_warns(self, tmp_path, capsys):
         prices = self.session()
         prices *= np.exp(1e-4 * np.random.default_rng(8).standard_normal(prices.size))

@@ -847,6 +847,135 @@ class TestKernel:
         assert peak < (2 * k + 3) * n * 8
 
 
+def tick_session(n_ticks=5_001, seed=36):
+    """A 6 x 4 grid at tick level: ``n_ticks`` - 1 returns, above
+    ``model._F32_MIN_RETURNS``."""
+    return toy_grid(6, 4, n_ticks=n_ticks, seed=seed)
+
+
+def assert_trajectory_matches(post, vec, rel):
+    """The float32 trajectory's value within ``rel`` relative of ``logp``,
+    and its gradient within 1e-5 of the largest float64 gradient entry."""
+    path = post.trajectory
+    g32 = path.grad(vec)
+    g64 = post.grad(vec)
+    assert np.isfinite(path.last_logp())
+    assert path.last_logp() == pytest.approx(post.last_logp(), rel=rel)
+    assert post.logp(vec) == post.last_logp()
+    assert np.max(np.abs(g32 - g64)) <= 1e-5 * np.max(np.abs(g64))
+
+
+class TestFloat32Trajectory:
+    def test_below_the_threshold_there_is_none(self):
+        five_minute = toy_grid(6, 4, n_ticks=79, seed=36)
+        assert five_minute.n_observations() == 78
+        assert Posterior(five_minute, ModelDims(6, 4, 5)).trajectory is None
+        for n, expected in ((model._F32_MIN_RETURNS - 1, None), (model._F32_MIN_RETURNS, "path")):
+            g = tick_session(n_ticks=n + 1)
+            assert g.n_observations() == n
+            path = Posterior(g, ModelDims(6, 4, 3)).trajectory
+            assert (path is None) == (expected is None)
+
+    def test_shares_the_coordinates_and_keeps_logp_float64(self):
+        g = tick_session()
+        post = Posterior(g, ModelDims(6, 4, 3))
+        vec = np.random.default_rng(50).normal(scale=0.3, size=post.active.size)
+        before = post.logp(vec), post.grad(vec)
+        path = post.trajectory
+        assert path is post.trajectory and path.trajectory is None
+        assert path.active is post.active
+        assert path._obs.xs.dtype == np.float32 and post._obs.xs.dtype == np.float64
+        assert path._obs.counts is post._obs.counts
+        assert post.logp(vec) == before[0]
+        np.testing.assert_array_equal(post.grad(vec), before[1])
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_tick_session_value_and_gradient(self, k):
+        # Measured worst 4e-9 relative for the value and 4e-7 for the gradient.
+        g = tick_session()
+        post = Posterior(g, ModelDims(6, 4, k))
+        rng = np.random.default_rng(51)
+        for scale in (0.1, 0.3):
+            assert_trajectory_matches(post, rng.normal(scale=scale, size=post.active.size), 1e-8)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_return_far_from_every_mean(self, sign):
+        # 50 component scales out every float32 exp of the return's column
+        # underflows to 0, below _MIN_TOTAL, so its column is redone shifted.
+        # Rounding the return itself to float32 moves its z^2 = 1,250 by up
+        # to 2 z ulp(z) / 2 = 1.3e-4, which is 1.6e-8 of this value: the
+        # bound is the property's below, float32's unit roundoff 2^-24
+        # (measured 1.3e-8 and 0.1e-8).
+        g = tick_session()
+        i, j = np.argwhere(g.mask)[0]
+        g.returns[i][j][0] = 50.0 * sign
+        post = Posterior(g, ModelDims(6, 4, 3))
+        vec = np.random.default_rng(52).normal(scale=0.1, size=post.active.size)
+        assert_trajectory_matches(post, vec, float(np.finfo(np.float32).eps) / 2)
+
+    def test_log_weight_past_the_float32_range(self):
+        # A stick coordinate of 1e39 drives a log weight to about -1e39: finite
+        # in float64, -inf in float32. The component's weight is 0 either
+        # way, so the value stays finite and the rounding correction skips
+        # the entry it cannot round.
+        g = tick_session()
+        dims = ModelDims(6, 4, 3)
+        post = Posterior(g, dims)
+        p = ModelParams.from_vector(dims, np.zeros(dims.n_coords))
+        i, j = np.argwhere(g.mask)[0]
+        p.stick_raw[i, j, 0] = -1e39
+        vec = p.to_vector()[post.active]
+        assert_trajectory_matches(post, vec, 1e-8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 5), n_time=st.integers(1, 4), n_price=st.integers(1, 4),
+           bits=st.lists(st.booleans(), min_size=16, max_size=16),
+           extra=st.integers(0, 3_000), scale=st.floats(0.05, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(k=1, n_time=3, n_price=2, bits=[True] * 16, extra=0, scale=1.0, seed=0)
+    @example(k=3, n_time=4, n_price=1, bits=[True] * 16, extra=500, scale=0.3, seed=1)
+    @example(k=2, n_time=2, n_price=2, bits=[False, True] + [False] * 14, extra=3_000,
+             scale=2.0, seed=0)
+    @example(k=1, n_time=2, n_price=2, bits=[False, True] + [False] * 14, extra=3_000,
+             scale=2.0, seed=3)
+    @example(k=1, n_time=1, n_price=1, bits=[True] * 16, extra=0, scale=0.3, seed=3)
+    def test_matches_float64_on_any_layout(self, k, n_time, n_price, bits, extra, scale, seed):
+        # At any point, not only near the posterior's mass, the value lies
+        # within float32's unit roundoff, 2^-24, relative of float64's: measured worst
+        # 0.4 of it over 300 random grids, without the first-order
+        # correction 3.3 of it (a cell's rounded mean and log weights are
+        # shared by all its returns). The examples with one visited cell
+        # holding all 5,048 returns, far from the means, fail without it.
+        rng = np.random.default_rng(seed)
+        cells = np.flatnonzero(bits[:n_time * n_price]) if any(bits[:n_time * n_price]) else [0]
+        g = empty_grid(n_time, n_price)
+        where = rng.choice(cells, size=model._F32_MIN_RETURNS + extra)
+        for c, x in zip(where.tolist(), (rng.standard_t(4, size=where.size) * 1.5).tolist()):
+            g.mask.flat[c] = True
+            g.returns[c // n_price][c % n_price].append(x)
+        post = Posterior(g, ModelDims(n_time, n_price, k))
+        assert_trajectory_matches(post, rng.normal(scale=scale, size=post.active.size),
+                                  float(np.finfo(np.float32).eps) / 2)
+
+    def test_fixed_step_acceptance_matches_float64(self):
+        # The float32 trajectories' chain against the same chain on float64
+        # trajectories: one seed, a fixed step, no adaptation. Measured:
+        # the same acceptance, 0.6, on three sessions.
+        g = tick_session()
+        dims = ModelDims(6, 4, 3)
+        cfg = HmcConfig(step_size=0.035, n_leapfrog=20, n_burn=0, n_draws=60, seed=3)
+        rates = []
+        for path in (True, False):
+            post = Posterior(g, dims)
+            if not path:
+                post.trajectory = None
+            ch = run_chain(np.zeros(dims.n_coords), cfg, post)
+            assert ch.n_end_points == (1 + np.count_nonzero(~ch.divergent) if path else 0)
+            rates.append(ch.accept_flags.mean())
+        assert 0.2 < rates[1] < 0.95
+        assert abs(rates[0] - rates[1]) <= 0.02
+
+
 def _logit_beta_density(r, log_a):
     """log density of the logistic coordinate r of a Beta(1, a) fraction
     gamma: log a + (a - 1) log(1 - gamma) plus the Jacobian, log gamma +

@@ -428,6 +428,83 @@ class TestActiveTarget:
         assert f"gradient evaluations {t.n_grad:,}" in str(rep)
 
 
+class CorrelatedGaussian:
+    """N(mean, cov) in 2 dimensions, with its logp and grad calls counted. Its
+    ``trajectory`` is the gradient field of 0.7 log p(q) + offset . q, a
+    deliberately wrong one, whose ``last_logp`` is that function's value."""
+
+    mean = np.array([1.0, -2.0])
+    cov = np.array([[1.0, 0.8], [0.8, 2.0]])
+    prec = np.linalg.inv(cov)
+    offset = np.array([0.5, -0.3])
+
+    def __init__(self):
+        self.n_logp = self.n_grad = 0
+        self.trajectory = self.Surrogate()
+
+    def logp(self, q):
+        self.n_logp += 1
+        d = q - self.mean
+        return -0.5 * float(d @ self.prec @ d)
+
+    def grad(self, q):
+        self.n_grad += 1
+        return -self.prec @ (q - self.mean)
+
+    class Surrogate:
+        def grad(self, q):
+            d = q - CorrelatedGaussian.mean
+            self.value = (-0.35 * float(d @ CorrelatedGaussian.prec @ d)
+                          + float(CorrelatedGaussian.offset @ q))
+            return -0.7 * (CorrelatedGaussian.prec @ d) + CorrelatedGaussian.offset
+
+        def last_logp(self):
+            return self.value
+
+
+class TestTrajectoryTarget:
+    def test_wrong_trajectory_gradient_leaves_the_target_exact(self):
+        # The trajectories follow the wrong gradient and the Metropolis test
+        # reads the target's logp, so the draws have the target's mean and
+        # covariance. Were the test to read the trajectory's last_logp, the
+        # chain would sample exp(0.7 log p + offset . q): mean shifted by
+        # cov @ offset / 0.7 = (0.37, -0.29), covariance 1.43 times cov.
+        t = CorrelatedGaussian()
+        cfg = HmcConfig(step_size=0.3, n_leapfrog=5, n_burn=300, n_draws=4000, seed=19)
+        ch = run_chain(np.zeros(2), cfg, t)
+        x = np.array(ch.draws)
+        d = x - t.mean
+        for i in range(2):
+            assert abs(d[:, i].mean()) < 4 * d[:, i].std() / np.sqrt(effective_sample_size(x[:, i]))
+            for j in range(i, 2):
+                y = d[:, i] * d[:, j]
+                se = y.std() / np.sqrt(effective_sample_size(y))
+                assert abs(y.mean() - t.cov[i, j]) < 4 * se
+        # logp once at the start and once at the end of every trajectory
+        # that did not diverge; the target's gradient never.
+        assert 0.3 < ch.accept_flags.mean() < 0.95
+        assert t.n_grad == 0
+        assert t.n_logp == ch.n_end_points == 1 + np.count_nonzero(~ch.divergent)
+        assert ch.n_grad == 1 + cfg.n_leapfrog * (cfg.n_burn + cfg.n_draws)
+        rep = diagnostics(ch)
+        assert (f"gradient evaluations {ch.n_grad:,} ({t.n_logp:,} float64 end points)"
+                in str(rep))
+
+    def test_end_point_energy_error_above_the_threshold_is_divergent(self):
+        # The trajectory's own energy check passes, the target's logp at its
+        # end does not: the proposal is rejected as divergent.
+        class Far(CorrelatedGaussian):
+            def logp(self, q):
+                return super().logp(q) - (0.0 if self.n_logp == 1 else 2.0 * MAX_DELTA_H)
+
+        t = Far()
+        q0 = np.zeros(2)
+        logp0, g0 = t.logp(q0), t.trajectory.grad(q0)
+        out = hmc_step(q0, logp0, g0, t, np.random.default_rng(3), 0.3, 5, 1.0)
+        assert out[0] is q0 and out[2] is g0
+        assert out[3:] == (False, np.inf, True)
+
+
 class TestDiagnostics:
     def test_all_accepted(self):
         ch = Chain(draws=[np.zeros(1)] * 4,
